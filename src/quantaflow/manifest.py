@@ -2,24 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-
-
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
 
 def file_digest(path) -> str:
-    return f"{fnv1a64(open(path, 'rb').read()):016x}"
+    """blake2b-128 of the file's bytes, tagged with the algorithm."""
+    h = hashlib.blake2b(digest_size=16)
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return f"blake2b:{h.hexdigest()}"
 
 
 @dataclass
@@ -27,7 +23,7 @@ class RunManifest:
     command: list
     seed: int | None
     version: str
-    inputs: dict = field(default_factory=dict)   # path -> fnv1a64 hex
+    inputs: dict = field(default_factory=dict)   # path -> file_digest
     outputs: list = field(default_factory=list)
     duration_s: float = 0.0
 

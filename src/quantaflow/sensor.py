@@ -15,7 +15,6 @@ from . import rng
 from .errors import DomainError, ShapeError, UnidentifiableError
 
 _STREAM_PHOTON = 1
-_STREAM_READ = 2
 
 # Exposure cap for bracketing during inversion; far above anything a
 # bit density below 1 can demand in this application.
@@ -127,25 +126,55 @@ class NeighborhoodSpec:
 
 
 def _phi(z: float) -> float:
-    # Standard normal CDF via the error function:
-    #   Phi(z) = (1 + erf(z / sqrt(2))) / 2
-    # math.erf is correctly rounded to double precision, well inside the
-    # 1e-9 absolute error budget.
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    # Standard normal CDF; erfc keeps full relative precision in the lower
+    # tail, where the weights Phi((q - k) / sigma_r) get small.
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _series_kmax(theta: float) -> int:
-    # Chernoff-style tail margin: mass beyond theta + 12*sqrt(theta) + 12
-    # is far below 1e-12.
-    return max(30, math.ceil(theta + 12.0 * math.sqrt(theta) + 12.0))
+@lru_cache(maxsize=64)
+def _series_terms(q: float, sigma_r: float) -> tuple:
+    """(k, log(w_k / k!)) for each k with a nonzero weight w_k =
+    Phi((q - k) / sigma_r), the chance that k photons stay below q.
+
+    With sigma_r > 0 the terms stop at k = ceil(q + 9 sigma_r): later
+    weights are below Phi(-9) ~ 1e-19. With sigma_r = 0, w_k is a unit
+    step, 1 for k <= ceil(q) - 1, so ties at k = q fire.
+    """
+    if sigma_r == 0.0:
+        weights = [1.0] * math.ceil(q)
+    else:
+        weights = [_phi((q - k) / sigma_r) for k in range(math.ceil(q + 9.0 * sigma_r) + 1)]
+    return tuple((k, math.log(w) - math.lgamma(k + 1.0))
+                 for k, w in enumerate(weights) if w > 0.0)
+
+
+def _complement(theta: np.ndarray, q: float, sigma_r: float) -> np.ndarray:
+    """1 - P(Y = 1), elementwise: the sum over k of
+    exp(-theta) theta^k / k! * Phi((q - k) / sigma_r).
+
+    Each term is the exp of its logarithm, so none underflows before its
+    true value does, however large theta is.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_theta = np.log(theta)  # -inf at theta = 0 zeroes every k >= 1 term
+    (_, log_c0), *rest = _series_terms(q, sigma_r)  # k = 0 leads: w_0 >= 1/2
+    total = np.exp(log_c0 - theta)
+    term = np.empty_like(theta)
+    for k, log_c in rest:
+        np.multiply(log_theta, k, out=term)
+        term -= theta
+        term += log_c
+        np.exp(term, out=term)
+        total += term
+    return total
 
 
 def bit_probability(theta: float, q: float, sigma_r: float) -> float:
-    """P(Y = 1) for a pixel with quanta exposure theta.
-
-    Sums exp(-theta) theta^k / k! * Phi((k - q) / sigma_r) over k. With
-    sigma_r = 0 the CDF factor degenerates to a unit step (ties at k = q
-    fire), so the sum is the upper Poisson tail from ceil(q).
+    """P(Y = 1) for a pixel with quanta exposure theta: the sum over k of
+    exp(-theta) theta^k / k! * Phi((k - q) / sigma_r), taken as one minus
+    the complement series that `sample_frame` draws against. With
+    sigma_r = 0, Phi is a unit step and ties at k = q fire.
     """
     if not (math.isfinite(theta) and theta >= 0):
         raise DomainError("theta must be finite and >= 0")
@@ -153,26 +182,7 @@ def bit_probability(theta: float, q: float, sigma_r: float) -> float:
         raise DomainError("q must be finite and > 0")
     if not (math.isfinite(sigma_r) and sigma_r >= 0):
         raise DomainError("sigma_r must be finite and >= 0")
-
-    kmax = _series_kmax(theta)
-    if sigma_r == 0.0:
-        k0 = math.ceil(q)
-        if theta == 0.0:
-            return 0.0 if k0 > 0 else 1.0
-        # 1 - P(Poisson(theta) < k0), summed upward for accuracy
-        pmf = math.exp(-theta)
-        cdf = pmf
-        for k in range(1, k0):
-            pmf *= theta / k
-            cdf += pmf
-        return min(max(1.0 - cdf, 0.0), 1.0)
-
-    pmf = math.exp(-theta)
-    total = pmf * _phi((0 - q) / sigma_r)
-    for k in range(1, kmax + 1):
-        pmf *= theta / k
-        total += pmf * _phi((k - q) / sigma_r)
-    return min(max(total, 0.0), 1.0)
+    return min(max(1.0 - float(_complement(theta, q, sigma_r)), 0.0), 1.0)
 
 
 def noise_floor(q: float, sigma_r: float) -> float:
@@ -181,20 +191,19 @@ def noise_floor(q: float, sigma_r: float) -> float:
 
 
 def sample_frame(emap: ExposureMap, cfg: SensorConfig) -> BinaryFrame:
-    """Draw one binary frame: per pixel, 1 iff Poisson(theta) + noise >= q.
+    """Draw one binary frame: each pixel is Bernoulli(bit_probability(theta)).
 
-    Deterministic given (emap, cfg.seed): every pixel owns a counter-based
-    substream, so results do not depend on execution order.
+    That is the law of Poisson(theta) photons plus Gaussian read noise
+    against the threshold q. Each pixel draws one uniform u at counter 0
+    of its own counter-based substream and fires iff u >= 1 - p(theta), so
+    a bit depends only on (cfg.seed, pixel index, theta at that pixel),
+    never on execution order or on the other pixels.
     """
     theta = emap.theta.ravel()
-    idx = np.arange(theta.size, dtype=np.uint64)
-    photon_keys = rng.substream_keys(cfg.seed, idx, _STREAM_PHOTON)
-    x = rng.poissons(theta, photon_keys).astype(np.float64)
-    if cfg.sigma_r > 0:
-        read_keys = rng.substream_keys(cfg.seed, idx, _STREAM_READ)
-        x += cfg.sigma_r * rng.standard_normals(read_keys)
-    bits = (x >= cfg.q).reshape(emap.height, emap.width)
-    return BinaryFrame.from_array(bits)
+    keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), _STREAM_PHOTON)
+    u = rng.uniforms(keys, 0)
+    bits = u >= _complement(theta, cfg.q, cfg.sigma_r)
+    return BinaryFrame.from_array(bits.reshape(emap.height, emap.width))
 
 
 def mean_bit_density(frame: BinaryFrame) -> float:
@@ -221,20 +230,12 @@ def local_bit_density(frame: BinaryFrame, nb: NeighborhoodSpec) -> DensityMap:
     return DensityMap(frame.width, frame.height, counts / nb.size)
 
 
-@lru_cache(maxsize=64)
-def _monotone_in_theta(q: float, sigma_r: float) -> bool:
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, THETA_CAP, 60)])
-    vals = [bit_probability(t, q, sigma_r) for t in grid]
-    return all(b > a for a, b in zip(vals, vals[1:]))
-
-
 def invert_bit_density(mu: float, q: float, sigma_r: float) -> float:
     """Exposure theta-hat with bit_probability(theta-hat) = mu.
 
     Closed form -ln(1 - mu) when sigma_r = 0 and q in (0, 1]; otherwise
-    bracketed root finding over [0, THETA_CAP]. Monotonicity of the
-    forward map is spot-checked once per (q, sigma_r); the root finder
-    brackets globally either way, so a failed check only voids uniqueness.
+    bracketed root finding over [0, THETA_CAP], where the forward map
+    rises monotonically in theta.
     """
     if not (0.0 < mu < 1.0):
         raise DomainError("mu must lie strictly inside (0, 1); 0 and 1 are saturated")
@@ -246,7 +247,6 @@ def invert_bit_density(mu: float, q: float, sigma_r: float) -> float:
     if sigma_r == 0.0 and 0.0 < q <= 1.0:
         return -math.log(1.0 - mu)
 
-    _monotone_in_theta(q, sigma_r)
     f = lambda t: bit_probability(t, q, sigma_r) - mu
     hi = THETA_CAP
     if f(hi) < 0:

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from quantaflow import (BinaryFrame, DomainError, ExposureMap, NeighborhoodSpec,
                         SensorConfig, UnidentifiableError, bit_probability,
@@ -67,6 +69,28 @@ class TestBitProbability:
         for sr in (0.0, 0.25, 0.5):
             assert bit_probability(1.0, 1.5, sr) < bit_probability(1.0, 0.5, sr)
 
+    @pytest.mark.parametrize("theta", [745.0, 750.0, 1e3, 1e6])
+    @pytest.mark.parametrize("sigma_r", [0.0, 0.25])
+    def test_large_exposure_saturates(self, theta, sigma_r):
+        # exp(-theta) underflows from theta ~ 745 on; the bit must still fire.
+        assert bit_probability(theta, 0.5, sigma_r) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("q, sigma_r", [(0.5, 0.0), (1.5, 0.0), (0.5, 0.25),
+                                            (1.5, 0.5), (2.7, 1.0)])
+    def test_series_against_mpmath(self, q, sigma_r):
+        # Reference: the upward series sum_k Poisson(k; theta) Phi((k - q) / sigma_r)
+        # in 40-digit arithmetic, summed to k = 200 (far past theta = 64).
+        with mpmath.workdps(40):
+            mq, ms = mpmath.mpf(q), mpmath.mpf(sigma_r)
+            weights = [mpmath.ncdf((k - mq) / ms) if sigma_r else int(k >= q)
+                       for k in range(200)]
+            for theta in np.linspace(0.0, 64.0, 97):
+                pmf, ref = mpmath.exp(-mpmath.mpf(theta)), mpmath.mpf(0)
+                for k, w in enumerate(weights):
+                    ref += pmf * w
+                    pmf *= mpmath.mpf(theta) / (k + 1)
+                assert abs(bit_probability(theta, q, sigma_r) - float(ref)) <= 1e-14
+
     @pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf])
     def test_bad_theta_rejected(self, theta):
         with pytest.raises(DomainError):
@@ -103,6 +127,29 @@ class TestSampleFrame:
         f1 = sample_frame(emap, SensorConfig(0.5, 0.25, 1))
         f2 = sample_frame(emap, SensorConfig(0.5, 0.25, 2))
         assert not np.array_equal(f1.bits, f2.bits)
+
+    @pytest.mark.parametrize("q", [0.5, 1.5])
+    @pytest.mark.parametrize("sigma_r", [0.0, 0.25])
+    def test_level_counts_chi_square(self, q, sigma_r):
+        # 16 exposure levels of 65536 pixels each: the ones per level are
+        # Binomial(n, bit_probability(theta_l)) if the sampler has its law.
+        levels, n = 0.25 * np.arange(1, 17), 65536
+        emap = ExposureMap(1024, 1024, np.repeat(levels, n).reshape(1024, 1024))
+        frame = sample_frame(emap, SensorConfig(q, sigma_r, 2024))
+        ones = frame.to_array().reshape(16, n).sum(axis=1)
+        p = np.array([bit_probability(t, q, sigma_r) for t in levels])
+        stat = np.sum((ones - n * p) ** 2 / (n * p * (1.0 - p)))
+        assert chi2.sf(stat, df=16) > 1e-4
+
+    def test_bit_depends_only_on_own_exposure(self):
+        gen = np.random.default_rng(5)
+        theta, other = gen.uniform(0.0, 4.0, size=(2, 64, 96))
+        keep = gen.random((64, 96)) < 0.5
+        cfg = SensorConfig(0.5, 0.25, 17)
+        a = sample_frame(ExposureMap(96, 64, theta), cfg).to_array()
+        b = sample_frame(ExposureMap(96, 64, np.where(keep, theta, other)), cfg).to_array()
+        assert np.array_equal(a[keep], b[keep])
+        assert not np.array_equal(a[~keep], b[~keep])
 
 
 class TestDensity:
