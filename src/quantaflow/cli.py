@@ -24,10 +24,8 @@ from .ode import AtomVectorField, SolverConfig, integrate_atoms
 from .sensor import (ExposureMap, NeighborhoodSpec, SensorConfig,
                      invert_bit_density, local_bit_density, mean_bit_density,
                      sample_frame)
-from .verifier import (random_layer_instance, run_layer_bound_suite,
-                       verify_density_identity, verify_exposure_continuity,
-                       verify_layer_bound)
-from .filters import Coefficients, EaclConfig, FeatureMap
+from .verifier import (run_continuity_suite, run_layer_bound_suite,
+                       verify_density_identity)
 from .sensor import BinaryFrame
 
 
@@ -172,25 +170,20 @@ def _verify_density(instances, seed):
 
 
 def _verify_continuity(instances, seed):
-    reports = []
-    deltas = (1e-1, 1e-2, 1e-3)
-    for i in range(instances):
-        gen = np.random.default_rng(seed + i)
-        field_ = AtomVectorField.seeded(3, 3, seed + i)
-        inp = FeatureMap.from_array(gen.uniform(0, 1, size=(1, 16, 16)))
-        phi = Coefficients.from_array(gen.standard_normal((1, 1, 3)))
-        cfg = EaclConfig(bias=np.zeros(1), activation="relu")
-        rep = verify_exposure_continuity(field_, phi, inp, 0.3, deltas, cfg)
-        reports.append({"instance_seed": seed + i,
-                        "output_distances": list(rep.output_distances),
-                        "atom_distances": list(rep.atom_distances),
-                        "bound_holds": list(rep.bound_holds),
-                        "decreasing": rep.decreasing,
-                        "holds": rep.holds})
-    return reports
+    return [{"instance_seed": seed + i,
+             "output_distances": list(rep.output_distances),
+             "atom_distances": list(rep.atom_distances),
+             "bound_holds": list(rep.bound_holds),
+             "decreasing": rep.decreasing,
+             "holds": rep.holds}
+            for i, rep in enumerate(run_continuity_suite(instances, seed))]
 
 
 def _cmd_verify(args):
+    if args.instances < 1:
+        print(f"usage error: --instances must be >= 1, got {args.instances}",
+              file=sys.stderr)
+        raise SystemExit(2)
     t0 = time.monotonic()
     man = _new_manifest(args, args.seed)
     suites = ("layer-bound", "density", "continuity") if args.suite == "all" \
@@ -226,7 +219,8 @@ def _cmd_calibrate(args):
     man.add_input(args.infile)
     man.add_input(args.params)
     photons = formats.read_float_map(args.infile)
-    raw = json.load(open(args.params))
+    with open(args.params) as f:
+        raw = json.load(f)
     params = QisParams(**raw)
     out = qis_forward(photons, params, args.seed)
     formats.write_float_map(args.out, out)
@@ -236,7 +230,8 @@ def _cmd_calibrate(args):
 
 
 def _cmd_export_pgm(args):
-    magic = open(args.infile, "rb").read(4)
+    with open(args.infile, "rb") as f:
+        magic = f.read(4)
     if magic == b"QBF1":
         formats.export_pgm_frame(args.out, formats.read_frame(args.infile))
     elif magic == b"QEX1":

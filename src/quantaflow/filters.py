@@ -3,6 +3,8 @@ convolutional layer built on it.
 
 Full filters factor as F[o,i] = sum_j phi[o,i,j] * atoms[j]; the layer is
 plain cross-correlation (zero padding, stride 1) with those filters.
+`_correlate2d` is the one correlation routine: it takes leading batch axes,
+so the verifier runs a block of layer instances through the same calls.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, ShapeError
 
@@ -133,8 +134,29 @@ def compose_filters(phi: Coefficients, atoms: FilterAtoms) -> np.ndarray:
 
 
 def _correlate2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Cross-correlation, zero padding, stride 1; odd kernels center exactly.
-    return ndimage.correlate(image, kernel, mode="constant", cval=0.0)
+    """Cross-correlation over the last two axes: zero padding, stride 1,
+    odd kernels centered exactly. Leading axes of `image` (..., h, w) and
+    `kernel` (..., kh, kw) broadcast. Each output pixel sums its kernel
+    offsets in row-major order, starting from zero."""
+    kh, kw = kernel.shape[-2:]
+    h, w = image.shape[-2:]
+    pad = [(0, 0)] * (image.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)]
+    padded = np.pad(image, pad)
+    out = np.zeros(np.broadcast_shapes(image.shape[:-2], kernel.shape[:-2]) + (h, w))
+    for dy in range(kh):
+        for dx in range(kw):
+            out += kernel[..., dy, dx, None, None] * padded[..., dy:dy + h, dx:dx + w]
+    return out
+
+
+def _filter_responses(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Inputs (..., c_in, h, w) through filters (..., c_out, c_in, k, k):
+    (..., c_out, h, w), input channels summed in order from zero."""
+    per_channel = _correlate2d(x[..., None, :, :, :], filters)
+    out = np.zeros(per_channel.shape[:-3] + per_channel.shape[-2:])
+    for i in range(per_channel.shape[-3]):
+        out += per_channel[..., i, :, :]
+    return out
 
 
 def _check_layer_shapes(inp: FeatureMap, phi: Coefficients, atoms: FilterAtoms):
@@ -150,11 +172,7 @@ def eacl_preactivation(inp: FeatureMap, phi: Coefficients, atoms: FilterAtoms,
                        bias: np.ndarray | None = None) -> np.ndarray:
     """Pre-activation output by composing filters first, then correlating."""
     _check_layer_shapes(inp, phi, atoms)
-    filters = compose_filters(phi, atoms)
-    out = np.zeros((phi.c_out, inp.height, inp.width))
-    for o in range(phi.c_out):
-        for i in range(phi.c_in):
-            out[o] += _correlate2d(inp.data[i], filters[o, i])
+    out = _filter_responses(inp.data, compose_filters(phi, atoms))
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out
@@ -166,10 +184,7 @@ def eacl_preactivation_atomspace(inp: FeatureMap, phi: Coefficients,
     """Same result through the other route: correlate each atom with each
     input channel, then mix by the coefficients."""
     _check_layer_shapes(inp, phi, atoms)
-    responses = np.empty((phi.c_in, atoms.m, inp.height, inp.width))
-    for i in range(phi.c_in):
-        for j in range(atoms.m):
-            responses[i, j] = _correlate2d(inp.data[i], atoms.data[j])
+    responses = _correlate2d(inp.data[:, None], atoms.data)  # (c_in, m, h, w)
     out = np.einsum("oij,ijhw->ohw", phi.data, responses)
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64)[:, None, None]

@@ -12,6 +12,7 @@ PGM   P5 export for visualization only (no reader)
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -71,7 +72,7 @@ def write_float_map(path, arr: np.ndarray):
 
 
 def read_float_map(path) -> np.ndarray:
-    r = _Reader(open(path, "rb").read())
+    r = _Reader(Path(path).read_bytes())
     r.magic(b"QEX1")
     w = r.u32("width")
     h = r.u32("height")
@@ -114,7 +115,7 @@ def write_frame(path, frame: BinaryFrame):
 
 
 def read_frame(path) -> BinaryFrame:
-    r = _Reader(open(path, "rb").read())
+    r = _Reader(Path(path).read_bytes())
     r.magic(b"QBF1")
     w = r.u32("width")
     h = r.u32("height")
@@ -138,7 +139,7 @@ def write_burst(path, burst: ExposureBurst):
 
 
 def read_burst(path) -> ExposureBurst:
-    r = _Reader(open(path, "rb").read())
+    r = _Reader(Path(path).read_bytes())
     r.magic(b"QBB1")
     w = r.u32("width")
     h = r.u32("height")
@@ -184,7 +185,7 @@ def _decode_tensor(r: _Reader) -> np.ndarray:
 
 
 def read_tensor(path) -> np.ndarray:
-    r = _Reader(open(path, "rb").read())
+    r = _Reader(Path(path).read_bytes())
     arr = _decode_tensor(r)
     r.done()
     return arr
@@ -202,7 +203,7 @@ def write_field(path, field_: AtomVectorField):
 
 
 def read_field(path) -> AtomVectorField:
-    r = _Reader(open(path, "rb").read())
+    r = _Reader(Path(path).read_bytes())
     r.magic(b"QVF1")
     m = r.u32("atom count")
     k = r.u32("spatial size")

@@ -52,7 +52,8 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        raw = json.load(open(path))
+        with open(path) as f:
+            raw = json.load(f)
         return cls(command=raw["command"], seed=raw["seed"], version=raw["version"],
                    inputs=raw["inputs"], outputs=raw["outputs"],
                    duration_s=raw["duration_s"])

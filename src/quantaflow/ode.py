@@ -83,20 +83,50 @@ class AtomVectorField:
         init = lambda_init or FilterAtoms(m, k, np.zeros((m, k, k)))
         return cls(tuple(np.zeros((n, n + 1)) for _ in range(STAGE_COUNT)), init)
 
-    def derivative(self, theta_tilde: float, state: np.ndarray) -> np.ndarray:
-        """Evaluate the field at (theta_tilde, state); state is (m, k, k)."""
+    def derivative(self, theta_tilde, state: np.ndarray) -> np.ndarray:
+        """Evaluate the field at (theta_tilde, state); state is (m, k, k)
+        or a batch (..., m, k, k) with theta_tilde broadcasting over its
+        leading axes."""
         x = np.asarray(state, dtype=np.float64)
-        if x.shape != self.lambda_init.data.shape:
-            raise ShapeError(f"state shape {x.shape} != {self.lambda_init.data.shape}")
-        for w in self.stage_weights:
-            atoms = x.reshape(self.m, -1)
-            centered = atoms - atoms.mean(axis=1, keepdims=True)
-            # Zero-variance atoms stay at zero mean; epsilon keeps the
-            # division finite without inflating them.
-            scale = np.sqrt(atoms.var(axis=1, keepdims=True) + _NORM_EPS)
-            x = np.tanh(centered / scale).ravel()
-            x = w @ np.concatenate([x, [theta_tilde]])
-        return x.reshape(self.lambda_init.data.shape)
+        if x.shape[-3:] != self.lambda_init.data.shape:
+            raise ShapeError(f"state shape {x.shape} != (..., {self.m}, {self.k}, {self.k})")
+        return _field_rhs(self.stage_weights, theta_tilde, x)
+
+
+@dataclass(frozen=True)
+class FieldStack:
+    """B AtomVectorFields of one (m, k) as one field over states of shape
+    (B, D, m, k, k): the D states of index b follow field b."""
+
+    stage_weights: tuple  # STAGE_COUNT arrays of shape (B, 1, n, n+1)
+
+    @classmethod
+    def of(cls, fields) -> "FieldStack":
+        return cls(tuple(np.stack([f.stage_weights[s] for f in fields])[:, None]
+                         for s in range(STAGE_COUNT)))
+
+    def derivative(self, theta_tilde, state: np.ndarray) -> np.ndarray:
+        return _field_rhs(self.stage_weights, theta_tilde, state)
+
+
+def _field_rhs(stage_weights, theta_tilde, x: np.ndarray) -> np.ndarray:
+    # Each stage: per-atom normalization, tanh, then the linear mix of the
+    # flattened atoms and the exposure. The weights broadcast against the
+    # leading axes of x, one matrix-vector product per row.
+    shape = x.shape
+    lead = shape[:-3]
+    theta = np.broadcast_to(np.asarray(theta_tilde, dtype=np.float64), lead)[..., None]
+    for w in stage_weights:
+        atoms = x.reshape(lead + (shape[-3], -1))
+        # np.mean and np.var's own arithmetic, with the mean computed once.
+        size = atoms.shape[-1]
+        centered = atoms - np.add.reduce(atoms, axis=-1, keepdims=True) / size
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / size
+        # Zero-variance atoms stay at zero mean; epsilon keeps the
+        # division finite without inflating them.
+        x = np.tanh(centered / np.sqrt(var + _NORM_EPS)).reshape(lead + (-1,))
+        x = (w @ np.concatenate([x, theta], axis=-1)[..., None])[..., 0]
+    return x.reshape(shape)
 
 
 def eval_field(field_: AtomVectorField, theta_tilde: float,
@@ -114,20 +144,24 @@ class ConstantField:
     lambda_init: FilterAtoms
 
     def derivative(self, theta_tilde, state):
-        return np.asarray(self.value, dtype=np.float64)
+        return np.broadcast_to(np.asarray(self.value, dtype=np.float64), np.shape(state))
 
 
-def _rk4_fixed(rhs, t0: float, t1: float, y0: np.ndarray, steps: int) -> np.ndarray:
+# The solvers integrate rows: y0 is (B, n), t0 and t1 are (B,), and
+# rhs(t, y) maps (B,) times and (B, n) states to (B, n) derivatives. Rows
+# never mix, so each row gives the bits of a solve of that row alone.
+
+def _rk4_fixed(rhs, t0, t1, y0: np.ndarray, steps: int) -> np.ndarray:
     h = (t1 - t0) / steps
     y = y0
     for i in range(steps):
         t = t0 + i * h
         k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+        k2 = rhs(t + h / 2, y + (h / 2)[:, None] * k1)
+        k3 = rhs(t + h / 2, y + (h / 2)[:, None] * k2)
+        k4 = rhs(t + h, y + h[:, None] * k3)
+        y = y + (h / 6)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+    return np.where((t1 == t0)[:, None], y0, y)
 
 # Dormand-Prince 4(5) tableau.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -149,59 +183,82 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 
 
-def _dopri45(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float,
-             atol: float, max_steps: int) -> np.ndarray:
+def _step_factor(norm: float) -> float:
+    factor = _FACTOR_MAX if norm == 0.0 else _SAFETY * norm ** -0.2
+    return min(max(factor, _FACTOR_MIN), _FACTOR_MAX)
+
+
+def _dopri45(rhs, t0, t1, y0: np.ndarray, rtol: float, atol: float,
+             max_steps: int) -> np.ndarray:
+    """Adaptive steps, each row with its own step size and accept/reject.
+    Every attempt evaluates all rows; rows that are done keep their state.
+    The last stage sits at the accepted point (first same as last), so it
+    is the next step's first stage."""
     span = t1 - t0
-    if span == 0.0:
-        return y0.copy()
-    direction = 1.0 if span > 0 else -1.0
+    direction = np.where(span > 0, 1.0, -1.0)
     h = span / 100.0
-    t, y = t0, y0.copy()
+    t, y = t0.copy(), y0.copy()
+    active = span != 0.0
+    k1 = rhs(t, y) if active.any() else None
     for _ in range(max_steps):
-        if direction * (t1 - t) <= 0:
+        if not active.any():
             return y
-        if direction * (t + h - t1) > 0:
-            h = t1 - t
-        k = [rhs(t, y)]
+        h = np.where(active & (direction * (t + h - t1) > 0), t1 - t, h)
+        k = [k1]
         for i in range(1, 7):
-            yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
+            yi = y + h[:, None] * sum(a * kk for a, kk in zip(_DP_A[i], k))
             k.append(rhs(t + _DP_C[i] * h, yi))
-        y5 = y + h * sum(b * kk for b, kk in zip(_DP_B5, k))
-        y4 = y + h * sum(b * kk for b, kk in zip(_DP_B4, k))
-        err = y5 - y4
+        y5 = y + h[:, None] * sum(b * kk for b, kk in zip(_DP_B5, k))
+        y4 = y + h[:, None] * sum(b * kk for b, kk in zip(_DP_B4, k))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if norm <= 1.0:
-            t = t + h
-            y = y5
-            factor = _FACTOR_MAX if norm == 0.0 else _SAFETY * norm ** -0.2
-        else:
-            factor = _SAFETY * norm ** -0.2
-        h *= min(max(factor, _FACTOR_MIN), _FACTOR_MAX)
-        if direction * (t1 - t) <= 0:
-            return y
-    raise IntegrationError("adaptive step cap exceeded", last_theta=t)
+        norm = np.sqrt(np.mean(((y5 - y4) / scale) ** 2, axis=1))
+        accept = active & (norm <= 1.0)
+        t = np.where(accept, t + h, t)
+        y = np.where(accept[:, None], y5, y)
+        k1 = np.where(accept[:, None], k[6], k1)
+        growth = np.array([_step_factor(v) for v in norm.tolist()])
+        h = np.where(active, h * growth, h)
+        active &= direction * (t1 - t) > 0
+    if active.any():
+        raise IntegrationError("adaptive step cap exceeded",
+                               last_theta=float(t[np.argmax(active)]))
+    return y
 
 
 def integrate_atoms(field_, theta_in: float, theta_target: float,
                     solver: SolverConfig = SolverConfig()) -> FilterAtoms:
     """Atoms at theta_target: initial state lambda_init at theta_in,
     integrated along the field (backward when target < input)."""
-    for name, v in (("theta_in", theta_in), ("theta_target", theta_target)):
+    init = field_.lambda_init
+    out = integrate_stack(field_, init.data[None], theta_in, [theta_target], solver)
+    return FilterAtoms(init.m, init.k, out[0, 0])
+
+
+def integrate_stack(field_, init: np.ndarray, theta_in: float, targets,
+                    solver: SolverConfig = SolverConfig()) -> np.ndarray:
+    """Atoms of B initial states init (B, m, k, k) at each target exposure,
+    as (B, len(targets), m, k, k), integrated from theta_in in one batch.
+    field_.derivative takes (B, D) exposures and (B, D, m, k, k) states: a
+    FieldStack of B fields, or one field shared by all rows. Row (b, d)
+    has the bits of integrate_atoms from state b to targets[d]."""
+    targets = [float(v) for v in targets]
+    for name, v in (("theta_in", theta_in), *(("theta_target", v) for v in targets)):
         if not (0.0 < v < 1.0):
             raise DomainError(f"{name} must lie in (0, 1), got {v}")
-    init = field_.lambda_init
-    shape = init.data.shape
-    rhs = lambda t, y: field_.derivative(t, y.reshape(shape)).ravel()
-    y0 = init.data.ravel().copy()
-    if theta_in == theta_target:
-        out = y0
-    elif solver.method == "rk4-fixed":
-        out = _rk4_fixed(rhs, theta_in, theta_target, y0, solver.fixed_steps)
+    shape = (init.shape[0], len(targets)) + init.shape[1:]
+    rows = shape[0] * shape[1]
+
+    def rhs(t, y):
+        return field_.derivative(t.reshape(shape[:2]), y.reshape(shape)).reshape(y.shape)
+
+    y0 = np.repeat(init.reshape(shape[0], 1, -1), shape[1], axis=1).reshape(rows, -1)
+    t0 = np.full(rows, float(theta_in))
+    t1 = np.tile(targets, shape[0])
+    if solver.method == "rk4-fixed":
+        out = _rk4_fixed(rhs, t0, t1, y0, solver.fixed_steps)
     else:
-        out = _dopri45(rhs, theta_in, theta_target, y0, solver.rtol,
-                       solver.atol, solver.max_steps)
-    return FilterAtoms(init.m, init.k, out.reshape(shape))
+        out = _dopri45(rhs, t0, t1, y0, solver.rtol, solver.atol, solver.max_steps)
+    return out.reshape(shape)
 
 
 def atoms_for_pair(field_, theta_in: float, theta_target: float,

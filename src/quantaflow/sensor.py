@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 from scipy.optimize import brentq
 
 from . import rng
@@ -212,11 +211,16 @@ def mean_bit_density(frame: BinaryFrame) -> float:
 
 
 def neighborhood_ones(frame: BinaryFrame, nb: NeighborhoodSpec) -> np.ndarray:
-    """Integer count of 1-bits in each pixel's neighborhood (exact)."""
-    arr = frame.to_array().astype(np.int64)
+    """Integer count of 1-bits in each pixel's neighborhood (exact): a box
+    sum, as cumulative sums along each axis minus themselves shifted by the
+    window size."""
     size = 2 * nb.radius + 1
-    mode = "constant" if nb.boundary == "zero-pad" else "nearest"
-    return ndimage.correlate(arr, np.ones((size, size), dtype=np.int64), mode=mode)
+    mode = "constant" if nb.boundary == "zero-pad" else "edge"
+    c = np.cumsum(np.pad(frame.to_array(), nb.radius, mode=mode), axis=0, dtype=np.int64)
+    c[size:] -= c[:-size]
+    c = np.cumsum(c[size - 1:], axis=1)
+    c[:, size:] -= c[:, :-size]
+    return c[:, size - 1:]
 
 
 def neighborhood_l2_norm(frame: BinaryFrame, nb: NeighborhoodSpec) -> np.ndarray:

@@ -9,21 +9,21 @@ For atoms Lambda_1, Lambda_2 driving the same layer, the bound checked is
 with the neighborhood factor taken as the max over pixels, the weakest
 uniform constant that still dominates the per-pixel chain. Bias is zeroed
 inside all checks.
+
+The suites evaluate a block of instances as the rows of one array; the
+one-instance checks run the same code on a block of one.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
-                      ACTIVATIONS, eacl_preactivation)
-from .ode import SolverConfig, integrate_atoms
+                      ACTIVATIONS, _correlate2d, _filter_responses, compose_filters)
+from .ode import AtomVectorField, FieldStack, SolverConfig, integrate_stack
 from .sensor import BinaryFrame, NeighborhoodSpec, local_bit_density, neighborhood_ones
 
 #: Absolute slack absorbing floating-point accumulation in inequality checks.
@@ -31,6 +31,9 @@ SLACK = 1e-9
 
 #: Activations admissible in bound checks (non-expansive with unit constant).
 BOUND_ACTIVATIONS = ("relu", "tanh", "identity")
+
+#: Instances evaluated together by a suite; it bounds the suites' memory.
+BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -66,69 +69,73 @@ class BoundReport:
         }
 
 
-def _neighborhood_sq_norms(inp: FeatureMap, k: int) -> np.ndarray:
-    """Per-channel squared window norms: (c, h, w) sums of x^2 over the
-    k x k neighborhood, zero-padded."""
-    kernel = np.ones((k, k))
-    return np.stack([
-        ndimage.correlate(ch * ch, kernel, mode="constant", cval=0.0)
-        for ch in inp.data
-    ])
+def _neighborhood_sq_norms(x: np.ndarray, k: int) -> np.ndarray:
+    """Per-channel squared window norms of inputs (..., c, h, w): sums of
+    x^2 over the k x k neighborhood, zero-padded."""
+    return _correlate2d(x * x, np.ones((k, k)))
+
+
+def _stack(items):
+    return np.stack([item.data for item in items])
+
+
+def _argmax_check(lhs: np.ndarray, rhs: np.ndarray) -> "StageCheck":
+    i = np.unravel_index(np.argmax(lhs - rhs), lhs.shape)
+    return StageCheck(float(lhs[i]), float(rhs[i]))
+
+
+def _layer_bound_block(instances, activation: str) -> list:
+    """BoundReports for (input, phi, atoms1, atoms2, seed) tuples that share
+    their shapes, with every correlation run once over the block."""
+    if activation not in BOUND_ACTIVATIONS:
+        raise DomainError(
+            f"bound checks need a unit-constant non-expansive activation, "
+            f"got {activation!r}")
+    act = ACTIVATIONS[activation]
+    inps, phis, atoms1, atoms2, _ = zip(*instances)
+    x = _stack(inps)                                   # (B, c_in, h, w)
+    a1, a2 = _stack(atoms1), _stack(atoms2)            # (B, m, k, k)
+    delta = a1 - a2
+    y1, y2 = (act(_filter_responses(x, np.stack(list(map(compose_filters, phis, atoms)))))
+              for atoms in (atoms1, atoms2))
+    sq = _neighborhood_sq_norms(x, a1.shape[-1])       # (B, c_in, h, w)
+    nb_max = np.sqrt(sq.sum(axis=1)).max(axis=(1, 2))  # across channels
+    # Inner stages. B[i,j](u) is the difference of the two atom responses
+    # at pixel u for input channel i and atom j; (B, c_in, m, h, w).
+    xs = x[:, :, None]
+    b = _correlate2d(xs, a1[:, None]) - _correlate2d(xs, a2[:, None])
+    cs_lhs = np.abs(_correlate2d(xs, delta[:, None]))
+    nb_norms = np.sqrt(sq)[:, :, None]
+
+    reports = []
+    for n, (inp, phi, at1, at2, seed) in enumerate(instances):
+        lhs = float(np.linalg.norm((y1[n] - y2[n]).ravel()))
+        rhs = phi.norm() * float(nb_max[n]) * np.sqrt(inp.width * inp.height) \
+            * at1.distance(at2)
+
+        # Hoelder with p = q = 2: sum |phi_oij B_ij(u)| <= ||phi_o|| * ||B(u)||.
+        holder_lhs = np.einsum("oij,ijhw->ohw", np.abs(phi.data), np.abs(b[n]))
+        phi_row_norms = np.linalg.norm(phi.data.reshape(phi.c_out, -1), axis=1)
+        b_norms = np.sqrt(np.einsum("ijhw->hw", b[n] * b[n]))
+        holder = _argmax_check(holder_lhs, phi_row_norms[:, None, None] * b_norms[None])
+
+        # Cauchy-Schwarz: |<x_i, dLambda_j>_{N_u}| <= ||x_i||_{2,N_u} ||dLambda_j||.
+        atom_norms = np.linalg.norm(delta[n].reshape(phi.m, -1), axis=1)
+        cauchy = _argmax_check(cs_lhs[n], nb_norms[n] * atom_norms[None, :, None, None])
+
+        holds = bool(lhs <= rhs + SLACK and holder.holds and cauchy.holds)
+        reports.append(BoundReport(lhs=lhs, rhs=rhs, holds=holds, slack=rhs - lhs,
+                                   instance_seed=seed,
+                                   intermediate={"holder": holder, "cauchy_schwarz": cauchy}))
+    return reports
 
 
 def verify_layer_bound(inp: FeatureMap, phi: Coefficients, atoms1: FilterAtoms,
                        atoms2: FilterAtoms, cfg: EaclConfig,
                        instance_seed: int = 0) -> BoundReport:
     """Evaluate both sides of the layer bound plus its two inner stages."""
-    if cfg.activation not in BOUND_ACTIVATIONS:
-        raise DomainError(
-            f"bound checks need a unit-constant non-expansive activation, "
-            f"got {cfg.activation!r}")
-    act = ACTIVATIONS[cfg.activation]
-    y1 = act(eacl_preactivation(inp, phi, atoms1))
-    y2 = act(eacl_preactivation(inp, phi, atoms2))
-    lhs = float(np.linalg.norm((y1 - y2).ravel()))
-
-    k = atoms1.k
-    sq = _neighborhood_sq_norms(inp, k)          # (c_in, h, w)
-    nb_norm_all = np.sqrt(sq.sum(axis=0))        # across channels
-    domain = inp.width * inp.height
-    atom_dist = atoms1.distance(atoms2)
-    rhs = phi.norm() * float(nb_norm_all.max()) * np.sqrt(domain) * atom_dist
-
-    # Inner stages, on the same instance. B[i,j](u) is the difference of the
-    # two atom responses at pixel u for input channel i and atom j.
-    delta = atoms1.data - atoms2.data
-    b = np.empty((phi.c_in, phi.m, inp.height, inp.width))
-    for i in range(phi.c_in):
-        for j in range(phi.m):
-            r1 = ndimage.correlate(inp.data[i], atoms1.data[j], mode="constant")
-            r2 = ndimage.correlate(inp.data[i], atoms2.data[j], mode="constant")
-            b[i, j] = r1 - r2
-
-    # Hoelder with p = q = 2: sum |phi_oij B_ij(u)| <= ||phi_o|| * ||B(u)||.
-    holder_lhs = np.einsum("oij,ijhw->ohw", np.abs(phi.data), np.abs(b))
-    phi_row_norms = np.linalg.norm(phi.data.reshape(phi.c_out, -1), axis=1)
-    b_norms = np.sqrt(np.einsum("ijhw->hw", b * b))
-    holder_rhs = phi_row_norms[:, None, None] * b_norms[None]
-    hi = np.unravel_index(np.argmax(holder_lhs - holder_rhs), holder_lhs.shape)
-    holder = StageCheck(float(holder_lhs[hi]), float(holder_rhs[hi]))
-
-    # Cauchy-Schwarz: |<x_i, dLambda_j>_{N_u}| <= ||x_i||_{2,N_u} ||dLambda_j||.
-    cs_lhs = np.empty_like(b)
-    for i in range(phi.c_in):
-        for j in range(phi.m):
-            cs_lhs[i, j] = np.abs(
-                ndimage.correlate(inp.data[i], delta[j], mode="constant"))
-    atom_norms = np.linalg.norm(delta.reshape(phi.m, -1), axis=1)
-    cs_rhs = np.sqrt(sq)[:, None] * atom_norms[None, :, None, None]
-    ci = np.unravel_index(np.argmax(cs_lhs - cs_rhs), cs_lhs.shape)
-    cauchy = StageCheck(float(cs_lhs[ci]), float(cs_rhs[ci]))
-
-    holds = bool(lhs <= rhs + SLACK and holder.holds and cauchy.holds)
-    return BoundReport(lhs=lhs, rhs=rhs, holds=holds, slack=rhs - lhs,
-                       instance_seed=instance_seed,
-                       intermediate={"holder": holder, "cauchy_schwarz": cauchy})
+    return _layer_bound_block([(inp, phi, atoms1, atoms2, instance_seed)],
+                              cfg.activation)[0]
 
 
 def _brute_window_sq_sum(bits: np.ndarray, nb: NeighborhoodSpec) -> np.ndarray:
@@ -172,6 +179,39 @@ class ContinuityReport:
         return self.decreasing and all(self.bound_holds)
 
 
+def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfig,
+                      field_=None) -> list:
+    """ContinuityReports for (field, phi, input) triples that share their
+    shapes. All atoms at all offsets come from one batched solve, along the
+    triples' fields stacked, or along `field_` when given."""
+    fields, phis, inps = zip(*instances)
+    base = _stack(f.lambda_init for f in fields)       # (B, m, k, k)
+    moved = integrate_stack(FieldStack.of(fields) if field_ is None else field_,
+                            base, theta0, [theta0 + d for d in deltas], solver)
+    moved = [[FilterAtoms.from_array(a) for a in atoms] for atoms in moved]
+    x = _stack(inps)                                   # (B, c_in, h, w)
+    filters = np.stack([[compose_filters(p, a) for a in (f.lambda_init, *atoms)]
+                        for p, f, atoms in zip(phis, fields, moved)])
+    y = act(_filter_responses(x[:, None], filters))    # (B, 1 + D, c_out, h, w)
+    nb_max = np.sqrt(_neighborhood_sq_norms(x, base.shape[-1]).sum(axis=1)).max(axis=(1, 2))
+
+    reports = []
+    for n, (field_n, phi, inp) in enumerate(instances):
+        const = phi.norm() * float(nb_max[n]) * np.sqrt(inp.width * inp.height)
+        d_vals, a_vals, ok = [], [], []
+        for i in range(len(deltas)):
+            dist = float(np.linalg.norm((y[n, 1 + i] - y[n, 0]).ravel()))
+            a = field_n.lambda_init.distance(moved[n][i])
+            d_vals.append(dist)
+            a_vals.append(a)
+            ok.append(bool(dist <= const * a + SLACK))
+        decreasing = all(b < a or (a == 0.0 and b == 0.0)
+                         for a, b in zip(d_vals, d_vals[1:]))
+        reports.append(ContinuityReport(tuple(deltas), tuple(d_vals), tuple(a_vals),
+                                        const, tuple(ok), decreasing))
+    return reports
+
+
 def verify_exposure_continuity(field_, phi: Coefficients, inp: FeatureMap,
                                theta0: float, deltas, cfg: EaclConfig,
                                solver: SolverConfig = SolverConfig()) -> ContinuityReport:
@@ -182,44 +222,8 @@ def verify_exposure_continuity(field_, phi: Coefficients, inp: FeatureMap,
         raise DomainError("deltas must be positive and strictly decreasing")
     if cfg.activation not in BOUND_ACTIVATIONS:
         raise DomainError(f"continuity checks reject {cfg.activation!r}")
-    act = ACTIVATIONS[cfg.activation]
-
-    base_atoms = field_.lambda_init
-    y_base = act(eacl_preactivation(inp, phi, base_atoms))
-    sq = _neighborhood_sq_norms(inp, base_atoms.k)
-    const = phi.norm() * float(np.sqrt(sq.sum(axis=0)).max()) * np.sqrt(inp.width * inp.height)
-
-    d_vals, a_vals, ok = [], [], []
-    for d in deltas:
-        atoms_d = integrate_atoms(field_, theta0, theta0 + d, solver)
-        y_d = act(eacl_preactivation(inp, phi, atoms_d))
-        dist = float(np.linalg.norm((y_d - y_base).ravel()))
-        a = base_atoms.distance(atoms_d)
-        d_vals.append(dist)
-        a_vals.append(a)
-        ok.append(bool(dist <= const * a + SLACK))
-    decreasing = all(b < a or (a == 0.0 and b == 0.0)
-                     for a, b in zip(d_vals, d_vals[1:]))
-    return ContinuityReport(tuple(deltas), tuple(d_vals), tuple(a_vals),
-                            const, tuple(ok), decreasing)
-
-
-def worker_count() -> int:
-    """Parallelism cap from QF_THREADS; never affects results."""
-    env = os.environ.get("QF_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def map_ordered(fn, items) -> list:
-    """Apply fn across items, possibly in parallel, preserving input order."""
-    n = worker_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    return _continuity_block([(field_, phi, inp)], theta0, deltas,
+                             ACTIVATIONS[cfg.activation], solver, field_)[0]
 
 
 def random_layer_instance(seed: int, c: int = 4, m: int = 3, k: int = 3,
@@ -237,8 +241,35 @@ def random_layer_instance(seed: int, c: int = 4, m: int = 3, k: int = 3,
 def run_layer_bound_suite(instances: int, seed: int,
                           activation: str = "relu") -> list:
     """BoundReports for `instances` seeded random layer instances."""
-    def one(i):
-        s = seed + i
-        inp, phi, a1, a2, cfg = random_layer_instance(s, activation=activation)
-        return verify_layer_bound(inp, phi, a1, a2, cfg, instance_seed=s)
-    return map_ordered(one, range(instances))
+    reports = []
+    for start in range(0, instances, BLOCK):
+        block = [(*random_layer_instance(s, activation=activation)[:4], s)
+                 for s in range(seed + start, seed + min(start + BLOCK, instances))]
+        reports += _layer_bound_block(block, activation)
+    return reports
+
+
+#: Exposure offsets and base exposure of the continuity suite.
+CONTINUITY_DELTAS = (1e-1, 1e-2, 1e-3)
+CONTINUITY_THETA0 = 0.3
+
+
+def continuity_instance(seed: int):
+    """Seeded random (field, phi, input, cfg) for a continuity check."""
+    gen = np.random.default_rng(seed)
+    field_ = AtomVectorField.seeded(3, 3, seed)
+    inp = FeatureMap.from_array(gen.uniform(0, 1, size=(1, 16, 16)))
+    phi = Coefficients.from_array(gen.standard_normal((1, 1, 3)))
+    cfg = EaclConfig(bias=np.zeros(1), activation="relu")
+    return field_, phi, inp, cfg
+
+
+def run_continuity_suite(instances: int, seed: int) -> list:
+    """ContinuityReports for `instances` seeded random fields and layers."""
+    reports = []
+    for start in range(0, instances, BLOCK):
+        block = [continuity_instance(s)[:3]
+                 for s in range(seed + start, seed + min(start + BLOCK, instances))]
+        reports += _continuity_block(block, CONTINUITY_THETA0, CONTINUITY_DELTAS,
+                                     ACTIVATIONS["relu"], SolverConfig())
+    return reports

@@ -151,6 +151,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_instances_below_one_is_usage_error(self, tmp_path, capsys, instances):
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as ei:
+            run(["verify", "--instances", instances, "--seed", "1",
+                 "--report", str(report)])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "--instances" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("threads", ["1", "4", "16"])
     def test_thread_count_does_not_change_report(self, tmp_path, monkeypatch,
                                                  threads, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from quantaflow import (Coefficients, DomainError, EaclConfig, FeatureMap,
                         FilterAtoms, ShapeError, compose_filters, eacl_forward)
-from quantaflow.filters import (ACTIVATIONS, eacl_preactivation,
+from quantaflow.filters import (ACTIVATIONS, _correlate2d, eacl_preactivation,
                                 eacl_preactivation_atomspace)
 
 
@@ -110,3 +110,21 @@ def test_activations_non_expansive(name, a, b):
     act = ACTIVATIONS[name]
     fa, fb = act(np.float64(a)), act(np.float64(b))
     assert abs(fa - fb) <= abs(a - b) + 1e-15
+
+
+class TestCorrelate2d:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_equals_ndimage_on_batched_channels(self, k):
+        # scipy is the reference only; the package does not use it here.
+        ndimage = pytest.importorskip("scipy.ndimage")
+        gen = np.random.default_rng(k)
+        images = gen.standard_normal((2, 3, 9, 14))      # (batch, channel, h, w)
+        kernels = gen.standard_normal((2, 1, k, k))
+        kernels[1, 0, k // 2] = 0.0                      # a row of zero weights
+        out = _correlate2d(images, kernels)
+        assert out.shape == images.shape
+        for b in range(2):
+            for c in range(3):
+                ref = ndimage.correlate(images[b, c], kernels[b, 0],
+                                        mode="constant", cval=0.0)
+                assert np.array_equal(out[b, c], ref)

@@ -7,7 +7,8 @@ from quantaflow import (AtomVectorField, DomainError, FilterAtoms,
                         IntegrationError, SolverConfig, atoms_for_pair,
                         estimate_lipschitz, eval_field, integrate_atoms)
 from quantaflow.filters import Coefficients
-from quantaflow.ode import ConstantField
+from quantaflow.ode import (_DP_A, _DP_B4, _DP_B5, _DP_C, ConstantField, FieldStack,
+                            _dopri45, _rk4_fixed, integrate_stack)
 
 
 class DecayField:
@@ -206,3 +207,119 @@ class TestLipschitz:
         for delta in np.linspace(0.01, 0.3, 12):
             moved = integrate_atoms(field, 0.5, 0.4 + delta, cfg)
             assert base.distance(moved) <= eps * delta + 1e-6
+
+
+# One-row references: the scalar-time loops that the batched solvers
+# replace, with the field's stages written out with np.mean and np.var.
+
+def _reference_derivative(field, theta, state):
+    x = state
+    for w in field.stage_weights:
+        atoms = x.reshape(field.m, -1)
+        centered = atoms - atoms.mean(axis=1, keepdims=True)
+        scale = np.sqrt(atoms.var(axis=1, keepdims=True) + 1e-5)
+        x = w @ np.concatenate([np.tanh(centered / scale).ravel(), [theta]])
+    return x
+
+
+def _reference_dopri45(rhs, t0, t1, y0, rtol, atol, max_steps):
+    span = t1 - t0
+    if span == 0.0:
+        return y0.copy()
+    direction = 1.0 if span > 0 else -1.0
+    h = span / 100.0
+    t, y = t0, y0.copy()
+    for _ in range(max_steps):
+        if direction * (t1 - t) <= 0:
+            return y
+        if direction * (t + h - t1) > 0:
+            h = t1 - t
+        k = [rhs(t, y)]
+        for i in range(1, 7):
+            yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
+            k.append(rhs(t + _DP_C[i] * h, yi))
+        y5 = y + h * sum(b * kk for b, kk in zip(_DP_B5, k))
+        y4 = y + h * sum(b * kk for b, kk in zip(_DP_B4, k))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        norm = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        if norm <= 1.0:
+            t, y = t + h, y5
+        factor = 5.0 if norm == 0.0 else 0.9 * norm ** -0.2
+        h *= min(max(factor, 0.2), 5.0)
+        if direction * (t1 - t) <= 0:
+            return y
+    raise IntegrationError("cap", last_theta=t)
+
+
+def _reference_rk4(rhs, t0, t1, y0, steps):
+    h = (t1 - t0) / steps
+    y = y0
+    for i in range(steps):
+        t = t0 + i * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+# Forward, zero, backward, short and long spans, in one batch.
+SPANS = [(0.2, 0.8), (0.5, 0.5), (0.9, 0.1), (0.3, 0.301), (0.05, 0.95), (0.7, 0.6)]
+
+
+class TestBatchedSolver:
+    def test_derivative_rows_equal_reference(self):
+        field = AtomVectorField.seeded(3, 3, 21)
+        gen = np.random.default_rng(0)
+        states = gen.standard_normal((4, 5, 3, 3, 3))
+        thetas = gen.uniform(0, 1, size=(4, 5))
+        out = field.derivative(thetas, states)
+        for b in range(4):
+            for d in range(5):
+                ref = _reference_derivative(field, thetas[b, d], states[b, d].ravel())
+                assert out[b, d].ravel().tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("method", ["dopri45", "rk4-fixed"])
+    def test_rows_equal_one_row_references(self, method):
+        field = AtomVectorField.seeded(3, 3, 22)
+        gen = np.random.default_rng(1)
+        y0 = gen.standard_normal((len(SPANS), 27))
+        t0, t1 = (np.array(v) for v in zip(*SPANS))
+        rhs = lambda t, y: field.derivative(t, y.reshape(-1, 3, 3, 3)).reshape(y.shape)
+        one = lambda t, y: _reference_derivative(field, t, y)
+        if method == "dopri45":
+            batch = _dopri45(rhs, t0, t1, y0, 1e-3, 1e-3, 10000)
+            refs = [_reference_dopri45(one, a, b, y, 1e-3, 1e-3, 10000)
+                    for a, b, y in zip(t0, t1, y0)]
+        else:
+            batch = _rk4_fixed(rhs, t0, t1, y0, 16)
+            refs = [y if a == b else _reference_rk4(one, a, b, y, 16)
+                    for a, b, y in zip(t0, t1, y0)]
+        for row, ref in zip(batch, refs):
+            assert row.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("method", ["dopri45", "rk4-fixed"])
+    def test_stack_equals_integrate_atoms(self, method):
+        fields = [AtomVectorField.seeded(3, 3, 30 + i) for i in range(3)]
+        init = np.stack([f.lambda_init.data for f in fields])
+        targets = [0.9, 0.4, 0.1, 0.41]        # forward, zero, backward, short
+        cfg = SolverConfig(method=method, fixed_steps=16)
+        out = integrate_stack(FieldStack.of(fields), init, 0.4, targets, cfg)
+        for b, field in enumerate(fields):
+            for d, target in enumerate(targets):
+                alone = integrate_atoms(field, 0.4, target, cfg).data
+                assert out[b, d].tobytes() == alone.tobytes()
+
+    def test_step_cap_reports_failing_row(self):
+        field = AtomVectorField.seeded(3, 3, 23)
+        rhs = lambda t, y: field.derivative(t, y.reshape(-1, 3, 3, 3)).reshape(y.shape)
+        one = lambda t, y: _reference_derivative(field, t, y)
+        y0 = np.tile(field.lambda_init.data.ravel(), (3, 1))
+        t0, t1 = np.array([0.5, 0.5, 0.2]), np.array([0.5, 0.9, 0.8])
+        with pytest.raises(IntegrationError) as batch:
+            _dopri45(rhs, t0, t1, y0, 1e-3, 1e-3, 2)
+        with pytest.raises(IntegrationError) as alone:
+            _reference_dopri45(one, 0.5, 0.9, y0[1], 1e-3, 1e-3, 2)
+        assert batch.value.last_theta == alone.value.last_theta
+        assert 0.5 < batch.value.last_theta < 0.9

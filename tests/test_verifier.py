@@ -5,8 +5,9 @@ from quantaflow import (AtomVectorField, BinaryFrame, Coefficients, DomainError,
                         EaclConfig, FeatureMap, FilterAtoms, NeighborhoodSpec,
                         SolverConfig, verify_density_identity,
                         verify_exposure_continuity, verify_layer_bound)
-from quantaflow.verifier import (SLACK, random_layer_instance,
-                                 run_layer_bound_suite)
+from quantaflow.verifier import (BLOCK, CONTINUITY_DELTAS, CONTINUITY_THETA0,
+                                 SLACK, continuity_instance, random_layer_instance,
+                                 run_continuity_suite, run_layer_bound_suite)
 
 
 class TestLayerBound:
@@ -49,6 +50,25 @@ class TestLayerBound:
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 
 
+@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+def test_layer_bound_suite_equals_single_calls(instances):
+    suite = run_layer_bound_suite(instances, seed=40, activation="tanh")
+    single = [verify_layer_bound(*random_layer_instance(s, activation="tanh"),
+                                 instance_seed=s)
+              for s in range(40, 40 + instances)]
+    assert [r.to_dict() for r in suite] == [r.to_dict() for r in single]
+
+
+@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+def test_continuity_suite_equals_single_calls(instances):
+    suite = run_continuity_suite(instances, seed=60)
+    single = [verify_exposure_continuity(field, phi, inp, CONTINUITY_THETA0,
+                                         CONTINUITY_DELTAS, cfg)
+              for field, phi, inp, cfg in map(continuity_instance,
+                                              range(60, 60 + instances))]
+    assert suite == single
+
+
 class TestDensityIdentity:
     def test_all_ones(self):
         frame = BinaryFrame.from_array(np.ones((6, 6)))
@@ -62,9 +82,12 @@ class TestDensityIdentity:
     @pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
     def test_random_frames(self, radius, boundary):
         gen = np.random.default_rng(radius * 10 + len(boundary))
-        for _ in range(5):
-            frame = BinaryFrame.from_array(gen.integers(0, 2, size=(15, 21)))
-            assert verify_density_identity(frame, NeighborhoodSpec(radius, boundary))
+        # Wide and tall frames, and frames no wider or taller than the
+        # radius, where the window covers the whole frame and more.
+        for shape in ((15, 21), (21, 15), (2, 3), (1, 4)):
+            for _ in range(5):
+                frame = BinaryFrame.from_array(gen.integers(0, 2, size=shape))
+                assert verify_density_identity(frame, NeighborhoodSpec(radius, boundary))
 
 
 class TestContinuity:
