@@ -1,7 +1,7 @@
 """quantaflow: 1-bit quanta sensor simulation, exposure bracketing,
 exposure-conditioned filter atoms, and numerical bound verification."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (DecodeError, DomainError, IntegrationError, QuantaError,
                      ShapeError, UnidentifiableError)

@@ -8,6 +8,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import json
 import sys
@@ -49,9 +50,30 @@ class _Parser(argparse.ArgumentParser):
 def _parse_size(text: str):
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
         raise DomainError(f"bad size {text!r}, expected WxH")
+    if w < 1 or h < 1:
+        raise DomainError(f"bad size {text!r}, width and height must be >= 1")
+    return w, h
+
+
+def _read_qis_params(path) -> QisParams:
+    """QisParams from a JSON object of its fields."""
+    with open(path) as f:
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"bad JSON in {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise DomainError(f"{path} must hold a JSON object of QisParams fields")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(QisParams)}
+    if unknown:
+        raise DomainError(f"unknown QisParams fields {sorted(unknown)} in {path}")
+    try:
+        return QisParams(**raw)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad QisParams value in {path}: {exc}")
 
 
 def _parse_alphas(text: str):
@@ -219,9 +241,7 @@ def _cmd_calibrate(args):
     man.add_input(args.infile)
     man.add_input(args.params)
     photons = formats.read_float_map(args.infile)
-    with open(args.params) as f:
-        raw = json.load(f)
-    params = QisParams(**raw)
+    params = _read_qis_params(args.params)
     out = qis_forward(photons, params, args.seed)
     formats.write_float_map(args.out, out)
     _finish(man, args.out, t0)

@@ -102,7 +102,7 @@ def _decode_frame_payload(r: _Reader, w: int, h: int, what: str) -> BinaryFrame:
     raw = np.frombuffer(r.take(row_bytes * h, what), dtype=np.uint8)
     bits = raw.reshape(h, row_bytes)
     pad = 8 * row_bytes - w
-    if pad and np.any(np.unpackbits(bits, axis=1)[:, w:]):
+    if pad and np.any(bits[:, -1] & ((1 << pad) - 1)):
         raise DecodeError(f"nonzero padding bits in {what}", offset=r.pos - len(raw))
     return BinaryFrame(w, h, bits)
 

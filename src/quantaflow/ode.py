@@ -287,24 +287,19 @@ def estimate_lipschitz(field_, theta0: float, samples: int,
     if any(d <= 0 for d in deltas):
         raise DomainError("delta grid entries must be > 0")
     bases = np.linspace(0.02, 0.98, samples)
-    cache = {}
-
-    def atoms_at(t):
-        t = round(float(t), 15)
-        if t not in cache:
-            cache[t] = integrate_atoms(field_, theta0, t, solver).data
-        return cache[t]
+    pairs = [(float(t1), float(t1 + d), d) for t1 in bases for d in deltas
+             if 0.0 < t1 + d < 1.0]
+    targets = sorted({t for t1, t2, _ in pairs for t in (t1, t2)})
+    row = {t: i for i, t in enumerate(targets)}
+    atoms = integrate_stack(field_, field_.lambda_init.data[None], theta0,
+                            targets, solver)[0] if pairs else None
 
     best = 0.0
     best_pair = (bases[0], bases[0])
-    for t1 in bases:
-        for d in deltas:
-            t2 = t1 + d
-            if not (0.0 < t2 < 1.0):
-                continue
-            dist = float(np.linalg.norm((atoms_at(t1) - atoms_at(t2)).ravel()))
-            ratio = dist / d
-            if ratio > best:
-                best = ratio
-                best_pair = (float(t1), float(t2))
+    for t1, t2, d in pairs:
+        dist = float(np.linalg.norm((atoms[row[t1]] - atoms[row[t2]]).ravel()))
+        ratio = dist / d
+        if ratio > best:
+            best = ratio
+            best_pair = (t1, t2)
     return LipschitzEstimate(best, best_pair)

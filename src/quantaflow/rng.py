@@ -9,22 +9,13 @@ over uint64 numpy arrays.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import gammaln, ndtri, pdtr
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _TAG_PRIME = np.uint64(0xD6E8FEB86659FD93)
 _IDX_PRIME = np.uint64(0xC2B2AE3D27D4EB4F)
-_ATTEMPT_PRIME = np.uint64(0xFF51AFD7ED558CCD)
-
-# Marsaglia polar: acceptance probability pi/4, so 96 attempt pairs can
-# only be exhausted with probability < 1e-64 per pixel.
-_MAX_POLAR_ATTEMPTS = 96
-
-# Poisson sampling switches from inversion-by-search to the clipped
-# normal approximation above this mean.
-_POISSON_SEARCH_LIMIT = 30.0
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -57,85 +48,62 @@ def uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def standard_normals(keys: np.ndarray) -> np.ndarray:
-    """One standard normal per key via the Marsaglia polar method.
+def _normal_quantiles(u: np.ndarray) -> np.ndarray:
+    """Phi^-1(u + 2^-54) for uniforms u on the 2^-53 grid of [0, 1).
 
-    Rejected pairs advance the per-pixel counter, so consumption is
-    deterministic per key regardless of what other pixels do.
+    The half step keeps every argument inside (0, 1). Above 1/2 the
+    offset uniform has no float64 value, so it is taken from the upper
+    tail as -Phi^-1((1 - u) - 2^-54); both forms are exact.
     """
+    upper = u >= 0.5
+    z = ndtri(np.where(upper, (1.0 - u) - 2.0 ** -54, u + 2.0 ** -54))
+    return np.where(upper, -z, z)
+
+
+def standard_normals(keys: np.ndarray) -> np.ndarray:
+    """One standard normal per key, by inversion of the uniform at counter 0."""
     keys = np.asarray(keys, dtype=np.uint64)
-    out = np.empty(keys.shape, dtype=np.float64)
-    pending = np.arange(keys.size, dtype=np.intp)
-    flat_keys = keys.ravel()
-    flat_out = out.ravel()
-    for attempt in range(_MAX_POLAR_ATTEMPTS):
-        k = flat_keys[pending]
-        ctr = np.full(pending.shape, 2 * attempt, dtype=np.uint64)
-        u1 = 2.0 * uniforms(k, ctr) - 1.0
-        u2 = 2.0 * uniforms(k, ctr + np.uint64(1)) - 1.0
-        s = u1 * u1 + u2 * u2
-        ok = (s > 0.0) & (s < 1.0)
-        if np.any(ok):
-            accepted = pending[ok]
-            ss = s[ok]
-            flat_out[accepted] = u1[ok] * np.sqrt(-2.0 * np.log(ss) / ss)
-            pending = pending[~ok]
-        if pending.size == 0:
-            return out
-    raise RuntimeError("polar method failed to accept after maximum attempts")
-
-
-def _poisson_search(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Inversion by sequential search; one uniform per pixel. Needs theta < ~30."""
-    u = uniforms(keys, np.zeros(keys.shape, dtype=np.uint64))
-    p = np.exp(-theta)
-    cum = p.copy()
-    k = np.zeros(theta.shape, dtype=np.int64)
-    active = u > cum
-    step = np.int64(0)
-    while np.any(active):
-        step += 1
-        p = np.where(active, p * theta / float(step), p)
-        cum = np.where(active, cum + p, cum)
-        k[active] += 1
-        active &= u > cum
-        if step > 4000:  # unreachable for theta below the search limit
-            raise RuntimeError("poisson search did not terminate")
-    return k
-
-
-def _poisson_normal_approx(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Rounded Gaussian approximation, rejecting negative draws."""
-    out = np.full(theta.shape, -1, dtype=np.int64)
-    pending = np.arange(theta.size, dtype=np.intp)
-    flat_theta = theta.ravel()
-    flat_keys = keys.ravel()
-    flat_out = out.ravel()
-    attempt = 1
-    while pending.size:
-        salt = np.uint64((attempt * int(_ATTEMPT_PRIME)) & 0xFFFFFFFFFFFFFFFF)
-        sub = _mix64(flat_keys[pending] + salt)
-        th = flat_theta[pending]
-        z = standard_normals(sub)
-        cand = np.rint(th + np.sqrt(th) * z)
-        ok = cand >= 0
-        flat_out[pending[ok]] = cand[ok].astype(np.int64)
-        pending = pending[~ok]
-        attempt += 1
-    return out
+    return _normal_quantiles(uniforms(keys, np.zeros(keys.shape, dtype=np.uint64)))
 
 
 def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Poisson draws, one per pixel, from the per-pixel substreams."""
+    """Poisson draws, one per pixel: the smallest k with u < F(k; theta)
+    for the uniform u at counter 0 of the pixel's substream (inversion,
+    Giles 2016). theta = 0 draws 0.
+
+    A Cornish-Fisher guess from Phi^-1(u) starts each pixel within a few
+    steps of its count; F and the pmf are evaluated there once and then
+    stepped down or up by the pmf recurrence.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.uint64)
-    small = theta < _POISSON_SEARCH_LIMIT
-    k = np.zeros(theta.shape, dtype=np.int64)
-    if np.any(small):
-        k[small] = _poisson_search(theta[small], keys[small])
-    if np.any(~small):
-        k[~small] = _poisson_normal_approx(theta[~small], keys[~small])
-    return k
+    live = np.flatnonzero(theta > 0)
+    th = theta.ravel()[live]
+    u = uniforms(keys.ravel()[live], np.zeros(live.size, dtype=np.uint64))
+    z = _normal_quantiles(u)
+    k = np.floor(np.maximum(0.0, th + np.sqrt(th) * z + (z * z - 1.0) / 6.0))
+    cdf = pdtr(k, th)
+    pmf = np.exp(k * np.log(th) - th - gammaln(k + 1.0))
+    # Down while u < F(k - 1) = F(k) - pmf(k).
+    idx = np.flatnonzero((k > 0) & (u < cdf - pmf))
+    while idx.size:
+        cdf[idx] -= pmf[idx]
+        pmf[idx] = pmf[idx] * k[idx] / th[idx]
+        k[idx] -= 1
+        idx = idx[(k[idx] > 0) & (u[idx] < cdf[idx] - pmf[idx])]
+    # Up while u >= F(k). A step that no longer changes F ends the climb:
+    # the mass left above k is below F's rounding.
+    idx = np.flatnonzero(u >= cdf)
+    while idx.size:
+        k[idx] += 1
+        pmf[idx] = pmf[idx] * th[idx] / k[idx]
+        grown = cdf[idx] + pmf[idx]
+        moving = grown > cdf[idx]
+        cdf[idx] = grown
+        idx = idx[moving & (u[idx] >= grown)]
+    out = np.zeros(theta.size, dtype=np.int64)
+    out[live] = k
+    return out.reshape(theta.shape)
 
 
 def frame_seed(seed: int, frame_index: int) -> int:

@@ -72,7 +72,7 @@ class BinaryFrame:
         if b.shape != (self.height, row_bytes):
             raise ShapeError(f"packed shape {b.shape} != ({self.height}, {row_bytes})")
         pad = 8 * row_bytes - self.width
-        if pad and np.any(np.unpackbits(b, axis=1)[:, self.width:]):
+        if pad and np.any(b[:, -1] & ((1 << pad) - 1)):
             raise DomainError("padding bits must be zero")
         object.__setattr__(self, "bits", b)
         b.setflags(write=False)

@@ -56,6 +56,17 @@ class TestSimulate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0x4", "4x0", "-3x4"])
+    def test_size_below_one_is_domain_error(self, tmp_path, capsys, size):
+        out = tmp_path / "f.qbf"
+        rc = run(["simulate", "--theta-const", "1.0", f"--size={size}",
+                  "--seed", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: bad size") and err.count("\n") == 1
+        assert "offset" not in err
+        assert not out.exists()
+
 
 class TestUnknownFlag:
     def test_suggests_near_miss(self, capsys, tmp_path):
@@ -203,6 +214,22 @@ class TestCalibrate:
         assert rc == 0
         vals = formats.read_float_map(str(out))
         assert abs(vals.mean() - 50.0 * 0.68) < 4 * math.sqrt(50 * 0.68 / vals.size)
+
+
+    @pytest.mark.parametrize("text", ['{"gain": 1}', '{gain', '[1,2]',
+                                      '{"gain_ratio": "x"}'])
+    def test_bad_params_is_domain_error(self, tmp_path, capsys, text):
+        src = tmp_path / "photons.qex"
+        formats.write_float_map(str(src), np.full((4, 4), 50.0))
+        params = tmp_path / "p.json"
+        params.write_text(text)
+        out = tmp_path / "pixels.qex"
+        rc = run(["calibrate", "qis-forward", "--in", str(src),
+                  "--params", str(params), "--seed", "17", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestExportPgm:

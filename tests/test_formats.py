@@ -76,6 +76,10 @@ class TestFrameRoundTrip:
         p.write_bytes(b"QBF1" + struct.pack("<II", 5, 1) + bytes([0xFF]))
         with pytest.raises((DecodeError, Exception)):
             formats.read_frame(p)
+        # width 13, 3 rows: only the last row's lowest padding bit is set
+        p.write_bytes(b"QBF1" + struct.pack("<II", 13, 3) + bytes(5) + bytes([0x01]))
+        with pytest.raises(DecodeError):
+            formats.read_frame(p)
 
 
 class TestBurstRoundTrip:

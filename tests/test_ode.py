@@ -198,6 +198,28 @@ class TestLipschitz:
         assert math.isfinite(coarse.epsilon) and coarse.epsilon > 0
         assert abs(fine.epsilon - coarse.epsilon) < 0.1 * coarse.epsilon
 
+    def test_one_solve_matches_per_endpoint_solves(self):
+        field = AtomVectorField.seeded(3, 3, 13)
+        deltas = [0.3, 0.1, 0.02]
+        est = estimate_lipschitz(field, 0.5, samples=7, delta_grid=deltas)
+        best, best_pair = 0.0, None
+        for t1 in np.linspace(0.02, 0.98, 7):
+            for d in deltas:
+                t2 = t1 + d
+                if 0.0 < t2 < 1.0:
+                    a = integrate_atoms(field, 0.5, float(t1)).data
+                    b = integrate_atoms(field, 0.5, float(t2)).data
+                    ratio = float(np.linalg.norm((a - b).ravel())) / d
+                    if ratio > best:
+                        best, best_pair = ratio, (float(t1), float(t2))
+        assert est.epsilon == best
+        assert est.argmax_pair == best_pair
+
+    def test_no_pair_in_range(self):
+        est = estimate_lipschitz(AtomVectorField.seeded(2, 3, 1), 0.5,
+                                 samples=3, delta_grid=[5.0])
+        assert est.epsilon == 0.0
+
     def test_continuity_hypothesis_on_fine_grid(self):
         field = AtomVectorField.seeded(3, 3, 12)
         cfg = SolverConfig()

@@ -234,6 +234,14 @@ class TestTypes:
         bits = np.full((2, 1), 0xFF, dtype=np.uint8)  # width 5 -> 3 pad bits set
         with pytest.raises(DomainError):
             BinaryFrame(5, 2, bits)
+        # width 13 -> 3 pad bits in each row's last byte; only the last row's
+        # lowest bit is set
+        bits = np.zeros((3, 2), dtype=np.uint8)
+        bits[-1, -1] = 0x01
+        with pytest.raises(DomainError):
+            BinaryFrame(13, 3, bits)
+        bits[-1, -1] = 0x08  # a pixel bit, not padding
+        assert BinaryFrame(13, 3, bits).to_array()[-1, -1] == 1
 
     def test_bad_config_rejected(self):
         with pytest.raises(DomainError):
