@@ -4,7 +4,7 @@ efficiency, exposure time, dark current, and per-pixel response gain."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,12 +15,20 @@ _STREAM_QIS_PHOTON = 11
 _STREAM_QIS_NOISE = 12
 
 
+def _require_finite(params) -> None:
+    # NaN fails no ordered comparison, so the range checks alone let it by.
+    for f in fields(params):
+        if not np.all(np.isfinite(getattr(params, f.name))):
+            raise DomainError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class CmosParams:
     gain_ratio: float = 1.0
     quantum_efficiency: float = 0.68
 
     def __post_init__(self):
+        _require_finite(self)
         if self.gain_ratio <= 0:
             raise DomainError("gain ratio must be > 0")
         if not (0.0 < self.quantum_efficiency <= 1.0):
@@ -48,6 +56,12 @@ class QisParams:
     clip_max: float = float(2 ** 14 - 1)
 
     def __post_init__(self):
+        crf = self.crf
+        if not np.isscalar(crf):
+            crf = np.asarray(crf, dtype=np.float64)
+            crf.setflags(write=False)
+            object.__setattr__(self, "crf", crf)
+        _require_finite(self)
         if self.gain_ratio <= 0 or self.exposure_time <= 0 or self.clip_max <= 0:
             raise DomainError("gain, exposure time and clip_max must be > 0")
         if not (0.0 < self.quantum_efficiency <= 1.0):
@@ -56,11 +70,6 @@ class QisParams:
             raise DomainError("dark signal and noise sigma must be >= 0")
         if self.adc_bits < 1:
             raise DomainError("adc_bits must be >= 1")
-        crf = self.crf
-        if not np.isscalar(crf):
-            crf = np.asarray(crf, dtype=np.float64)
-            crf.setflags(write=False)
-            object.__setattr__(self, "crf", crf)
         if np.any(np.asarray(crf) <= 0):
             raise DomainError("response gain entries must be > 0")
 

@@ -79,11 +79,22 @@ def _read_qis_params(path) -> QisParams:
 def _parse_alphas(text: str):
     if text == "default":
         return BracketSpec()
-    return BracketSpec(tuple(float(x) for x in text.split(",")))
+    try:
+        alphas = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise DomainError(f"bad --alphas {text!r}, expected 'default' or "
+                          f"comma-separated numbers")
+    return BracketSpec(alphas)
+
+
+def _check_seed(seed):
+    # numpy's generators, which atoms and verify seed, take no negative seed.
+    if seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {seed}")
 
 
 def _new_manifest(args, seed):
-    return RunManifest(command=list(sys.argv[1:]), seed=seed, version=__version__)
+    return RunManifest(command=args.argv, seed=seed, version=__version__)
 
 
 def _finish(man: RunManifest, primary_output, t0):
@@ -128,10 +139,10 @@ def _cmd_bracket(args):
 
 
 def _cmd_density(args):
+    nb = NeighborhoodSpec(radius=args.radius, boundary=args.boundary)
     frame = formats.read_frame(args.infile)
     print(f"mean bit density: {mean_bit_density(frame):.9f}")
     if args.out:
-        nb = NeighborhoodSpec(radius=args.radius, boundary=args.boundary)
         formats.write_float_map(args.out, local_bit_density(frame, nb).mu)
         print(f"wrote local density map {args.out} (radius {args.radius})")
     return 0
@@ -151,6 +162,7 @@ def _cmd_atoms(args):
         if args.seed is None:
             print("usage error: --new-field requires --seed", file=sys.stderr)
             raise SystemExit(2)
+        _check_seed(args.seed)
         t0 = time.monotonic()
         man = _new_manifest(args, args.seed)
         field_ = AtomVectorField.seeded(args.m, args.k, args.seed)
@@ -206,6 +218,7 @@ def _cmd_verify(args):
         print(f"usage error: --instances must be >= 1, got {args.instances}",
               file=sys.stderr)
         raise SystemExit(2)
+    _check_seed(args.seed)
     t0 = time.monotonic()
     man = _new_manifest(args, args.seed)
     suites = ("layer-bound", "density", "continuity") if args.suite == "all" \
@@ -351,8 +364,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except QuantaError as exc:

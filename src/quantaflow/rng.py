@@ -3,13 +3,13 @@
 Every draw is a pure function of (seed, stream tag, pixel index, counter),
 so sampling is reproducible bit-for-bit no matter how work is split across
 threads. The mixer is the splitmix64 finalizer applied twice, vectorized
-over uint64 numpy arrays.
+over uint64 numpy arrays. SciPy is imported only inside the two
+quantile samplers that use it, so importing this module loads NumPy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, ndtri, pdtr
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -55,6 +55,8 @@ def _normal_quantiles(u: np.ndarray) -> np.ndarray:
     offset uniform has no float64 value, so it is taken from the upper
     tail as -Phi^-1((1 - u) - 2^-54); both forms are exact.
     """
+    from scipy.special import ndtri
+
     upper = u >= 0.5
     z = ndtri(np.where(upper, (1.0 - u) - 2.0 ** -54, u + 2.0 ** -54))
     return np.where(upper, -z, z)
@@ -75,6 +77,8 @@ def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     steps of its count; F and the pmf are evaluated there once and then
     stepped down or up by the pmf recurrence.
     """
+    from scipy.special import gammaln, pdtr
+
     theta = np.asarray(theta, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.uint64)
     live = np.flatnonzero(theta > 0)

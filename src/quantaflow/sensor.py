@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import rng
 from .errors import DomainError, ShapeError, UnidentifiableError
@@ -238,8 +237,12 @@ def invert_bit_density(mu: float, q: float, sigma_r: float) -> float:
     """Exposure theta-hat with bit_probability(theta-hat) = mu.
 
     Closed form -ln(1 - mu) when sigma_r = 0 and q in (0, 1]; otherwise
-    bracketed root finding over [0, THETA_CAP], where the forward map
-    rises monotonically in theta.
+    bisection over [0, THETA_CAP], where the forward map rises
+    monotonically in theta. The bracket keeps
+    bit_probability(lo) < mu <= bit_probability(hi) and halves until lo
+    and hi are adjacent floats, the only case in which the midpoint rounds
+    to an end. theta-hat is hi: it reaches mu and the float below it does
+    not.
     """
     if not (0.0 < mu < 1.0):
         raise DomainError("mu must lie strictly inside (0, 1); 0 and 1 are saturated")
@@ -251,8 +254,14 @@ def invert_bit_density(mu: float, q: float, sigma_r: float) -> float:
     if sigma_r == 0.0 and 0.0 < q <= 1.0:
         return -math.log(1.0 - mu)
 
-    f = lambda t: bit_probability(t, q, sigma_r) - mu
-    hi = THETA_CAP
-    if f(hi) < 0:
+    lo, hi = 0.0, THETA_CAP
+    if bit_probability(hi, q, sigma_r) < mu:
         raise DomainError(f"bit density {mu} requires exposure above cap {THETA_CAP}")
-    return brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if bit_probability(mid, q, sigma_r) < mu:
+            lo = mid
+        else:
+            hi = mid

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,12 @@ class TestCmos:
             CmosParams(gain_ratio=0.0)
         with pytest.raises(DomainError):
             CmosParams(quantum_efficiency=1.2)
+
+    @pytest.mark.parametrize("field", ["gain_ratio", "quantum_efficiency"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            CmosParams(**{field: value})
 
 
 class TestQisForward:
@@ -88,6 +96,20 @@ class TestQisForward:
         n = 100_000
         out = qis_forward(np.zeros(n), p, seed=6)
         assert abs(out.mean() - 4.0) < 4 * np.sqrt(4.0 / n)
+
+    @pytest.mark.parametrize("field", ["gain_ratio", "quantum_efficiency", "exposure_time",
+                                       "dark_signal", "sigma_real_noise", "adc_bits",
+                                       "clip_max", "crf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            QisParams(**{field: value})
+
+    def test_non_finite_crf_entry_rejected(self):
+        crf = np.ones((4, 4))
+        crf[3, 2] = math.nan
+        with pytest.raises(DomainError, match="crf must be finite"):
+            QisParams(crf=crf)
 
     def test_shape_mismatch_crf(self):
         p = QisParams(crf=np.ones((2, 2)))

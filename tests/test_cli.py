@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantaflow
 from quantaflow import formats
 from quantaflow.cli import main
 from quantaflow.manifest import RunManifest
@@ -14,6 +19,11 @@ from quantaflow.sensor import mean_bit_density
 
 def run(argv):
     return main(argv)
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSimulate:
@@ -68,6 +78,16 @@ class TestSimulate:
         assert not out.exists()
 
 
+class TestManifestCommand:
+    def test_records_argv_given_to_main(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host", "--some-host-flag"])
+        out = tmp_path / "f.qbf"
+        argv = ["simulate", "--theta-const", "1.0", "--size", "8x8",
+                "--seed", "3", "--out", str(out)]
+        assert run(argv) == 0
+        assert RunManifest.load(f"{out}.manifest.json").command == argv
+
+
 class TestUnknownFlag:
     def test_suggests_near_miss(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as ei:
@@ -112,6 +132,26 @@ class TestBracketAndDensity:
         reported = float(capsys.readouterr().out.splitlines()[-2].split(":")[1])
         assert reported == pytest.approx(mean_bit_density(burst.frames[0]))
 
+    @pytest.mark.parametrize("alphas", ["1,x", "0.5,,2"])
+    def test_bad_alphas_is_domain_error(self, tmp_path, capsys, alphas):
+        emap_path = tmp_path / "scene.qex"
+        formats.write_float_map(str(emap_path), np.full((4, 4), 2.0))
+        out = tmp_path / "burst.qbb"
+        rc = run(["bracket", "--in", str(emap_path), "--alphas", alphas,
+                  "--seed", "5", "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys)
+        assert not out.exists()
+
+    def test_negative_radius_rejected_without_out(self, tmp_path, capsys):
+        frame_path = tmp_path / "f.qbf"
+        run(["simulate", "--theta-const", "1.0", "--size", "8x8",
+             "--seed", "2", "--out", str(frame_path)])
+        capsys.readouterr()
+        rc = run(["density", "--in", str(frame_path), "--radius", "-1"])
+        assert rc == 1
+        assert one_error_line(capsys)
+
 
 class TestAtoms:
     def test_new_field_requires_seed(self, tmp_path, capsys):
@@ -119,6 +159,13 @@ class TestAtoms:
             run(["atoms", "--new-field", str(tmp_path / "f.qvf")])
         assert ei.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_negative_seed_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "v.qvf"
+        rc = run(["atoms", "--new-field", str(out), "--seed", "-1"])
+        assert rc == 1
+        assert one_error_line(capsys)
+        assert not out.exists()
 
     def test_create_then_integrate(self, tmp_path):
         field_path = tmp_path / "f.qvf"
@@ -173,6 +220,14 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1 and "--instances" in err
         assert not report.exists()
 
+    def test_negative_seed_is_domain_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        rc = run(["verify", "--instances", "1", "--seed", "-1",
+                  "--report", str(report)])
+        assert rc == 1
+        assert one_error_line(capsys)
+        assert not report.exists()
+
     @pytest.mark.parametrize("threads", ["1", "4", "16"])
     def test_thread_count_does_not_change_report(self, tmp_path, monkeypatch,
                                                  threads, capsys):
@@ -216,8 +271,21 @@ class TestCalibrate:
         assert abs(vals.mean() - 50.0 * 0.68) < 4 * math.sqrt(50 * 0.68 / vals.size)
 
 
+    @pytest.mark.parametrize("gain", ["nan", "inf"])
+    def test_cmos_non_finite_gain_is_domain_error(self, tmp_path, capsys, gain):
+        src = tmp_path / "gray.qex"
+        formats.write_float_map(str(src), np.full((4, 4), 68.0))
+        out = tmp_path / "photons.qex"
+        rc = run(["calibrate", "cmos", "--in", str(src), "--gain", gain,
+                  "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ['{"gain": 1}', '{gain', '[1,2]',
-                                      '{"gain_ratio": "x"}'])
+                                      '{"gain_ratio": "x"}',
+                                      '{"dark_signal": NaN}',
+                                      '{"exposure_time": Infinity}'])
     def test_bad_params_is_domain_error(self, tmp_path, capsys, text):
         src = tmp_path / "photons.qex"
         formats.write_float_map(str(src), np.full((4, 4), 50.0))
@@ -226,9 +294,8 @@ class TestCalibrate:
         out = tmp_path / "pixels.qex"
         rc = run(["calibrate", "qis-forward", "--in", str(src),
                   "--params", str(params), "--seed", "17", "--out", str(out)])
-        err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert one_error_line(capsys)
         assert not out.exists()
 
 
@@ -265,3 +332,73 @@ class TestMissingFile:
         rc = run(["estimate", "--in", str(tmp_path / "nope.qbf")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+SRC = str(Path(quantaflow.__file__).resolve().parent.parent)
+
+# Loads the CLI and runs every command but qis-forward through cli.main in
+# one fresh interpreter, listing the SciPy modules loaded at each point.
+STARTUP_SCRIPT = """
+import json, sys
+import numpy as np
+from quantaflow import cli, formats
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cli.build_parser()
+loaded = {"import": scipy_modules()}
+formats.write_float_map("scene.qex", np.full((32, 32), 2.0))
+for argv in (
+        ["simulate", "--in", "scene.qex", "--seed", "1", "--out", "f.qbf"],
+        ["bracket", "--in", "scene.qex", "--seed", "2", "--out", "b.qbb"],
+        ["density", "--in", "f.qbf", "--radius", "2", "--out", "d.qex"],
+        ["estimate", "--in", "f.qbf", "--sigma-r", "0.25"],
+        ["verify", "--instances", "1", "--seed", "3", "--report", "r.json"],
+        ["calibrate", "cmos", "--in", "scene.qex", "--out", "c.qex"]):
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+# qis-forward in a fresh interpreter, where it is the first to load SciPy.
+QIS_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from quantaflow import cli, formats
+
+formats.write_float_map("photons.qex", np.linspace(0.0, 75.0, 48 * 40).reshape(40, 48))
+with open("p.json", "w") as f:
+    json.dump({"gain_ratio": 0.5, "exposure_time": 1.0, "dark_signal": 0.3,
+               "sigma_real_noise": 1.5}, f)
+assert "scipy" not in sys.modules
+assert cli.main(["calibrate", "qis-forward", "--in", "photons.qex", "--params", "p.json",
+                 "--seed", "8", "--out", "o.qex"]) == 0
+with open("o.qex", "rb") as f:
+    print(hashlib.blake2b(f.read(), digest_size=16).hexdigest())
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def fresh_python(script, cwd):
+    """Standard output of `script` run by a new interpreter in `cwd`."""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+class TestStartup:
+    def test_no_scipy_outside_qis_forward(self, tmp_path):
+        loaded = json.loads(fresh_python(STARTUP_SCRIPT, tmp_path)[-1])
+        assert list(loaded) == ["import", "simulate", "bracket", "density",
+                                "estimate", "verify", "calibrate"]
+        assert all(mods == [] for mods in loaded.values()), loaded
+
+    def test_cold_qis_forward_bytes(self, tmp_path):
+        # Digest of the same command's output when rng imported SciPy at
+        # module level: loading it lazily changes no byte.
+        *_, digest, optimize_loaded = fresh_python(QIS_SCRIPT, tmp_path)
+        assert digest == "d18914dffc5fedebc60dc64db50d13a4"
+        assert optimize_loaded == "False"

@@ -3,13 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from quantaflow import (BinaryFrame, DomainError, ExposureMap, NeighborhoodSpec,
                         SensorConfig, UnidentifiableError, bit_probability,
                         invert_bit_density, local_bit_density, mean_bit_density,
                         sample_frame)
-from quantaflow.sensor import neighborhood_l2_norm, neighborhood_ones, noise_floor
+from quantaflow.sensor import (THETA_CAP, neighborhood_l2_norm, neighborhood_ones,
+                               noise_floor)
 
 # Frozen 50-digit-arithmetic reference values (mpmath: ncdf, and the
 # probability series summed to k = 60).
@@ -223,6 +225,40 @@ class TestInversion:
         floor = noise_floor(0.5, 0.5)
         with pytest.raises(UnidentifiableError):
             invert_bit_density(floor * 0.5, 0.5, 0.5)
+
+    # sigma_r = 0 with q <= 1 takes the closed form; every other pair bisects.
+    BISECTED = [(q, sigma_r) for q in (0.5, 1.5, 3.7) for sigma_r in (0.0, 0.25, 1.0)
+                if not (sigma_r == 0.0 and q <= 1.0)]
+
+    @pytest.mark.parametrize("q, sigma_r", BISECTED)
+    def test_bisection_brackets_exactly(self, q, sigma_r):
+        # theta-hat reaches mu and the float below it does not, from one ulp
+        # above the noise floor up to the largest density below 1.
+        floor = noise_floor(q, sigma_r)
+        top = min(bit_probability(THETA_CAP, q, sigma_r), math.nextafter(1.0, 0.0))
+        one_ulp = math.nextafter(floor, 1.0)
+        for mu in [one_ulp, math.nextafter(one_ulp, 1.0),
+                   *np.linspace(floor, top, 23)[1:-1], top]:
+            that = invert_bit_density(mu, q, sigma_r)
+            assert 0.0 < that <= THETA_CAP
+            below = math.nextafter(that, 0.0)
+            assert bit_probability(below, q, sigma_r) < mu <= bit_probability(that, q, sigma_r)
+
+    @pytest.mark.parametrize("q, sigma_r", BISECTED)
+    def test_bisection_matches_brentq(self, q, sigma_r):
+        floor = noise_floor(q, sigma_r)
+        top = bit_probability(THETA_CAP, q, sigma_r)
+        # Interior densities only: next to the floor the forward map is flat
+        # to float precision, and any theta in the flat run is a root.
+        for mu in np.linspace(floor, top, 41)[1:-1]:
+            ref = brentq(lambda t: bit_probability(t, q, sigma_r) - mu, 0.0, THETA_CAP,
+                         xtol=1e-14, rtol=8.9e-16, maxiter=200)
+            assert invert_bit_density(mu, q, sigma_r) == pytest.approx(ref, rel=1e-12)
+
+    def test_above_cap_rejected(self):
+        with pytest.raises(DomainError, match="above cap"):
+            invert_bit_density(0.5 * (1.0 + bit_probability(THETA_CAP, 60.0, 1.0)),
+                               60.0, 1.0)
 
 
 class TestTypes:
