@@ -14,6 +14,16 @@ from .errors import DomainError, ShapeError
 _STREAM_QIS_PHOTON = 11
 _STREAM_QIS_NOISE = 12
 
+#: Largest per-pixel Poisson rate `qis_forward` accepts. The count sampler
+#: walks from a normal-quantile guess, and the walk lengthens with the rate:
+#: near 1e12 a draw of 2e5 pixels takes seconds, and far above it it stalls.
+RATE_CAP = 1e12
+
+#: Largest ADC bit depth, already more than a float32 QEX1 map resolves (24
+#: significant bits). Uncapped, the step clip_max / (2 ** adc_bits - 1)
+#: fails to convert to a float from 1024 bits on.
+ADC_BITS_MAX = 32
+
 
 def _require_finite(params) -> None:
     # NaN fails no ordered comparison, so the range checks alone let it by.
@@ -68,8 +78,8 @@ class QisParams:
             raise DomainError("quantum efficiency must lie in (0, 1]")
         if self.dark_signal < 0 or self.sigma_real_noise < 0:
             raise DomainError("dark signal and noise sigma must be >= 0")
-        if self.adc_bits < 1:
-            raise DomainError("adc_bits must be >= 1")
+        if not (1 <= self.adc_bits <= ADC_BITS_MAX):
+            raise DomainError(f"adc_bits must lie in [1, {ADC_BITS_MAX}]")
         if np.any(np.asarray(crf) <= 0):
             raise DomainError("response gain entries must be > 0")
 
@@ -88,7 +98,10 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     if not np.isscalar(crf) and np.asarray(crf).shape != x.shape:
         raise ShapeError("response gain map shape must match the photon map")
 
-    rate = p.exposure_time * p.quantum_efficiency * (crf * x + p.dark_signal)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
+        rate = p.exposure_time * p.quantum_efficiency * (crf * x + p.dark_signal)
+    if np.any(rate > RATE_CAP):
+        raise DomainError(f"Poisson rate {rate.max():g} exceeds the cap {RATE_CAP:g}")
     idx = np.arange(x.size, dtype=np.uint64)
     keys = rng.substream_keys(seed, idx, _STREAM_QIS_PHOTON)
     counts = rng.poissons(rate.ravel(), keys).astype(np.float64)

@@ -14,8 +14,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, formats
 from .bracketing import BracketSpec, generate_burst
 from .calibration import CmosParams, QisParams, cmos_gray_to_photons, qis_forward
@@ -25,9 +23,7 @@ from .ode import AtomVectorField, SolverConfig, integrate_atoms
 from .sensor import (ExposureMap, NeighborhoodSpec, SensorConfig,
                      invert_bit_density, local_bit_density, mean_bit_density,
                      sample_frame)
-from .verifier import (run_continuity_suite, run_layer_bound_suite,
-                       verify_density_identity)
-from .sensor import BinaryFrame
+from .verifier import SUITES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,37 +178,6 @@ def _cmd_atoms(args):
     return 0
 
 
-def _verify_layer_bound(instances, seed):
-    reports = []
-    for activation in ("relu", "tanh", "identity"):
-        reports += [r.to_dict() | {"activation": activation}
-                    for r in run_layer_bound_suite(instances, seed, activation)]
-    return reports
-
-
-def _verify_density(instances, seed):
-    gen = np.random.default_rng(seed)
-    reports = []
-    for i in range(instances):
-        bits = gen.integers(0, 2, size=(24, 24))
-        frame = BinaryFrame.from_array(bits)
-        for radius in (0, 1, 2):
-            nb = NeighborhoodSpec(radius=radius)
-            reports.append({"instance_seed": seed + i, "radius": radius,
-                            "holds": bool(verify_density_identity(frame, nb))})
-    return reports
-
-
-def _verify_continuity(instances, seed):
-    return [{"instance_seed": seed + i,
-             "output_distances": list(rep.output_distances),
-             "atom_distances": list(rep.atom_distances),
-             "bound_holds": list(rep.bound_holds),
-             "decreasing": rep.decreasing,
-             "holds": rep.holds}
-            for i, rep in enumerate(run_continuity_suite(instances, seed))]
-
-
 def _cmd_verify(args):
     if args.instances < 1:
         print(f"usage error: --instances must be >= 1, got {args.instances}",
@@ -221,14 +186,11 @@ def _cmd_verify(args):
     _check_seed(args.seed)
     t0 = time.monotonic()
     man = _new_manifest(args, args.seed)
-    suites = ("layer-bound", "density", "continuity") if args.suite == "all" \
-        else (args.suite,)
-    runners = {"layer-bound": _verify_layer_bound, "density": _verify_density,
-               "continuity": _verify_continuity}
+    suites = SUITES if args.suite == "all" else (args.suite,)
     payload = {"seed": args.seed, "instances": args.instances, "suites": {}}
     all_hold = True
     for suite in suites:
-        reports = runners[suite](args.instances, args.seed)
+        reports = SUITES[suite](args.instances, args.seed)
         ok = all(r["holds"] for r in reports)
         all_hold &= ok
         payload["suites"][suite] = {"all_hold": ok, "reports": reports}
@@ -327,8 +289,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_atoms)
 
     p = sub.add_parser("verify", help="run numerical bound verification suites")
-    p.add_argument("--suite", choices=("layer-bound", "density", "continuity", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", default="report.json")

@@ -99,12 +99,12 @@ def _frame_payload(frame: BinaryFrame) -> bytes:
 
 def _decode_frame_payload(r: _Reader, w: int, h: int, what: str) -> BinaryFrame:
     row_bytes = (w + 7) // 8
-    raw = np.frombuffer(r.take(row_bytes * h, what), dtype=np.uint8)
-    bits = raw.reshape(h, row_bytes)
-    pad = 8 * row_bytes - w
-    if pad and np.any(bits[:, -1] & ((1 << pad) - 1)):
-        raise DecodeError(f"nonzero padding bits in {what}", offset=r.pos - len(raw))
-    return BinaryFrame(w, h, bits)
+    start = r.pos
+    bits = np.frombuffer(r.take(row_bytes * h, what), dtype=np.uint8).reshape(h, row_bytes)
+    try:
+        return BinaryFrame(w, h, bits)
+    except DomainError:  # the frame's own padding-bit rule
+        raise DecodeError(f"nonzero padding bits in {what}", offset=start) from None
 
 
 def write_frame(path, frame: BinaryFrame):

@@ -122,6 +122,11 @@ class NeighborhoodSpec:
     def size(self) -> int:
         return (2 * self.radius + 1) ** 2
 
+    @property
+    def pad_mode(self) -> str:
+        """`np.pad` mode that extends a frame past its border by this rule."""
+        return "constant" if self.boundary == "zero-pad" else "edge"
+
 
 def _phi(z: float) -> float:
     # Standard normal CDF; erfc keeps full relative precision in the lower
@@ -209,22 +214,20 @@ def mean_bit_density(frame: BinaryFrame) -> float:
     return int(frame.to_array().sum()) / (frame.width * frame.height)
 
 
-def neighborhood_ones(frame: BinaryFrame, nb: NeighborhoodSpec) -> np.ndarray:
+def neighborhood_ones(bits, nb: NeighborhoodSpec) -> np.ndarray:
     """Integer count of 1-bits in each pixel's neighborhood (exact): a box
     sum, as cumulative sums along each axis minus themselves shifted by the
-    window size."""
+    window size. `bits` is a BinaryFrame or a 0/1 array (..., h, w) whose
+    leading axes index frames."""
+    if isinstance(bits, BinaryFrame):
+        bits = bits.to_array()
     size = 2 * nb.radius + 1
-    mode = "constant" if nb.boundary == "zero-pad" else "edge"
-    c = np.cumsum(np.pad(frame.to_array(), nb.radius, mode=mode), axis=0, dtype=np.int64)
-    c[size:] -= c[:-size]
-    c = np.cumsum(c[size - 1:], axis=1)
-    c[:, size:] -= c[:, :-size]
-    return c[:, size - 1:]
-
-
-def neighborhood_l2_norm(frame: BinaryFrame, nb: NeighborhoodSpec) -> np.ndarray:
-    """Per-pixel L2 norm over the neighborhood; squares to the ones count."""
-    return np.sqrt(neighborhood_ones(frame, nb).astype(np.float64))
+    pad = [(0, 0)] * (bits.ndim - 2) + [(nb.radius, nb.radius)] * 2
+    c = np.cumsum(np.pad(bits, pad, mode=nb.pad_mode), axis=-2, dtype=np.int64)
+    c[..., size:, :] -= c[..., :-size, :]
+    c = np.cumsum(c[..., size - 1:, :], axis=-1)
+    c[..., size:] -= c[..., :-size]
+    return c[..., size - 1:]
 
 
 def local_bit_density(frame: BinaryFrame, nb: NeighborhoodSpec) -> DensityMap:

@@ -1,5 +1,5 @@
-"""Numerical checks of the layer-bound inequality chain and the
-exposure-continuity claim on randomized instances.
+"""Numerical checks of the layer-bound inequality chain, the density
+identity and the exposure-continuity claim on randomized instances.
 
 For atoms Lambda_1, Lambda_2 driving the same layer, the bound checked is
 
@@ -10,8 +10,11 @@ with the neighborhood factor taken as the max over pixels, the weakest
 uniform constant that still dominates the per-pixel chain. Bias is zeroed
 inside all checks.
 
-The suites evaluate a block of instances as the rows of one array; the
-one-instance checks run the same code on a block of one.
+Each certificate has one shape: a `_X_block` that evaluates a block of
+instances as the rows of one array, a one-instance check that is its block
+of one, and a seeded `run_X_suite` over blocks of `BLOCK` instances. Every
+window norm a check computes goes through `filters._correlate2d`. `SUITES`
+maps each suite name to the report rows that `qflow verify` writes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import DomainError
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
                       ACTIVATIONS, _correlate2d, _filter_responses, compose_filters)
 from .ode import AtomVectorField, FieldStack, SolverConfig, integrate_stack
-from .sensor import BinaryFrame, NeighborhoodSpec, local_bit_density, neighborhood_ones
+from .sensor import BinaryFrame, NeighborhoodSpec, neighborhood_ones
 
 #: Absolute slack absorbing floating-point accumulation in inequality checks.
 SLACK = 1e-9
@@ -70,8 +73,8 @@ class BoundReport:
 
 
 def _neighborhood_sq_norms(x: np.ndarray, k: int) -> np.ndarray:
-    """Per-channel squared window norms of inputs (..., c, h, w): sums of
-    x^2 over the k x k neighborhood, zero-padded."""
+    """Squared window norms of inputs (..., h, w): sums of x^2 over the
+    k x k neighborhood, zero-padded."""
     return _correlate2d(x * x, np.ones((k, k)))
 
 
@@ -138,31 +141,25 @@ def verify_layer_bound(inp: FeatureMap, phi: Coefficients, atoms1: FilterAtoms,
                               cfg.activation)[0]
 
 
-def _brute_window_sq_sum(bits: np.ndarray, nb: NeighborhoodSpec) -> np.ndarray:
-    """Independent shift-and-add count of ones (= sum of squares) per window."""
-    r = nb.radius
-    mode = "constant" if nb.boundary == "zero-pad" else "edge"
-    padded = np.pad(bits.astype(np.int64), r, mode=mode)
-    h, w = bits.shape
-    acc = np.zeros((h, w), dtype=np.int64)
-    for dy in range(2 * r + 1):
-        for dx in range(2 * r + 1):
-            acc += padded[dy:dy + h, dx:dx + w] ** 2
-    return acc
+def _density_block(bits: np.ndarray, nb: NeighborhoodSpec) -> list:
+    """Identity verdicts for 0/1 frames bits (B, h, w): the box sum of
+    `neighborhood_ones` equals the squared window norm the layer bound uses,
+    taken over the frames extended past their border by the boundary rule,
+    and |N_u| * mu gives the count back."""
+    r, (h, w) = nb.radius, bits.shape[-2:]
+    counts = neighborhood_ones(bits, nb)
+    padded = np.pad(bits, [(0, 0), (r, r), (r, r)], mode=nb.pad_mode)
+    sq = _neighborhood_sq_norms(padded, 2 * r + 1)[:, r:r + h, r:r + w]
+    # mu = counts / |N_u| loses at most one ulp; |N_u| * mu recovers the
+    # integer count exactly after rounding.
+    scaled = counts / nb.size * nb.size
+    exact = ((counts == sq) & (np.rint(scaled) == counts)).all(axis=(1, 2))
+    return (exact & (np.abs(scaled - counts).max(axis=(1, 2)) <= 1e-6)).tolist()
 
 
 def verify_density_identity(frame: BinaryFrame, nb: NeighborhoodSpec) -> bool:
     """Exact identity ||Y||^2_{2,N_u} = (ones in N_u) = |N_u| * mu_local."""
-    counts = neighborhood_ones(frame, nb)
-    brute = _brute_window_sq_sum(frame.to_array(), nb)
-    if not np.array_equal(counts, brute):
-        return False
-    # mu = counts / |N_u| loses at most one ulp; |N_u| * mu recovers the
-    # integer count exactly after rounding.
-    scaled = local_bit_density(frame, nb).mu * nb.size
-    if np.max(np.abs(scaled - counts)) > 1e-6:
-        return False
-    return bool(np.array_equal(np.rint(scaled).astype(np.int64), counts))
+    return _density_block(frame.to_array()[None], nb)[0]
 
 
 @dataclass(frozen=True)
@@ -178,16 +175,21 @@ class ContinuityReport:
     def holds(self) -> bool:
         return self.decreasing and all(self.bound_holds)
 
+    def to_dict(self) -> dict:
+        return {"output_distances": list(self.output_distances),
+                "atom_distances": list(self.atom_distances),
+                "bound_holds": list(self.bound_holds),
+                "decreasing": self.decreasing, "holds": self.holds}
 
-def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfig,
-                      field_=None) -> list:
+
+def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfig) -> list:
     """ContinuityReports for (field, phi, input) triples that share their
-    shapes. All atoms at all offsets come from one batched solve, along the
-    triples' fields stacked, or along `field_` when given."""
+    shapes. All atoms at all offsets come from one batched solve along the
+    triples' fields stacked."""
     fields, phis, inps = zip(*instances)
     base = _stack(f.lambda_init for f in fields)       # (B, m, k, k)
-    moved = integrate_stack(FieldStack.of(fields) if field_ is None else field_,
-                            base, theta0, [theta0 + d for d in deltas], solver)
+    moved = integrate_stack(FieldStack.of(fields), base, theta0,
+                            [theta0 + d for d in deltas], solver)
     moved = [[FilterAtoms.from_array(a) for a in atoms] for atoms in moved]
     x = _stack(inps)                                   # (B, c_in, h, w)
     filters = np.stack([[compose_filters(p, a) for a in (f.lambda_init, *atoms)]
@@ -223,7 +225,7 @@ def verify_exposure_continuity(field_, phi: Coefficients, inp: FeatureMap,
     if cfg.activation not in BOUND_ACTIVATIONS:
         raise DomainError(f"continuity checks reject {cfg.activation!r}")
     return _continuity_block([(field_, phi, inp)], theta0, deltas,
-                             ACTIVATIONS[cfg.activation], solver, field_)[0]
+                             ACTIVATIONS[cfg.activation], solver)[0]
 
 
 def random_layer_instance(seed: int, c: int = 4, m: int = 3, k: int = 3,
@@ -273,3 +275,34 @@ def run_continuity_suite(instances: int, seed: int) -> list:
         reports += _continuity_block(block, CONTINUITY_THETA0, CONTINUITY_DELTAS,
                                      ACTIVATIONS["relu"], SolverConfig())
     return reports
+
+
+#: Frame side and neighborhood radii of the density suite.
+DENSITY_SIDE = 24
+DENSITY_RADII = (0, 1, 2)
+
+
+def run_density_suite(instances: int, seed: int, boundary: str = "zero-pad") -> list:
+    """Report rows, one per frame and radius, for `instances` random frames:
+    the successive draws of one generator seeded with `seed`."""
+    gen = np.random.default_rng(seed)
+    rows = []
+    for start in range(0, instances, BLOCK):
+        bits = gen.integers(0, 2, size=(min(BLOCK, instances - start),
+                                        DENSITY_SIDE, DENSITY_SIDE))
+        holds = [_density_block(bits, NeighborhoodSpec(r, boundary)) for r in DENSITY_RADII]
+        rows += [{"instance_seed": seed + start + i, "radius": r, "holds": ok[i]}
+                 for i in range(len(bits)) for r, ok in zip(DENSITY_RADII, holds)]
+    return rows
+
+
+#: Report rows of each `qflow verify` suite by name, from (instances, seed).
+SUITES = {
+    "layer-bound": lambda instances, seed: [
+        r.to_dict() | {"activation": a} for a in BOUND_ACTIVATIONS
+        for r in run_layer_bound_suite(instances, seed, a)],
+    "density": lambda instances, seed: run_density_suite(instances, seed),
+    "continuity": lambda instances, seed: [
+        {"instance_seed": seed + i} | r.to_dict()
+        for i, r in enumerate(run_continuity_suite(instances, seed))],
+}

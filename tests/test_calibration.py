@@ -5,6 +5,7 @@ import pytest
 
 from quantaflow import (CmosParams, DomainError, QisParams,
                         cmos_gray_to_photons, qis_forward)
+from quantaflow.calibration import ADC_BITS_MAX, RATE_CAP
 
 
 class TestCmos:
@@ -121,3 +122,29 @@ class TestQisForward:
             QisParams(exposure_time=0.0)
         with pytest.raises(DomainError):
             QisParams(crf=np.array([[1.0, -1.0]]))
+
+    @pytest.mark.parametrize("bits", [0, ADC_BITS_MAX + 1, 2000])
+    def test_adc_bits_out_of_range_rejected(self, bits):
+        with pytest.raises(DomainError, match="adc_bits"):
+            QisParams(adc_bits=bits)
+
+    def test_adc_bits_at_bound_accepted(self):
+        p = QisParams(adc_bits=ADC_BITS_MAX, clip_max=1.0)
+        out = qis_forward(np.full(64, 10.0), p, seed=1)
+        assert np.all(np.isfinite(out)) and np.all((out >= 0) & (out <= 1.0))
+
+    @pytest.mark.parametrize("exposure_time", [1e300, 1.5e308])
+    def test_rate_above_cap_rejected(self, exposure_time):
+        p = QisParams(exposure_time=exposure_time)
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            qis_forward(np.full((2, 3), 2.0), p, seed=0)
+
+    def test_rate_cap_is_per_pixel(self):
+        # One pixel over the cap rejects the map; a map at the cap is drawn.
+        x = np.zeros(8)
+        p = QisParams(exposure_time=1.0, quantum_efficiency=1.0, clip_max=1e13)
+        x[5] = RATE_CAP
+        assert qis_forward(x, p, seed=2)[5] > 0
+        x[5] = np.nextafter(RATE_CAP, np.inf)
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            qis_forward(x, p, seed=2)

@@ -285,7 +285,9 @@ class TestCalibrate:
     @pytest.mark.parametrize("text", ['{"gain": 1}', '{gain', '[1,2]',
                                       '{"gain_ratio": "x"}',
                                       '{"dark_signal": NaN}',
-                                      '{"exposure_time": Infinity}'])
+                                      '{"exposure_time": Infinity}',
+                                      '{"exposure_time": 1e300}',
+                                      '{"adc_bits": 2000}'])
     def test_bad_params_is_domain_error(self, tmp_path, capsys, text):
         src = tmp_path / "photons.qex"
         formats.write_float_map(str(src), np.full((4, 4), 50.0))

@@ -74,7 +74,7 @@ class TestFrameRoundTrip:
         # width 5 means 3 padding bits per row byte
         p = tmp_path / "pad.qbf"
         p.write_bytes(b"QBF1" + struct.pack("<II", 5, 1) + bytes([0xFF]))
-        with pytest.raises((DecodeError, Exception)):
+        with pytest.raises(DecodeError):
             formats.read_frame(p)
         # width 13, 3 rows: only the last row's lowest padding bit is set
         p.write_bytes(b"QBF1" + struct.pack("<II", 13, 3) + bytes(5) + bytes([0x01]))

@@ -10,8 +10,7 @@ from quantaflow import (BinaryFrame, DomainError, ExposureMap, NeighborhoodSpec,
                         SensorConfig, UnidentifiableError, bit_probability,
                         invert_bit_density, local_bit_density, mean_bit_density,
                         sample_frame)
-from quantaflow.sensor import (THETA_CAP, neighborhood_l2_norm, neighborhood_ones,
-                               noise_floor)
+from quantaflow.sensor import THETA_CAP, neighborhood_ones, noise_floor
 
 # Frozen 50-digit-arithmetic reference values (mpmath: ncdf, and the
 # probability series summed to k = 60).
@@ -193,8 +192,6 @@ class TestDensity:
         brute = sum(padded[dy:dy + 17, dx:dx + 23] ** 2
                     for dy in range(5) for dx in range(5))
         assert np.array_equal(counts, brute)
-        norms = neighborhood_l2_norm(frame, nb)
-        assert np.allclose(norms ** 2, counts, atol=1e-9)
         mu = local_bit_density(frame, nb).mu
         assert np.array_equal(np.rint(mu * nb.size).astype(np.int64), counts)
 

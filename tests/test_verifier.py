@@ -5,9 +5,11 @@ from quantaflow import (AtomVectorField, BinaryFrame, Coefficients, DomainError,
                         EaclConfig, FeatureMap, FilterAtoms, NeighborhoodSpec,
                         SolverConfig, verify_density_identity,
                         verify_exposure_continuity, verify_layer_bound)
+from quantaflow import verifier
 from quantaflow.verifier import (BLOCK, CONTINUITY_DELTAS, CONTINUITY_THETA0,
-                                 SLACK, continuity_instance, random_layer_instance,
-                                 run_continuity_suite, run_layer_bound_suite)
+                                 DENSITY_RADII, DENSITY_SIDE, SLACK, continuity_instance,
+                                 random_layer_instance, run_continuity_suite,
+                                 run_density_suite, run_layer_bound_suite)
 
 
 class TestLayerBound:
@@ -67,6 +69,67 @@ def test_continuity_suite_equals_single_calls(instances):
               for field, phi, inp, cfg in map(continuity_instance,
                                               range(60, 60 + instances))]
     assert suite == single
+
+
+def _density_frames(instances, seed):
+    gen = np.random.default_rng(seed)
+    return [gen.integers(0, 2, size=(DENSITY_SIDE, DENSITY_SIDE)) for _ in range(instances)]
+
+
+@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+@pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
+def test_density_suite_equals_single_calls(instances, boundary):
+    suite = run_density_suite(instances, seed=80, boundary=boundary)
+    single = [{"instance_seed": 80 + i, "radius": r,
+               "holds": verify_density_identity(BinaryFrame.from_array(bits),
+                                                NeighborhoodSpec(r, boundary))}
+              for i, bits in enumerate(_density_frames(instances, 80))
+              for r in DENSITY_RADII]
+    assert suite == single
+    assert all(row["holds"] is True for row in suite)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2053297607])
+def test_density_suite_draws_per_frame_frames(monkeypatch, seed):
+    # The suite draws a block of frames at once; they are the frames that
+    # one draw per frame from the same generator gives.
+    seen = []
+    block = verifier._density_block
+
+    def recording(bits, nb):
+        if nb.radius == 0:
+            seen.extend(bits)
+        return block(bits, nb)
+
+    monkeypatch.setattr(verifier, "_density_block", recording)
+    run_density_suite(2 * BLOCK + 3, seed)
+    assert np.array_equal(seen, _density_frames(2 * BLOCK + 3, seed))
+
+
+def test_density_suite_fails_only_the_broken_frame(monkeypatch):
+    # A box sum off by one at one pixel of one frame in the first block.
+    box_sum = verifier.neighborhood_ones
+
+    def off_by_one(bits, nb):
+        counts = box_sum(bits, nb)
+        if nb.radius == 1 and len(counts) == BLOCK:
+            counts[5, 3, 17] += 1
+        return counts
+
+    monkeypatch.setattr(verifier, "neighborhood_ones", off_by_one)
+    rows = run_density_suite(BLOCK + 3, seed=3)
+    failed = [(row["instance_seed"], row["radius"]) for row in rows if not row["holds"]]
+    assert failed == [(3 + 5, 1)]
+
+
+def test_suites_table_rows():
+    assert list(verifier.SUITES) == ["layer-bound", "density", "continuity"]
+    rows = verifier.SUITES["continuity"](2, 60)
+    assert [row["instance_seed"] for row in rows] == [60, 61]
+    assert rows[1] == {"instance_seed": 61} | run_continuity_suite(2, 60)[1].to_dict()
+    rows = verifier.SUITES["layer-bound"](2, 40)
+    assert [(row["activation"], row["instance_seed"]) for row in rows] == [
+        (a, s) for a in ("relu", "tanh", "identity") for s in (40, 41)]
 
 
 class TestDensityIdentity:
