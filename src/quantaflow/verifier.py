@@ -144,21 +144,15 @@ def verify_layer_bound(inp: FeatureMap, phi: Coefficients, atoms1: FilterAtoms,
 def _density_block(bits: np.ndarray, nb: NeighborhoodSpec) -> list:
     """Identity verdicts for 0/1 frames bits (B, h, w): the box sum of
     `neighborhood_ones` equals the squared window norm the layer bound uses,
-    taken over the frames extended past their border by the boundary rule,
-    and |N_u| * mu gives the count back."""
+    taken over the frames extended past their border by the boundary rule."""
     r, (h, w) = nb.radius, bits.shape[-2:]
-    counts = neighborhood_ones(bits, nb)
     padded = np.pad(bits, [(0, 0), (r, r), (r, r)], mode=nb.pad_mode)
     sq = _neighborhood_sq_norms(padded, 2 * r + 1)[:, r:r + h, r:r + w]
-    # mu = counts / |N_u| loses at most one ulp; |N_u| * mu recovers the
-    # integer count exactly after rounding.
-    scaled = counts / nb.size * nb.size
-    exact = ((counts == sq) & (np.rint(scaled) == counts)).all(axis=(1, 2))
-    return (exact & (np.abs(scaled - counts).max(axis=(1, 2)) <= 1e-6)).tolist()
+    return (neighborhood_ones(bits, nb) == sq).all(axis=(1, 2)).tolist()
 
 
 def verify_density_identity(frame: BinaryFrame, nb: NeighborhoodSpec) -> bool:
-    """Exact identity ||Y||^2_{2,N_u} = (ones in N_u) = |N_u| * mu_local."""
+    """Exact identity ||Y||^2_{2,N_u} = (ones in N_u)."""
     return _density_block(frame.to_array()[None], nb)[0]
 
 
@@ -282,7 +276,7 @@ DENSITY_SIDE = 24
 DENSITY_RADII = (0, 1, 2)
 
 
-def run_density_suite(instances: int, seed: int, boundary: str = "zero-pad") -> list:
+def run_density_suite(instances: int, seed: int) -> list:
     """Report rows, one per frame and radius, for `instances` random frames:
     the successive draws of one generator seeded with `seed`."""
     gen = np.random.default_rng(seed)
@@ -290,7 +284,7 @@ def run_density_suite(instances: int, seed: int, boundary: str = "zero-pad") -> 
     for start in range(0, instances, BLOCK):
         bits = gen.integers(0, 2, size=(min(BLOCK, instances - start),
                                         DENSITY_SIDE, DENSITY_SIDE))
-        holds = [_density_block(bits, NeighborhoodSpec(r, boundary)) for r in DENSITY_RADII]
+        holds = [_density_block(bits, NeighborhoodSpec(r)) for r in DENSITY_RADII]
         rows += [{"instance_seed": seed + start + i, "radius": r, "holds": ok[i]}
                  for i in range(len(bits)) for r, ok in zip(DENSITY_RADII, holds)]
     return rows
@@ -301,7 +295,7 @@ SUITES = {
     "layer-bound": lambda instances, seed: [
         r.to_dict() | {"activation": a} for a in BOUND_ACTIVATIONS
         for r in run_layer_bound_suite(instances, seed, a)],
-    "density": lambda instances, seed: run_density_suite(instances, seed),
+    "density": run_density_suite,
     "continuity": lambda instances, seed: [
         {"instance_seed": seed + i} | r.to_dict()
         for i, r in enumerate(run_continuity_suite(instances, seed))],

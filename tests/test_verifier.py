@@ -77,16 +77,25 @@ def _density_frames(instances, seed):
 
 
 @pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
-@pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
-def test_density_suite_equals_single_calls(instances, boundary):
-    suite = run_density_suite(instances, seed=80, boundary=boundary)
+def test_density_suite_equals_single_calls(instances):
+    suite = run_density_suite(instances, seed=80)
     single = [{"instance_seed": 80 + i, "radius": r,
                "holds": verify_density_identity(BinaryFrame.from_array(bits),
-                                                NeighborhoodSpec(r, boundary))}
+                                                NeighborhoodSpec(r))}
               for i, bits in enumerate(_density_frames(instances, 80))
               for r in DENSITY_RADII]
     assert suite == single
     assert all(row["holds"] is True for row in suite)
+
+
+@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+@pytest.mark.parametrize("radius", DENSITY_RADII)
+def test_clamped_density_block_equals_single_calls(instances, radius):
+    frames = _density_frames(instances, 81)
+    nb = NeighborhoodSpec(radius, "clamp")
+    block = verifier._density_block(np.stack(frames), nb)
+    single = [verify_density_identity(BinaryFrame.from_array(bits), nb) for bits in frames]
+    assert block == single == [True] * instances
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2053297607])
