@@ -1,8 +1,8 @@
 """Command-line entry point (`qflow`).
 
 Exit codes: 0 success, 1 domain/decode error, 2 usage error. Randomized
-commands require --seed and drop a <output>.manifest.json next to their
-outputs.
+commands take --seed, an integer in [0, 2**64); `main` checks it, digests
+--in and --params, and writes <output>.manifest.json next to the output.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .sensor import (ExposureMap, NeighborhoodSpec, SensorConfig,
                      invert_bit_density, local_bit_density, mean_bit_density,
                      sample_frame)
 from .verifier import SUITES
+
+# Seeds name 64-bit substream keys, so only [0, 2**64) names distinct streams.
+SEED_LIMIT = 2 ** 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,53 +86,27 @@ def _parse_alphas(text: str):
     return BracketSpec(alphas)
 
 
-def _check_seed(seed):
-    # numpy's generators, which atoms and verify seed, take no negative seed.
-    if seed < 0:
-        raise DomainError(f"--seed must be >= 0, got {seed}")
-
-
-def _new_manifest(args, seed):
-    return RunManifest(command=args.argv, seed=seed, version=__version__)
-
-
-def _finish(man: RunManifest, primary_output, t0):
-    man.duration_s = time.monotonic() - t0
-    man.outputs.append(str(primary_output))
-    man.write(f"{primary_output}.manifest.json")
-
-
 def _cmd_simulate(args):
-    t0 = time.monotonic()
-    man = _new_manifest(args, args.seed)
     if args.theta_const is not None:
         if args.size is None:
             raise DomainError("--theta-const requires --size WxH")
-        w, h = _parse_size(args.size)
-        emap = ExposureMap.constant(w, h, args.theta_const)
+        emap = ExposureMap.constant(*_parse_size(args.size), args.theta_const)
     elif args.infile is not None:
-        man.add_input(args.infile)
         emap = formats.read_exposure_map(args.infile)
     else:
         raise DomainError("need --theta-const with --size, or --in scene.qex")
-    cfg = SensorConfig(q=args.q, sigma_r=args.sigma_r, seed=args.seed)
-    frame = sample_frame(emap, cfg)
+    frame = sample_frame(emap, SensorConfig(args.q, args.sigma_r, args.seed))
     formats.write_frame(args.out, frame)
-    _finish(man, args.out, t0)
     print(f"wrote {args.out}: {frame.width}x{frame.height}, "
           f"mean density {mean_bit_density(frame):.6f}")
     return 0
 
 
 def _cmd_bracket(args):
-    t0 = time.monotonic()
-    man = _new_manifest(args, args.seed)
-    man.add_input(args.infile)
     emap = formats.read_exposure_map(args.infile)
     spec = _parse_alphas(args.alphas)
     burst = generate_burst(emap, spec, SensorConfig(args.q, args.sigma_r, args.seed))
     formats.write_burst(args.out, burst)
-    _finish(man, args.out, t0)
     print(f"wrote {args.out}: {len(burst)} frames, {burst.width}x{burst.height}")
     return 0
 
@@ -137,6 +114,10 @@ def _cmd_bracket(args):
 def _cmd_density(args):
     nb = NeighborhoodSpec(radius=args.radius, boundary=args.boundary)
     frame = formats.read_frame(args.infile)
+    pad = 2 * args.radius
+    if (frame.width + pad) * (frame.height + pad) > formats.MAX_PIXELS:
+        raise DomainError(f"--radius {args.radius} pads the {frame.width}x{frame.height} "
+                          f"frame past {formats.MAX_PIXELS} pixels")
     print(f"mean bit density: {mean_bit_density(frame):.9f}")
     if args.out:
         formats.write_float_map(args.out, local_bit_density(frame, nb).mu)
@@ -155,15 +136,8 @@ def _cmd_estimate(args):
 
 def _cmd_atoms(args):
     if args.new_field:
-        if args.seed is None:
-            print("usage error: --new-field requires --seed", file=sys.stderr)
-            raise SystemExit(2)
-        _check_seed(args.seed)
-        t0 = time.monotonic()
-        man = _new_manifest(args, args.seed)
         field_ = AtomVectorField.seeded(args.m, args.k, args.seed)
         formats.write_field(args.new_field, field_)
-        _finish(man, args.new_field, t0)
         print(f"wrote field {args.new_field} (m={args.m}, k={args.k})")
         return 0
     if not args.field:
@@ -183,9 +157,6 @@ def _cmd_verify(args):
         print(f"usage error: --instances must be >= 1, got {args.instances}",
               file=sys.stderr)
         raise SystemExit(2)
-    _check_seed(args.seed)
-    t0 = time.monotonic()
-    man = _new_manifest(args, args.seed)
     suites = SUITES if args.suite == "all" else (args.suite,)
     payload = {"seed": args.seed, "instances": args.instances, "suites": {}}
     all_hold = True
@@ -199,7 +170,6 @@ def _cmd_verify(args):
     with open(args.report, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
-    _finish(man, args.report, t0)
     return 0 if all_hold else 1
 
 
@@ -211,15 +181,10 @@ def _cmd_calibrate(args):
         print(f"wrote photon map {args.out}")
         return 0
     # qis-forward
-    t0 = time.monotonic()
-    man = _new_manifest(args, args.seed)
-    man.add_input(args.infile)
-    man.add_input(args.params)
     photons = formats.read_float_map(args.infile)
     params = _read_qis_params(args.params)
     out = qis_forward(photons, params, args.seed)
     formats.write_float_map(args.out, out)
-    _finish(man, args.out, t0)
     print(f"wrote pixel map {args.out}")
     return 0
 
@@ -237,41 +202,48 @@ def _cmd_export_pgm(args):
     return 0
 
 
+def _add_in(container, required=True):
+    container.add_argument("--in", dest="infile", required=required, help="input file")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qflow", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(manifest=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="sample a binary frame from an exposure map")
-    p.add_argument("--theta-const", type=float, default=None)
+    # Flags shared by several subcommands. A subcommand whose `manifest`
+    # default names an output flag is randomized: see `_run_seeded`.
+    sensor = argparse.ArgumentParser(add_help=False)
+    sensor.add_argument("--q", type=float, default=0.5, help="ADC threshold")
+    sensor.add_argument("--sigma-r", type=float, default=0.25, help="read-noise sigma")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, required=True)
+    seeded.add_argument("--out", required=True)
+    infile = argparse.ArgumentParser(add_help=False)
+    _add_in(infile)
+
+    p = sub.add_parser("simulate", parents=[sensor, seeded],
+                       help="sample a binary frame from an exposure map")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--theta-const", type=float, default=None)
+    _add_in(source, required=False)
     p.add_argument("--size", default=None, help="WxH for --theta-const")
-    p.add_argument("--in", dest="infile", default=None, help="QEX1 exposure map")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--sigma-r", type=float, default=0.25)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, manifest="out")
 
-    p = sub.add_parser("bracket", help="generate an exposure-bracketed burst")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("bracket", parents=[infile, sensor, seeded],
+                       help="generate an exposure-bracketed burst")
     p.add_argument("--alphas", default="default")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--sigma-r", type=float, default=0.25)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bracket)
+    p.set_defaults(func=_cmd_bracket, manifest="out")
 
-    p = sub.add_parser("density", help="bit density of a frame")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("density", parents=[infile], help="bit density of a frame")
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--boundary", choices=("zero-pad", "clamp"), default="zero-pad")
     p.add_argument("--out", default=None, help="optional QEX1 local density map")
     p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("estimate", help="invert mean bit density to exposure")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--sigma-r", type=float, default=0.0)
+    p = sub.add_parser("estimate", parents=[infile, sensor],
+                       help="invert mean bit density to exposure")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("atoms", help="integrate filter atoms over an exposure interval")
@@ -285,33 +257,28 @@ def build_parser() -> _Parser:
     p.add_argument("--new-field", default=None, help="write a fresh seeded field here")
     p.add_argument("--m", type=int, default=6)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_atoms)
+    p.add_argument("--seed", type=int, default=None, help="required by --new-field")
+    p.set_defaults(func=_cmd_atoms, manifest="new_field")
 
     p = sub.add_parser("verify", help="run numerical bound verification suites")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", default="report.json")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, manifest="report")
 
     p = sub.add_parser("calibrate", help="camera conversions")
     csub = p.add_subparsers(dest="mode", required=True)
-    c = csub.add_parser("cmos", help="gray level to photon count")
-    c.add_argument("--in", dest="infile", required=True)
+    c = csub.add_parser("cmos", parents=[infile], help="gray level to photon count")
     c.add_argument("--gain", type=float, default=1.0)
     c.add_argument("--qe", type=float, default=0.68)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_calibrate, mode="cmos")
-    c = csub.add_parser("qis-forward", help="forward pixel model")
-    c.add_argument("--in", dest="infile", required=True)
+    c = csub.add_parser("qis-forward", parents=[infile, seeded], help="forward pixel model")
     c.add_argument("--params", required=True, help="JSON with QisParams fields")
-    c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--out", required=True)
-    c.set_defaults(func=_cmd_calibrate, mode="qis-forward")
+    c.set_defaults(func=_cmd_calibrate, mode="qis-forward", manifest="out")
 
-    p = sub.add_parser("export-pgm", help="export QEX1/QBF1 as 8-bit PGM")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("export-pgm", parents=[infile], help="export QEX1/QBF1 as 8-bit PGM")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_pgm)
 
@@ -324,16 +291,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _run_seeded(args, argv, output):
+    """Run a randomized command: check its seed, digest its inputs, run it,
+    and write `<output>.manifest.json` unless it raised."""
+    if args.seed is None:
+        print(f"usage error: --{args.manifest.replace('_', '-')} requires --seed",
+              file=sys.stderr)
+        raise SystemExit(2)
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise DomainError(f"--seed must be in [0, 2**64), got {args.seed}")
+    t0 = time.monotonic()
+    man = RunManifest(command=argv, seed=args.seed, version=__version__)
+    for path in (getattr(args, "infile", None), getattr(args, "params", None)):
+        if path is not None:
+            man.add_input(path)
+    rc = args.func(args)
+    man.duration_s = time.monotonic() - t0
+    man.outputs.append(str(output))
+    man.write(f"{output}.manifest.json")
+    return rc
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv
+    output = args.manifest and getattr(args, args.manifest)
     try:
-        return args.func(args)
-    except QuantaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        if output is None:
+            return args.func(args)
+        return _run_seeded(args, argv, output)
+    except (QuantaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

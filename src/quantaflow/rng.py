@@ -1,7 +1,7 @@
 """Counter-based random streams with one independent substream per pixel.
 
-Every draw is a pure function of (seed, stream tag, pixel index, counter),
-so sampling is reproducible bit-for-bit no matter how work is split across
+Every draw is a pure function of (seed, stream tag, pixel index), so
+sampling is reproducible bit-for-bit no matter how work is split across
 threads. The mixer is the splitmix64 finalizer applied twice, vectorized
 over uint64 numpy arrays. SciPy is imported only inside the two
 quantile samplers that use it, so importing this module loads NumPy alone.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _TAG_PRIME = np.uint64(0xD6E8FEB86659FD93)
@@ -38,13 +37,9 @@ def substream_keys(seed: int, indices: np.ndarray, tag: int) -> np.ndarray:
     return _mix64(keys)
 
 
-def _draw_u64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    return _mix64(_mix64(keys + counters.astype(np.uint64) * _GOLDEN))
-
-
-def uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Uniform floats in [0, 1), one per key, at the given counter positions."""
-    bits = _draw_u64(keys, np.asarray(counters))
+def uniforms(keys: np.ndarray) -> np.ndarray:
+    """Uniform floats in [0, 1) on the 2^-53 grid, one per key."""
+    bits = _mix64(_mix64(keys))
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
@@ -63,15 +58,14 @@ def _normal_quantiles(u: np.ndarray) -> np.ndarray:
 
 
 def standard_normals(keys: np.ndarray) -> np.ndarray:
-    """One standard normal per key, by inversion of the uniform at counter 0."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    return _normal_quantiles(uniforms(keys, np.zeros(keys.shape, dtype=np.uint64)))
+    """One standard normal per key, by inversion of the key's uniform."""
+    return _normal_quantiles(uniforms(keys))
 
 
 def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Poisson draws, one per pixel: the smallest k with u < F(k; theta)
-    for the uniform u at counter 0 of the pixel's substream (inversion,
-    Giles 2016). theta = 0 draws 0.
+    for the uniform u of the pixel's substream (inversion, Giles 2016).
+    theta = 0 draws 0.
 
     A Cornish-Fisher guess from Phi^-1(u) starts each pixel within a few
     steps of its count; F and the pmf are evaluated there once and then
@@ -83,7 +77,7 @@ def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     live = np.flatnonzero(theta > 0)
     th = theta.ravel()[live]
-    u = uniforms(keys.ravel()[live], np.zeros(live.size, dtype=np.uint64))
+    u = uniforms(keys.ravel()[live])
     z = _normal_quantiles(u)
     k = np.floor(np.maximum(0.0, th + np.sqrt(th) * z + (z * z - 1.0) / 6.0))
     cdf = pdtr(k, th)

@@ -197,14 +197,14 @@ def sample_frame(emap: ExposureMap, cfg: SensorConfig) -> BinaryFrame:
     """Draw one binary frame: each pixel is Bernoulli(bit_probability(theta)).
 
     That is the law of Poisson(theta) photons plus Gaussian read noise
-    against the threshold q. Each pixel draws one uniform u at counter 0
-    of its own counter-based substream and fires iff u >= 1 - p(theta), so
+    against the threshold q. Each pixel draws the one uniform u of its
+    own counter-based substream and fires iff u >= 1 - p(theta), so
     a bit depends only on (cfg.seed, pixel index, theta at that pixel),
     never on execution order or on the other pixels.
     """
     theta = emap.theta.ravel()
     keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), _STREAM_PHOTON)
-    u = rng.uniforms(keys, 0)
+    u = rng.uniforms(keys)
     bits = u >= _complement(theta, cfg.q, cfg.sigma_r)
     return BinaryFrame.from_array(bits.reshape(emap.height, emap.width))
 

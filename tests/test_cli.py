@@ -14,7 +14,7 @@ import quantaflow
 from quantaflow import formats
 from quantaflow.cli import main
 from quantaflow.manifest import RunManifest
-from quantaflow.sensor import mean_bit_density
+from quantaflow.sensor import BinaryFrame, mean_bit_density
 
 
 def run(argv):
@@ -78,6 +78,59 @@ class TestSimulate:
         assert not out.exists()
 
 
+# Each randomized command, with OUT, SCENE and PARAMS standing for paths.
+SEEDED = {
+    "simulate": ["simulate", "--theta-const", "1", "--size", "4x4", "--out", "OUT"],
+    "bracket": ["bracket", "--in", "SCENE", "--alphas", "1,2", "--out", "OUT"],
+    "atoms": ["atoms", "--m", "2", "--new-field", "OUT"],
+    "verify": ["verify", "--instances", "1", "--report", "OUT"],
+    "qis-forward": ["calibrate", "qis-forward", "--in", "SCENE", "--params", "PARAMS",
+                    "--out", "OUT"],
+}
+
+
+class TestSeededContract:
+    """What `main` does for every randomized command: seed range, manifest."""
+
+    @staticmethod
+    def argv(tmp_path, command, seed):
+        scene, params = tmp_path / "scene.qex", tmp_path / "p.json"
+        formats.write_float_map(str(scene), np.full((4, 4), 2.0))
+        params.write_text('{"gain_ratio": 1.0}')
+        paths = {"OUT": tmp_path / "out", "SCENE": scene, "PARAMS": params}
+        argv = [str(paths.get(a, a)) for a in SEEDED[command]]
+        return argv + ["--seed", str(seed)], paths["OUT"]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_seed_outside_64_bits_is_domain_error(self, tmp_path, capsys, command, seed):
+        argv, out = self.argv(tmp_path, command, seed)
+        assert run(argv) == 1
+        assert one_error_line(capsys)
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_largest_seed_is_accepted(self, tmp_path, command):
+        argv, out = self.argv(tmp_path, command, 2 ** 64 - 1)
+        assert run(argv) == 0
+        man = RunManifest.load(f"{out}.manifest.json")
+        assert man.seed == 2 ** 64 - 1
+        assert man.outputs == [str(out)]
+        digested = {argv[i + 1] for i, a in enumerate(argv) if a in ("--in", "--params")}
+        assert set(man.inputs) == digested
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["bracket"], ["density"], ["estimate"], ["atoms"], ["verify"],
+    ["calibrate"], ["calibrate", "cmos"], ["calibrate", "qis-forward"], ["export-pgm"]])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as ei:
+        run([*command, "--help"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qflow {' '.join(command)} ")
+
+
 class TestManifestCommand:
     def test_records_argv_given_to_main(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["host", "--some-host-flag"])
@@ -86,6 +139,19 @@ class TestManifestCommand:
                 "--seed", "3", "--out", str(out)]
         assert run(argv) == 0
         assert RunManifest.load(f"{out}.manifest.json").command == argv
+
+
+class TestSimulateSource:
+    def test_theta_const_excludes_in(self, tmp_path, capsys):
+        scene = tmp_path / "x.qex"
+        formats.write_float_map(str(scene), np.full((2, 2), 1.0))
+        out = tmp_path / "f.qbf"
+        with pytest.raises(SystemExit) as ei:
+            run(["simulate", "--theta-const", "1", "--size", "2x2", "--in", str(scene),
+                 "--seed", "1", "--out", str(out)])
+        assert ei.value.code == 2
+        assert "not allowed with argument --theta-const" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUnknownFlag:
@@ -107,6 +173,15 @@ class TestEstimate:
         out = capsys.readouterr().out
         theta_hat = float(out.splitlines()[-1].split("=")[1])
         assert abs(theta_hat - 0.8) < 0.02
+
+    def test_defaults_round_trip(self, tmp_path, capsys):
+        # simulate and estimate share their --q/--sigma-r defaults.
+        frame_path = tmp_path / "f.qbf"
+        assert run(["simulate", "--theta-const", "0.5", "--size", "512x512",
+                    "--seed", "1", "--out", str(frame_path)]) == 0
+        assert run(["estimate", "--in", str(frame_path)]) == 0
+        theta_hat = float(capsys.readouterr().out.splitlines()[-1].split("=")[1])
+        assert abs(theta_hat - 0.5) < 0.005
 
 
 class TestBracketAndDensity:
@@ -151,6 +226,26 @@ class TestBracketAndDensity:
         rc = run(["density", "--in", str(frame_path), "--radius", "-1"])
         assert rc == 1
         assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [["--radius", "3000000000", "--out", "d.qex"],
+                                      ["--radius", "23170"]])
+    def test_radius_past_pixel_cap_is_domain_error(self, tmp_path, capsys, monkeypatch,
+                                                   argv):
+        # A 2x2 frame padded by r on each side has (2 + 2r)^2 pixels; r = 23170
+        # is the first radius past formats.MAX_PIXELS.
+        monkeypatch.chdir(tmp_path)
+        formats.write_frame("tiny.qbf", BinaryFrame.from_array(np.eye(2)))
+        assert run(["density", "--in", "tiny.qbf", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --radius") and captured.err.count("\n") == 1
+        assert not Path("d.qex").exists()
+
+    def test_radius_at_pixel_cap_is_accepted_without_out(self, tmp_path, capsys):
+        frame_path = tmp_path / "tiny.qbf"
+        formats.write_frame(str(frame_path), BinaryFrame.from_array(np.eye(2)))
+        assert run(["density", "--in", str(frame_path), "--radius", "23169"]) == 0
+        assert capsys.readouterr().out == "mean bit density: 0.500000000\n"
 
 
 class TestAtoms:

@@ -9,7 +9,7 @@ from quantaflow import rng
 def _poisson_search(theta, keys):
     """Reference: inversion by sequential search from k = 0 over the same
     uniform, the sampler used below theta = 30 up to version 0.2.0."""
-    u = rng.uniforms(keys, np.zeros(keys.shape, dtype=np.uint64))
+    u = rng.uniforms(keys)
     p = np.exp(-theta)
     cum = p.copy()
     k = np.zeros(theta.shape, dtype=np.int64)
@@ -32,24 +32,24 @@ def _chi_square_p(observed, expected):
 
 def test_uniforms_deterministic_and_in_range():
     keys = rng.substream_keys(42, np.arange(1000), tag=1)
-    u1 = rng.uniforms(keys, np.zeros(1000, dtype=np.uint64))
-    u2 = rng.uniforms(keys, np.zeros(1000, dtype=np.uint64))
+    u1 = rng.uniforms(keys)
+    u2 = rng.uniforms(keys)
     assert np.array_equal(u1, u2)
     assert np.all((u1 >= 0) & (u1 < 1))
 
 
 def test_substreams_differ_by_seed_tag_and_index():
     idx = np.arange(100)
-    a = rng.uniforms(rng.substream_keys(1, idx, 1), np.zeros(100, dtype=np.uint64))
-    b = rng.uniforms(rng.substream_keys(2, idx, 1), np.zeros(100, dtype=np.uint64))
-    c = rng.uniforms(rng.substream_keys(1, idx, 2), np.zeros(100, dtype=np.uint64))
+    a = rng.uniforms(rng.substream_keys(1, idx, 1))
+    b = rng.uniforms(rng.substream_keys(2, idx, 1))
+    c = rng.uniforms(rng.substream_keys(1, idx, 2))
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_uniform_moments():
     keys = rng.substream_keys(7, np.arange(200_000), tag=3)
-    u = rng.uniforms(keys, np.zeros(200_000, dtype=np.uint64))
+    u = rng.uniforms(keys)
     # mean 1/2, var 1/12; 5 sigma bands
     assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / u.size)
     assert abs(u.var() - 1 / 12) < 5e-3
@@ -145,7 +145,7 @@ def test_poisson_matches_search_in_the_tails():
     # Pixels whose uniform lies in an outer 1e-3 tail, at small rates where
     # the starting guess is furthest off, so both step loops walk far.
     keys = rng.substream_keys(3, np.arange(2_000_000), tag=1)
-    u = rng.uniforms(keys, np.zeros(keys.size, dtype=np.uint64))
+    u = rng.uniforms(keys)
     keys = keys[(u < 1e-3) | (u > 1.0 - 1e-3)]
     theta = np.geomspace(1e-4, 29.0, keys.size)
     assert np.array_equal(rng.poissons(theta, keys), _poisson_search(theta, keys))
