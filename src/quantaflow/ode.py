@@ -29,8 +29,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("dopri45", "rk4-fixed"):
             raise DomainError(f"unknown solver method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise DomainError("tolerances must be > 0")
+        if not all(np.isfinite(t) and t > 0 for t in (self.rtol, self.atol)):
+            raise DomainError("tolerances must be finite and > 0")
         if self.fixed_steps < 1 or self.max_steps < 1:
             raise DomainError("step counts must be >= 1")
 

@@ -218,16 +218,30 @@ def neighborhood_ones(bits, nb: NeighborhoodSpec) -> np.ndarray:
     """Integer count of 1-bits in each pixel's neighborhood (exact): a box
     sum, as cumulative sums along each axis minus themselves shifted by the
     window size. `bits` is a BinaryFrame or a 0/1 array (..., h, w) whose
-    leading axes index frames."""
+    leading axes index frames.
+
+    A radius r past a frame length n is clipped to n on that axis, so memory
+    stays O(h * w): beyond n, zero-pad adds nothing and clamp adds r - n more
+    copies of the first and of the last line."""
     if isinstance(bits, BinaryFrame):
         bits = bits.to_array()
-    size = 2 * nb.radius + 1
-    pad = [(0, 0)] * (bits.ndim - 2) + [(nb.radius, nb.radius)] * 2
-    c = np.cumsum(np.pad(bits, pad, mode=nb.pad_mode), axis=-2, dtype=np.int64)
-    c[..., size:, :] -= c[..., :-size, :]
-    c = np.cumsum(c[..., size - 1:, :], axis=-1)
-    c[..., size:] -= c[..., :-size]
-    return c[..., size - 1:]
+    r, (h, w) = nb.radius, bits.shape[-2:]
+    rh, rw = min(r, h), min(r, w)
+    clamp = nb.boundary == "clamp"
+    padded = np.pad(bits, [(0, 0)] * (bits.ndim - 2) + [(rh, rh), (rw, rw)], mode=nb.pad_mode)
+    c = np.cumsum(padded, axis=-2, dtype=np.int64)
+    c[..., 2 * rh + 1:, :] -= c[..., :-2 * rh - 1, :]
+    c = c[..., 2 * rh:, :]
+    if clamp and r > h:
+        rows = padded[..., [rh, rh + h - 1], :]        # first and last row
+        c += (r - h) * rows.sum(axis=-2, dtype=np.int64, keepdims=True)
+    edges = c[..., [rw, rw + w - 1]].sum(axis=-1, keepdims=True)  # before c is replaced
+    c = np.cumsum(c, axis=-1)
+    c[..., 2 * rw + 1:] -= c[..., :-2 * rw - 1]
+    c = c[..., 2 * rw:]
+    if clamp and r > w:
+        c += (r - w) * edges
+    return c
 
 
 def local_bit_density(frame: BinaryFrame, nb: NeighborhoodSpec) -> DensityMap:

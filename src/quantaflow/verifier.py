@@ -12,8 +12,11 @@ inside all checks.
 
 Each certificate has one shape: a `_X_block` that evaluates a block of
 instances as the rows of one array, a one-instance check that is its block
-of one, and a seeded `run_X_suite` over blocks of `BLOCK` instances. Every
-window norm a check computes goes through `filters._correlate2d`. `SUITES`
+of one, and a seeded `run_X_suite` over blocks of `BLOCK` instances. The
+layer-bound block serves all activations in one pass: only the outputs
+depend on them. `_bound_activation` is the one rule for which activations
+a bound admits, and `_bound_constants` the one place its constant is
+computed. Every window norm goes through `filters._correlate2d`. `SUITES`
 maps each suite name to the report rows that `qflow verify` writes.
 """
 
@@ -87,22 +90,32 @@ def _argmax_check(lhs: np.ndarray, rhs: np.ndarray) -> "StageCheck":
     return StageCheck(float(lhs[i]), float(rhs[i]))
 
 
-def _layer_bound_block(instances, activation: str) -> list:
-    """BoundReports for (input, phi, atoms1, atoms2, seed) tuples that share
-    their shapes, with every correlation run once over the block."""
-    if activation not in BOUND_ACTIVATIONS:
-        raise DomainError(
-            f"bound checks need a unit-constant non-expansive activation, "
-            f"got {activation!r}")
-    act = ACTIVATIONS[activation]
+def _bound_activation(name: str):
+    """The activation `name`, if the bound checks admit it (non-expansive)."""
+    if name not in BOUND_ACTIVATIONS:
+        raise DomainError(f"bound checks need one of {BOUND_ACTIVATIONS}, got {name!r}")
+    return ACTIVATIONS[name]
+
+
+def _bound_constants(phis, sq: np.ndarray) -> list:
+    """C = ||phi||_2 * max_u ||x||_{2,N_u} * sqrt(|U|) from x's window norms sq."""
+    nb_max = np.sqrt(sq.sum(axis=1)).max(axis=(1, 2))  # across channels
+    return [phi.norm() * float(m) * np.sqrt(sq[0, 0].size) for phi, m in zip(phis, nb_max)]
+
+
+def _layer_bound_block(instances, activations) -> dict:
+    """BoundReports by activation for (input, phi, atoms1, atoms2, seed) tuples
+    that share their shapes; only the outputs are evaluated per activation."""
+    acts = {name: _bound_activation(name) for name in activations}
     inps, phis, atoms1, atoms2, _ = zip(*instances)
     x = _stack(inps)                                   # (B, c_in, h, w)
     a1, a2 = _stack(atoms1), _stack(atoms2)            # (B, m, k, k)
     delta = a1 - a2
-    y1, y2 = (act(_filter_responses(x, np.stack(list(map(compose_filters, phis, atoms)))))
-              for atoms in (atoms1, atoms2))
+    pre1, pre2 = (_filter_responses(x, np.stack(list(map(compose_filters, phis, atoms))))
+                  for atoms in (atoms1, atoms2))
+    dys = {name: act(pre1) - act(pre2) for name, act in acts.items()}
     sq = _neighborhood_sq_norms(x, a1.shape[-1])       # (B, c_in, h, w)
-    nb_max = np.sqrt(sq.sum(axis=1)).max(axis=(1, 2))  # across channels
+    consts = _bound_constants(phis, sq)
     # Inner stages. B[i,j](u) is the difference of the two atom responses
     # at pixel u for input channel i and atom j; (B, c_in, m, h, w).
     xs = x[:, :, None]
@@ -110,11 +123,9 @@ def _layer_bound_block(instances, activation: str) -> list:
     cs_lhs = np.abs(_correlate2d(xs, delta[:, None]))
     nb_norms = np.sqrt(sq)[:, :, None]
 
-    reports = []
-    for n, (inp, phi, at1, at2, seed) in enumerate(instances):
-        lhs = float(np.linalg.norm((y1[n] - y2[n]).ravel()))
-        rhs = phi.norm() * float(nb_max[n]) * np.sqrt(inp.width * inp.height) \
-            * at1.distance(at2)
+    reports = {name: [] for name in acts}
+    for n, (_, phi, at1, at2, seed) in enumerate(instances):
+        rhs = consts[n] * at1.distance(at2)
 
         # Hoelder with p = q = 2: sum |phi_oij B_ij(u)| <= ||phi_o|| * ||B(u)||.
         holder_lhs = np.einsum("oij,ijhw->ohw", np.abs(phi.data), np.abs(b[n]))
@@ -126,10 +137,12 @@ def _layer_bound_block(instances, activation: str) -> list:
         atom_norms = np.linalg.norm(delta[n].reshape(phi.m, -1), axis=1)
         cauchy = _argmax_check(cs_lhs[n], nb_norms[n] * atom_norms[None, :, None, None])
 
-        holds = bool(lhs <= rhs + SLACK and holder.holds and cauchy.holds)
-        reports.append(BoundReport(lhs=lhs, rhs=rhs, holds=holds, slack=rhs - lhs,
-                                   instance_seed=seed,
-                                   intermediate={"holder": holder, "cauchy_schwarz": cauchy}))
+        for name, dy in dys.items():
+            lhs = float(np.linalg.norm(dy[n].ravel()))
+            holds = bool(lhs <= rhs + SLACK and holder.holds and cauchy.holds)
+            reports[name].append(BoundReport(
+                lhs=lhs, rhs=rhs, holds=holds, slack=rhs - lhs, instance_seed=seed,
+                intermediate={"holder": holder, "cauchy_schwarz": cauchy}))
     return reports
 
 
@@ -138,7 +151,7 @@ def verify_layer_bound(inp: FeatureMap, phi: Coefficients, atoms1: FilterAtoms,
                        instance_seed: int = 0) -> BoundReport:
     """Evaluate both sides of the layer bound plus its two inner stages."""
     return _layer_bound_block([(inp, phi, atoms1, atoms2, instance_seed)],
-                              cfg.activation)[0]
+                              [cfg.activation])[cfg.activation][0]
 
 
 def _density_block(bits: np.ndarray, nb: NeighborhoodSpec) -> list:
@@ -189,22 +202,17 @@ def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfi
     filters = np.stack([[compose_filters(p, a) for a in (f.lambda_init, *atoms)]
                         for p, f, atoms in zip(phis, fields, moved)])
     y = act(_filter_responses(x[:, None], filters))    # (B, 1 + D, c_out, h, w)
-    nb_max = np.sqrt(_neighborhood_sq_norms(x, base.shape[-1]).sum(axis=1)).max(axis=(1, 2))
+    consts = _bound_constants(phis, _neighborhood_sq_norms(x, base.shape[-1]))
 
     reports = []
-    for n, (field_n, phi, inp) in enumerate(instances):
-        const = phi.norm() * float(nb_max[n]) * np.sqrt(inp.width * inp.height)
-        d_vals, a_vals, ok = [], [], []
-        for i in range(len(deltas)):
-            dist = float(np.linalg.norm((y[n, 1 + i] - y[n, 0]).ravel()))
-            a = field_n.lambda_init.distance(moved[n][i])
-            d_vals.append(dist)
-            a_vals.append(a)
-            ok.append(bool(dist <= const * a + SLACK))
+    for n, (field_n, const) in enumerate(zip(fields, consts)):
+        d_vals = tuple(float(np.linalg.norm((y[n, 1 + i] - y[n, 0]).ravel()))
+                       for i in range(len(deltas)))
+        a_vals = tuple(field_n.lambda_init.distance(atoms) for atoms in moved[n])
+        ok = tuple(bool(d <= const * a + SLACK) for d, a in zip(d_vals, a_vals))
         decreasing = all(b < a or (a == 0.0 and b == 0.0)
                          for a, b in zip(d_vals, d_vals[1:]))
-        reports.append(ContinuityReport(tuple(deltas), tuple(d_vals), tuple(a_vals),
-                                        const, tuple(ok), decreasing))
+        reports.append(ContinuityReport(tuple(deltas), d_vals, a_vals, const, ok, decreasing))
     return reports
 
 
@@ -216,10 +224,8 @@ def verify_exposure_continuity(field_, phi: Coefficients, inp: FeatureMap,
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise DomainError("deltas must be positive and strictly decreasing")
-    if cfg.activation not in BOUND_ACTIVATIONS:
-        raise DomainError(f"continuity checks reject {cfg.activation!r}")
     return _continuity_block([(field_, phi, inp)], theta0, deltas,
-                             ACTIVATIONS[cfg.activation], solver)[0]
+                             _bound_activation(cfg.activation), solver)[0]
 
 
 def random_layer_instance(seed: int, c: int = 4, m: int = 3, k: int = 3,
@@ -234,15 +240,14 @@ def random_layer_instance(seed: int, c: int = 4, m: int = 3, k: int = 3,
     return inp, phi, atoms1, atoms2, cfg
 
 
-def run_layer_bound_suite(instances: int, seed: int,
-                          activation: str = "relu") -> list:
-    """BoundReports for `instances` seeded random layer instances."""
-    reports = []
-    for start in range(0, instances, BLOCK):
-        block = [(*random_layer_instance(s, activation=activation)[:4], s)
-                 for s in range(seed + start, seed + min(start + BLOCK, instances))]
-        reports += _layer_bound_block(block, activation)
-    return reports
+def run_layer_bound_suite(instances: int, seed: int) -> dict:
+    """BoundReports by activation, in BOUND_ACTIVATIONS order, for `instances`
+    seeded random layer instances, each drawn and evaluated once."""
+    blocks = [_layer_bound_block([(*random_layer_instance(s)[:4], s) for s in
+                                  range(start, min(start + BLOCK, seed + instances))],
+                                 BOUND_ACTIVATIONS)
+              for start in range(seed, seed + instances, BLOCK)]
+    return {name: [r for block in blocks for r in block[name]] for name in BOUND_ACTIVATIONS}
 
 
 #: Exposure offsets and base exposure of the continuity suite.
@@ -267,7 +272,7 @@ def run_continuity_suite(instances: int, seed: int) -> list:
         block = [continuity_instance(s)[:3]
                  for s in range(seed + start, seed + min(start + BLOCK, instances))]
         reports += _continuity_block(block, CONTINUITY_THETA0, CONTINUITY_DELTAS,
-                                     ACTIVATIONS["relu"], SolverConfig())
+                                     _bound_activation("relu"), SolverConfig())
     return reports
 
 
@@ -293,8 +298,8 @@ def run_density_suite(instances: int, seed: int) -> list:
 #: Report rows of each `qflow verify` suite by name, from (instances, seed).
 SUITES = {
     "layer-bound": lambda instances, seed: [
-        r.to_dict() | {"activation": a} for a in BOUND_ACTIVATIONS
-        for r in run_layer_bound_suite(instances, seed, a)],
+        r.to_dict() | {"activation": a}
+        for a, reports in run_layer_bound_suite(instances, seed).items() for r in reports],
     "density": run_density_suite,
     "continuity": lambda instances, seed: [
         {"instance_seed": seed + i} | r.to_dict()

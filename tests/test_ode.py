@@ -112,6 +112,15 @@ class TestIntegrate:
                             SolverConfig(method="dopri45", max_steps=2))
         assert 0.1 <= ei.value.last_theta <= 0.9
 
+    @pytest.mark.parametrize("tol", [{"rtol": math.nan}, {"atol": math.nan},
+                                     {"rtol": math.inf}, {"atol": math.inf},
+                                     {"rtol": 0.0}, {"atol": -1e-3}],
+                             ids=["rtol-nan", "atol-nan", "rtol-inf", "atol-inf",
+                                  "rtol-zero", "atol-negative"])
+    def test_tolerances_must_be_finite_and_positive(self, tol):
+        with pytest.raises(DomainError):
+            SolverConfig(**tol)
+
     def test_interval_outside_unit_rejected(self):
         field = AtomVectorField.seeded(3, 3, 6)
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -184,16 +185,35 @@ class TestDensity:
     def test_norm_identity_exact(self):
         gen = np.random.default_rng(0)
         frame = BinaryFrame.from_array(gen.integers(0, 2, size=(17, 23)))
-        nb = NeighborhoodSpec(2)
-        counts = neighborhood_ones(frame, nb)
-        # brute-force window sum of Y^2 (Y binary, so Y^2 = Y)
         arr = frame.to_array().astype(np.int64)
-        padded = np.pad(arr, nb.radius)
-        brute = sum(padded[dy:dy + 17, dx:dx + 23] ** 2
-                    for dy in range(5) for dx in range(5))
-        assert np.array_equal(counts, brute)
-        mu = local_bit_density(frame, nb).mu
-        assert np.array_equal(np.rint(mu * nb.size).astype(np.int64), counts)
+        # Radii inside the frame, at its height and width, and beyond both.
+        for radius in (2, 3, 5, 17, 20, 23, 100):
+            for boundary in ("zero-pad", "clamp"):
+                nb = NeighborhoodSpec(radius, boundary)
+                counts = neighborhood_ones(frame, nb)
+                # brute-force window sum of Y^2 (Y binary, so Y^2 = Y)
+                padded = np.pad(arr, radius, mode=nb.pad_mode)
+                size = 2 * radius + 1
+                brute = np.array([[(padded[i:i + size, j:j + size] ** 2).sum()
+                                   for j in range(23)] for i in range(17)])
+                assert np.array_equal(counts, brute), (radius, boundary)
+                mu = local_bit_density(frame, nb).mu
+                assert np.array_equal(np.rint(mu * nb.size).astype(np.int64), counts)
+
+    @pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
+    def test_radius_past_frame_needs_no_padded_copy(self, boundary):
+        frame = BinaryFrame.from_array(np.eye(2))
+        tracemalloc.start()
+        try:
+            mu = local_bit_density(frame, NeighborhoodSpec(1000, boundary)).mu
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # Under clamp, each pixel sees 1001 or 1000 copies of each line.
+        counts = {"zero-pad": [[2, 2], [2, 2]],
+                  "clamp": [[2002001, 2002000], [2002000, 2002001]]}[boundary]
+        assert np.array_equal(mu, np.array(counts) / 2001 ** 2)
 
 
 class TestInversion:

@@ -6,10 +6,20 @@ from quantaflow import (AtomVectorField, BinaryFrame, Coefficients, DomainError,
                         SolverConfig, verify_density_identity,
                         verify_exposure_continuity, verify_layer_bound)
 from quantaflow import verifier
-from quantaflow.verifier import (BLOCK, CONTINUITY_DELTAS, CONTINUITY_THETA0,
-                                 DENSITY_RADII, DENSITY_SIDE, SLACK, continuity_instance,
-                                 random_layer_instance, run_continuity_suite,
-                                 run_density_suite, run_layer_bound_suite)
+from quantaflow.verifier import (BLOCK, BOUND_ACTIVATIONS, CONTINUITY_DELTAS,
+                                 CONTINUITY_THETA0, DENSITY_RADII, DENSITY_SIDE, SLACK,
+                                 continuity_instance, random_layer_instance,
+                                 run_continuity_suite, run_density_suite,
+                                 run_layer_bound_suite)
+
+
+def _bound_constant(phi, inp, k=3):
+    # ||phi||_2 * max_u ||x||_{2,N_u} * sqrt(|U|), window by window.
+    r = k // 2
+    x = np.pad(inp.data, [(0, 0), (r, r), (r, r)])
+    nb_max = max(np.sqrt((x[:, i:i + k, j:j + k] ** 2).sum())
+                 for i in range(inp.height) for j in range(inp.width))
+    return phi.norm() * nb_max * np.sqrt(inp.height * inp.width)
 
 
 class TestLayerBound:
@@ -26,9 +36,15 @@ class TestLayerBound:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
     def test_randomized_instances_hold(self, activation):
-        reports = run_layer_bound_suite(100, seed=7, activation=activation)
+        reports = run_layer_bound_suite(100, seed=7)[activation]
         assert all(r.holds for r in reports)
         assert all(r.lhs <= r.rhs + SLACK for r in reports)
+
+    def test_rhs_is_bound_constant_times_atom_distance(self):
+        inp, phi, a1, a2, cfg = random_layer_instance(5)
+        report = verify_layer_bound(inp, phi, a1, a2, cfg)
+        assert report.rhs == pytest.approx(_bound_constant(phi, inp) * a1.distance(a2),
+                                           rel=1e-12)
 
     def test_stage_checks_reported(self):
         inp, phi, a1, a2, cfg = random_layer_instance(3)
@@ -44,21 +60,35 @@ class TestLayerBound:
         with pytest.raises(DomainError):
             verify_layer_bound(inp, phi, a1, a2, cfg)
 
-    def test_reports_deterministic_under_thread_env(self, monkeypatch):
-        monkeypatch.setenv("QF_THREADS", "4")
-        parallel = run_layer_bound_suite(20, seed=9)
-        monkeypatch.setenv("QF_THREADS", "1")
-        serial = run_layer_bound_suite(20, seed=9)
-        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
+    def test_reports_repeat_across_runs(self):
+        first, second = (run_layer_bound_suite(20, seed=9) for _ in range(2))
+        assert list(first) == list(second) == list(BOUND_ACTIVATIONS)
+        assert all([r.to_dict() for r in first[a]] == [r.to_dict() for r in second[a]]
+                   for a in BOUND_ACTIVATIONS)
 
 
 @pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
 def test_layer_bound_suite_equals_single_calls(instances):
-    suite = run_layer_bound_suite(instances, seed=40, activation="tanh")
-    single = [verify_layer_bound(*random_layer_instance(s, activation="tanh"),
-                                 instance_seed=s)
-              for s in range(40, 40 + instances)]
-    assert [r.to_dict() for r in suite] == [r.to_dict() for r in single]
+    rows = verifier.SUITES["layer-bound"](instances, 40)
+    single = [verify_layer_bound(*random_layer_instance(s, activation=a),
+                                 instance_seed=s).to_dict() | {"activation": a}
+              for a in BOUND_ACTIVATIONS for s in range(40, 40 + instances)]
+    assert rows == single
+
+
+def test_layer_bound_suite_draws_each_instance_once(monkeypatch):
+    # One draw per seed serves all three activations.
+    seeds = []
+    draw = verifier.random_layer_instance
+
+    def recording(seed, *args, **kwargs):
+        seeds.append(seed)
+        return draw(seed, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "random_layer_instance", recording)
+    rows = verifier.SUITES["layer-bound"](BLOCK + 3, 5)
+    assert seeds == list(range(5, 5 + BLOCK + 3))
+    assert len(rows) == len(BOUND_ACTIVATIONS) * (BLOCK + 3)
 
 
 @pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
@@ -150,7 +180,7 @@ class TestDensityIdentity:
         frame = BinaryFrame.from_array(np.zeros((6, 6)))
         assert verify_density_identity(frame, NeighborhoodSpec(2))
 
-    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 5, 20])
     @pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
     def test_random_frames(self, radius, boundary):
         gen = np.random.default_rng(radius * 10 + len(boundary))
@@ -193,6 +223,22 @@ class TestContinuity:
         field, phi, inp, cfg = self._setup(1)
         with pytest.raises(DomainError):
             verify_exposure_continuity(field, phi, inp, 0.3, [1e-2, 1e-1], cfg)
+
+    def test_bound_constant_shared_with_layer_bound(self):
+        field, phi, inp, cfg = self._setup(4)
+        report = verify_exposure_continuity(field, phi, inp, 0.3, [1e-1], cfg)
+        assert report.bound_constant == pytest.approx(_bound_constant(phi, inp), rel=1e-12)
+
+    def test_activation_rule_shared_with_layer_bound(self):
+        field, phi, inp, _ = self._setup(3)
+        with pytest.raises(DomainError) as continuity:
+            verify_exposure_continuity(field, phi, inp, 0.3, [1e-1], EaclConfig(
+                bias=np.zeros(1), activation="sigmoid"))
+        inp, phi, a1, a2, _ = random_layer_instance(4)
+        with pytest.raises(DomainError) as layer:
+            verify_layer_bound(inp, phi, a1, a2, EaclConfig(
+                bias=np.zeros(4), activation="sigmoid"))
+        assert str(continuity.value) == str(layer.value)
 
     def test_solver_config_respected(self):
         field, phi, inp, cfg = self._setup(2)
