@@ -90,8 +90,7 @@ def extract_exposure(gray: np.ndarray, theta_max: float = 25.0,
         raise ShapeError("expected a 2-D grayscale or HxWx3 RGB image")
     if np.any(img < 0) or np.any(img > 1) or not np.all(np.isfinite(img)):
         raise DomainError("pixel values must lie in [0, 1]")
-    h, w = img.shape
-    return ExposureMap(w, h, theta_max * img ** gamma)
+    return ExposureMap(theta_max * img ** gamma)
 
 
 def bracket(emap: ExposureMap, spec: BracketSpec) -> list:

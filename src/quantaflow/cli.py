@@ -173,14 +173,15 @@ def _cmd_verify(args):
     return 0 if all_hold else 1
 
 
-def _cmd_calibrate(args):
-    if args.mode == "cmos":
-        gray = formats.read_float_map(args.infile)
-        params = CmosParams(gain_ratio=args.gain, quantum_efficiency=args.qe)
-        formats.write_float_map(args.out, cmos_gray_to_photons(gray, params))
-        print(f"wrote photon map {args.out}")
-        return 0
-    # qis-forward
+def _cmd_cmos(args):
+    gray = formats.read_float_map(args.infile)
+    params = CmosParams(gain_ratio=args.gain, quantum_efficiency=args.qe)
+    formats.write_float_map(args.out, cmos_gray_to_photons(gray, params))
+    print(f"wrote photon map {args.out}")
+    return 0
+
+
+def _cmd_qis_forward(args):
     photons = formats.read_float_map(args.infile)
     params = _read_qis_params(args.params)
     out = qis_forward(photons, params, args.seed)
@@ -273,10 +274,10 @@ def build_parser() -> _Parser:
     c.add_argument("--gain", type=float, default=1.0)
     c.add_argument("--qe", type=float, default=0.68)
     c.add_argument("--out", required=True)
-    c.set_defaults(func=_cmd_calibrate, mode="cmos")
+    c.set_defaults(func=_cmd_cmos)
     c = csub.add_parser("qis-forward", parents=[infile, seeded], help="forward pixel model")
     c.add_argument("--params", required=True, help="JSON with QisParams fields")
-    c.set_defaults(func=_cmd_calibrate, mode="qis-forward", manifest="out")
+    c.set_defaults(func=_cmd_qis_forward, manifest="out")
 
     p = sub.add_parser("export-pgm", parents=[infile], help="export QEX1/QBF1 as 8-bit PGM")
     p.add_argument("--out", required=True)

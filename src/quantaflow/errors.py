@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one validation rule
+of its array value types."""
+
+import numpy as np
 
 
 class QuantaError(Exception):
@@ -36,3 +39,17 @@ class IntegrationError(QuantaError):
     def __init__(self, message, last_theta):
         super().__init__(f"{message} (last accepted theta_tilde = {last_theta})")
         self.last_theta = last_theta
+
+
+def frozen_array(obj, attr: str, ndim: int, what: str) -> np.ndarray:
+    """Store `obj.attr` back as a read-only float64 array and return it:
+    ShapeError unless it has `ndim` axes, DomainError unless every entry
+    is finite. The array types derive all their dimensions from it."""
+    a = np.asarray(getattr(obj, attr), dtype=np.float64)
+    if a.ndim != ndim:
+        raise ShapeError(f"{what} array must be {ndim}-D, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{what} entries must be finite")
+    a.setflags(write=False)
+    object.__setattr__(obj, attr, a)
+    return a

@@ -1,6 +1,10 @@
 """Atom-coefficient filter decomposition and the exposure-adaptive
 convolutional layer built on it.
 
+Each value type is its array: `FilterAtoms` the atoms (m, k, k),
+`Coefficients` phi (c_out, c_in, m), `FeatureMap` x (channels, height,
+width). Every dimension is derived from the array's shape.
+
 Full filters factor as F[o,i] = sum_j phi[o,i,j] * atoms[j]; the layer is
 plain cross-correlation (zero padding, stride 1) with those filters.
 `_correlate2d` is the one correlation routine: it takes leading batch axes,
@@ -9,38 +13,25 @@ so the verifier runs a block of layer instances through the same calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-
-
-def _require_finite(arr, name):
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} entries must be finite")
+from .errors import DomainError, ShapeError, frozen_array
 
 
 @dataclass(frozen=True)
 class FilterAtoms:
-    m: int
-    k: int
-    data: np.ndarray = field(repr=False)  # (m, k, k)
+    data: np.ndarray  # (m, k, k)
+    m = property(lambda self: self.data.shape[0])
+    k = property(lambda self: self.data.shape[1])
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = frozen_array(self, "data", 3, "atom")
         if self.m < 1 or self.k < 1:
             raise DomainError("atom count and spatial size must be >= 1")
-        if d.shape != (self.m, self.k, self.k):
-            raise ShapeError(f"atom tensor shape {d.shape} != ({self.m}, {self.k}, {self.k})")
-        _require_finite(d, "atom")
-        object.__setattr__(self, "data", d)
-        d.setflags(write=False)
-
-    @classmethod
-    def from_array(cls, data) -> "FilterAtoms":
-        d = np.asarray(data, dtype=np.float64)
-        return cls(d.shape[0], d.shape[1], d)
+        if d.shape[2] != self.k:
+            raise ShapeError(f"atom tensor shape {d.shape} is not (m, k, k)")
 
     def norm(self) -> float:
         """Flattened L2 norm."""
@@ -54,23 +45,13 @@ class FilterAtoms:
 
 @dataclass(frozen=True)
 class Coefficients:
-    c_out: int
-    c_in: int
-    m: int
-    data: np.ndarray = field(repr=False)  # (c_out, c_in, m)
+    data: np.ndarray  # (c_out, c_in, m)
+    c_out = property(lambda self: self.data.shape[0])
+    c_in = property(lambda self: self.data.shape[1])
+    m = property(lambda self: self.data.shape[2])
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.shape != (self.c_out, self.c_in, self.m):
-            raise ShapeError(f"coefficient shape {d.shape} != ({self.c_out}, {self.c_in}, {self.m})")
-        _require_finite(d, "coefficient")
-        object.__setattr__(self, "data", d)
-        d.setflags(write=False)
-
-    @classmethod
-    def from_array(cls, data) -> "Coefficients":
-        d = np.asarray(data, dtype=np.float64)
-        return cls(d.shape[0], d.shape[1], d.shape[2], d)
+        frozen_array(self, "data", 3, "coefficient")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data.ravel()))
@@ -78,25 +59,13 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    channels: int
-    width: int
-    height: int
-    data: np.ndarray = field(repr=False)  # (channels, height, width)
+    data: np.ndarray  # (channels, height, width)
+    channels = property(lambda self: self.data.shape[0])
+    height = property(lambda self: self.data.shape[1])
+    width = property(lambda self: self.data.shape[2])
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.shape != (self.channels, self.height, self.width):
-            raise ShapeError(f"feature shape {d.shape} != ({self.channels}, {self.height}, {self.width})")
-        _require_finite(d, "feature")
-        object.__setattr__(self, "data", d)
-        d.setflags(write=False)
-
-    @classmethod
-    def from_array(cls, data) -> "FeatureMap":
-        d = np.asarray(data, dtype=np.float64)
-        if d.ndim == 2:
-            d = d[None]
-        return cls(d.shape[0], d.shape[2], d.shape[1], d)
+        frozen_array(self, "data", 3, "feature")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data.ravel()))
@@ -118,12 +87,9 @@ class EaclConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.bias, dtype=np.float64))
-        _require_finite(b, "bias")
+        frozen_array(self, "bias", 1, "bias")
         if self.activation not in ACTIVATIONS:
             raise DomainError(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "bias", b)
-        b.setflags(write=False)
 
 
 def compose_filters(phi: Coefficients, atoms: FilterAtoms) -> np.ndarray:
@@ -197,4 +163,4 @@ def eacl_forward(inp: FeatureMap, phi: Coefficients, atoms: FilterAtoms,
     if cfg.bias.shape != (phi.c_out,):
         raise ShapeError(f"bias length {cfg.bias.shape[0]} != c_out {phi.c_out}")
     pre = eacl_preactivation(inp, phi, atoms, cfg.bias)
-    return FeatureMap(phi.c_out, inp.width, inp.height, ACTIVATIONS[cfg.activation](pre))
+    return FeatureMap(ACTIVATIONS[cfg.activation](pre))

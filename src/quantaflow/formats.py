@@ -19,7 +19,7 @@ import numpy as np
 from .bracketing import ExposureBurst
 from .errors import DecodeError, DomainError
 from .filters import FilterAtoms
-from .ode import STAGE_COUNT, AtomVectorField
+from .ode import STAGE_COUNT, AtomVectorField, _state_size
 from .sensor import BinaryFrame, ExposureMap
 
 MAX_PIXELS = 2 ** 31
@@ -87,8 +87,7 @@ def write_exposure_map(path, emap: ExposureMap):
 
 
 def read_exposure_map(path) -> ExposureMap:
-    arr = read_float_map(path)
-    return ExposureMap(arr.shape[1], arr.shape[0], arr)
+    return ExposureMap(read_float_map(path))
 
 
 # --- QBF1 binary frames ------------------------------------------------------
@@ -102,7 +101,7 @@ def _decode_frame_payload(r: _Reader, w: int, h: int, what: str) -> BinaryFrame:
     start = r.pos
     bits = np.frombuffer(r.take(row_bytes * h, what), dtype=np.uint8).reshape(h, row_bytes)
     try:
-        return BinaryFrame(w, h, bits)
+        return BinaryFrame(w, bits)
     except DomainError:  # the frame's own padding-bit rule
         raise DecodeError(f"nonzero padding bits in {what}", offset=start) from None
 
@@ -208,11 +207,12 @@ def read_field(path) -> AtomVectorField:
     m = r.u32("atom count")
     k = r.u32("spatial size")
     stages = r.u32("stage count")
-    if m < 1 or k < 1:
-        raise DecodeError(f"invalid field dims m={m} k={k}", offset=4)
+    try:
+        n = _state_size(m, k)
+    except DomainError as exc:
+        raise DecodeError(f"invalid field dims: {exc}", offset=4) from None
     if stages != STAGE_COUNT:
         raise DecodeError(f"stage count {stages} != {STAGE_COUNT}", offset=12)
-    n = m * k * k
     weights = []
     for s in range(stages):
         block = np.frombuffer(r.take(4 * n * (n + 1), f"stage {s} weights"),
@@ -223,7 +223,7 @@ def read_field(path) -> AtomVectorField:
         raise DecodeError(f"initial atoms shape {init.shape} != ({m}, {k}, {k})",
                           offset=r.pos)
     r.done()
-    return AtomVectorField(tuple(weights), FilterAtoms(m, k, init))
+    return AtomVectorField(tuple(weights), FilterAtoms(init))
 
 
 # --- PGM P5 export -----------------------------------------------------------

@@ -17,6 +17,20 @@ from .filters import Coefficients, FilterAtoms, compose_filters
 STAGE_COUNT = 6
 _NORM_EPS = 1e-5
 
+#: Largest atom state n = m*k*k of a seeded, zero or decoded field: its
+#: six n x (n+1) float64 stage matrices stay under 51 MiB.
+MAX_STATE = 1024
+
+
+def _state_size(m: int, k: int) -> int:
+    """n = m*k*k, once m, k >= 1 and n <= MAX_STATE are checked."""
+    if m < 1 or k < 1:
+        raise DomainError(f"atom count m and spatial size k must be >= 1, got m={m}, k={k}")
+    n = m * k * k
+    if n > MAX_STATE:
+        raise DomainError(f"atom state m*k*k = {n} exceeds MAX_STATE = {MAX_STATE}")
+    return n
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -70,17 +84,17 @@ class AtomVectorField:
     def seeded(cls, m: int, k: int, seed: int,
                init_scale: float = 1.0) -> "AtomVectorField":
         """Deterministic random field: uniform(-s, s) with s = 1/sqrt(fan_in)."""
+        n = _state_size(m, k)
         gen = np.random.default_rng(seed)
-        n = m * k * k
         s = 1.0 / np.sqrt(n + 1)
         weights = tuple(gen.uniform(-s, s, size=(n, n + 1)) for _ in range(STAGE_COUNT))
-        init = FilterAtoms(m, k, init_scale * gen.standard_normal((m, k, k)))
+        init = FilterAtoms(init_scale * gen.standard_normal((m, k, k)))
         return cls(weights, init)
 
     @classmethod
     def zero(cls, m: int, k: int, lambda_init: FilterAtoms | None = None) -> "AtomVectorField":
-        n = m * k * k
-        init = lambda_init or FilterAtoms(m, k, np.zeros((m, k, k)))
+        n = _state_size(m, k)
+        init = lambda_init or FilterAtoms(np.zeros((m, k, k)))
         return cls(tuple(np.zeros((n, n + 1)) for _ in range(STAGE_COUNT)), init)
 
     def derivative(self, theta_tilde, state: np.ndarray) -> np.ndarray:
@@ -133,7 +147,7 @@ def eval_field(field_: AtomVectorField, theta_tilde: float,
                state: FilterAtoms) -> FilterAtoms:
     """dLambda/dtheta at the given exposure and atom state."""
     out = field_.derivative(float(theta_tilde), state.data)
-    return FilterAtoms(state.m, state.k, out)
+    return FilterAtoms(out)
 
 
 @dataclass(frozen=True)
@@ -231,7 +245,7 @@ def integrate_atoms(field_, theta_in: float, theta_target: float,
     integrated along the field (backward when target < input)."""
     init = field_.lambda_init
     out = integrate_stack(field_, init.data[None], theta_in, [theta_target], solver)
-    return FilterAtoms(init.m, init.k, out[0, 0])
+    return FilterAtoms(out[0, 0])
 
 
 def integrate_stack(field_, init: np.ndarray, theta_in: float, targets,

@@ -1,5 +1,10 @@
 """1-bit sensor forward model: Poisson arrivals, Gaussian read noise,
-threshold ADC, bit-density statistics, and exposure inversion."""
+threshold ADC, bit-density statistics, and exposure inversion.
+
+Each value type is its array: `ExposureMap` its theta, `DensityMap` its
+mu, `BinaryFrame` its packed bits. Width and height are derived from the
+array's shape; only `BinaryFrame` takes its width, which byte padding
+hides."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .errors import DomainError, ShapeError, UnidentifiableError
+from .errors import DomainError, ShapeError, UnidentifiableError, frozen_array
 
 _STREAM_PHOTON = 1
 
@@ -23,25 +28,20 @@ THETA_CAP = 64.0
 class ExposureMap:
     """Per-pixel expected photon count per exposure period."""
 
-    width: int
-    height: int
-    theta: np.ndarray  # (height, width) float64
+    theta: np.ndarray  # (height, width) float64, finite and >= 0
+    height = property(lambda self: self.theta.shape[0])
+    width = property(lambda self: self.theta.shape[1])
 
     def __post_init__(self):
-        t = np.asarray(self.theta, dtype=np.float64)
-        if t.shape != (self.height, self.width):
-            raise ShapeError(f"theta shape {t.shape} != ({self.height}, {self.width})")
-        if not np.all(np.isfinite(t)) or np.any(t < 0):
-            raise DomainError("exposure values must be finite and >= 0")
-        object.__setattr__(self, "theta", t)
-        t.setflags(write=False)
+        if np.any(frozen_array(self, "theta", 2, "exposure") < 0):
+            raise DomainError("exposure values must be >= 0")
 
     @classmethod
     def constant(cls, width: int, height: int, value: float) -> "ExposureMap":
-        return cls(width, height, np.full((height, width), value, dtype=np.float64))
+        return cls(np.full((height, width), value, dtype=np.float64))
 
     def scaled(self, factor: float) -> "ExposureMap":
-        return ExposureMap(self.width, self.height, self.theta * factor)
+        return ExposureMap(self.theta * factor)
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,18 @@ class SensorConfig:
 
 @dataclass(frozen=True)
 class BinaryFrame:
-    """Bit-packed 1-bit frame, MSB-first within each byte, rows byte-aligned."""
+    """Bit-packed 1-bit frame, MSB-first within each byte, rows byte-aligned.
+    `width` is given because the padding bits hide it."""
 
     width: int
-    height: int
     bits: np.ndarray = field(repr=False)  # (height, ceil(width/8)) uint8
+    height = property(lambda self: self.bits.shape[0])
 
     def __post_init__(self):
         b = np.asarray(self.bits, dtype=np.uint8)
         row_bytes = (self.width + 7) // 8
-        if b.shape != (self.height, row_bytes):
-            raise ShapeError(f"packed shape {b.shape} != ({self.height}, {row_bytes})")
+        if self.width < 0 or b.ndim != 2 or b.shape[1] != row_bytes:
+            raise ShapeError(f"packed shape {b.shape} cannot hold rows of width {self.width}")
         pad = 8 * row_bytes - self.width
         if pad and np.any(b[:, -1] & ((1 << pad) - 1)):
             raise DomainError("padding bits must be zero")
@@ -81,8 +82,7 @@ class BinaryFrame:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ShapeError("bit array must be 2-D")
-        h, w = arr.shape
-        return cls(w, h, np.packbits(arr.astype(bool), axis=1))
+        return cls(arr.shape[1], np.packbits(arr.astype(bool), axis=1))
 
     def to_array(self) -> np.ndarray:
         """Unpacked (height, width) uint8 array of 0/1."""
@@ -91,18 +91,14 @@ class BinaryFrame:
 
 @dataclass(frozen=True)
 class DensityMap:
-    width: int
-    height: int
-    mu: np.ndarray
+    mu: np.ndarray  # (height, width) float64 in [0, 1]
+    height = property(lambda self: self.mu.shape[0])
+    width = property(lambda self: self.mu.shape[1])
 
     def __post_init__(self):
-        m = np.asarray(self.mu, dtype=np.float64)
-        if m.shape != (self.height, self.width):
-            raise ShapeError(f"mu shape {m.shape} != ({self.height}, {self.width})")
+        m = frozen_array(self, "mu", 2, "density")
         if np.any(m < 0) or np.any(m > 1):
             raise DomainError("densities must lie in [0, 1]")
-        object.__setattr__(self, "mu", m)
-        m.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -206,12 +202,13 @@ def sample_frame(emap: ExposureMap, cfg: SensorConfig) -> BinaryFrame:
     keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), _STREAM_PHOTON)
     u = rng.uniforms(keys)
     bits = u >= _complement(theta, cfg.q, cfg.sigma_r)
-    return BinaryFrame.from_array(bits.reshape(emap.height, emap.width))
+    return BinaryFrame.from_array(bits.reshape(emap.theta.shape))
 
 
 def mean_bit_density(frame: BinaryFrame) -> float:
-    """Fraction of 1-bits over the whole frame."""
-    return int(frame.to_array().sum()) / (frame.width * frame.height)
+    """Fraction of 1-bits over the whole frame, counted in the packed bytes
+    (exact: the padding bits are zero)."""
+    return int(np.bitwise_count(frame.bits).sum(dtype=np.int64)) / (frame.width * frame.height)
 
 
 def neighborhood_ones(bits, nb: NeighborhoodSpec) -> np.ndarray:
@@ -247,7 +244,7 @@ def neighborhood_ones(bits, nb: NeighborhoodSpec) -> np.ndarray:
 def local_bit_density(frame: BinaryFrame, nb: NeighborhoodSpec) -> DensityMap:
     """Fraction of ones in each pixel's (2r+1)^2 neighborhood."""
     counts = neighborhood_ones(frame, nb)
-    return DensityMap(frame.width, frame.height, counts / nb.size)
+    return DensityMap(counts / nb.size)
 
 
 def invert_bit_density(mu: float, q: float, sigma_r: float) -> float:

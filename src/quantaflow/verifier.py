@@ -197,7 +197,7 @@ def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfi
     base = _stack(f.lambda_init for f in fields)       # (B, m, k, k)
     moved = integrate_stack(FieldStack.of(fields), base, theta0,
                             [theta0 + d for d in deltas], solver)
-    moved = [[FilterAtoms.from_array(a) for a in atoms] for atoms in moved]
+    moved = [[FilterAtoms(a) for a in atoms] for atoms in moved]
     x = _stack(inps)                                   # (B, c_in, h, w)
     filters = np.stack([[compose_filters(p, a) for a in (f.lambda_init, *atoms)]
                         for p, f, atoms in zip(phis, fields, moved)])
@@ -232,10 +232,10 @@ def random_layer_instance(seed: int, c: int = 4, m: int = 3, k: int = 3,
                           size: int = 16, activation: str = "relu"):
     """Seeded random (input, phi, atoms1, atoms2, cfg) tuple for bound checks."""
     gen = np.random.default_rng(seed)
-    inp = FeatureMap.from_array(gen.uniform(0.0, 1.0, size=(c, size, size)))
-    phi = Coefficients.from_array(gen.standard_normal((c, c, m)))
-    atoms1 = FilterAtoms.from_array(gen.standard_normal((m, k, k)))
-    atoms2 = FilterAtoms.from_array(atoms1.data + 0.1 * gen.standard_normal((m, k, k)))
+    inp = FeatureMap(gen.uniform(0.0, 1.0, size=(c, size, size)))
+    phi = Coefficients(gen.standard_normal((c, c, m)))
+    atoms1 = FilterAtoms(gen.standard_normal((m, k, k)))
+    atoms2 = FilterAtoms(atoms1.data + 0.1 * gen.standard_normal((m, k, k)))
     cfg = EaclConfig(bias=np.zeros(c), activation=activation)
     return inp, phi, atoms1, atoms2, cfg
 
@@ -259,8 +259,8 @@ def continuity_instance(seed: int):
     """Seeded random (field, phi, input, cfg) for a continuity check."""
     gen = np.random.default_rng(seed)
     field_ = AtomVectorField.seeded(3, 3, seed)
-    inp = FeatureMap.from_array(gen.uniform(0, 1, size=(1, 16, 16)))
-    phi = Coefficients.from_array(gen.standard_normal((1, 1, 3)))
+    inp = FeatureMap(gen.uniform(0, 1, size=(1, 16, 16)))
+    phi = Coefficients(gen.standard_normal((1, 1, 3)))
     cfg = EaclConfig(bias=np.zeros(1), activation="relu")
     return field_, phi, inp, cfg
 

@@ -128,7 +128,7 @@ def test_criterion_04_burst_generation():
 
 def test_criterion_05_solver_accuracy():
     gen = np.random.default_rng(5)
-    init = FilterAtoms.from_array(gen.standard_normal((3, 3, 3)))
+    init = FilterAtoms(gen.standard_normal((3, 3, 3)))
     exact = init.data * math.exp(-0.8)
 
     out = integrate_atoms(DecayField(init), 0.1, 0.9,
@@ -178,8 +178,8 @@ def test_criterion_06_layer_bound_and_continuity():
     for i in range(100):
         gen = np.random.default_rng(6000 + i)
         field = AtomVectorField.seeded(3, 3, 6000 + i)
-        inp = FeatureMap.from_array(gen.uniform(0, 1, size=(1, 16, 16)))
-        phi = Coefficients.from_array(gen.standard_normal((1, 1, 3)))
+        inp = FeatureMap(gen.uniform(0, 1, size=(1, 16, 16)))
+        phi = Coefficients(gen.standard_normal((1, 1, 3)))
         # identity keeps the layer output a nondegenerate function of the
         # atoms; relu can zero the whole map and collapse the ordering
         cfg = EaclConfig(bias=np.zeros(1), activation="identity")
@@ -299,7 +299,7 @@ def test_criterion_10_format_round_trips(tmp_path):
         ok &= a.read_bytes() == b.read_bytes()
 
         a, b = tmp_path / "a.qbb", tmp_path / "b.qbb"
-        emap = ExposureMap(w, h, gen.uniform(0.5, 4, size=(h, w)))
+        emap = ExposureMap(gen.uniform(0.5, 4, size=(h, w)))
         burst = generate_burst(emap, BracketSpec(),
                                SensorConfig(seed=trial))
         formats.write_burst(str(a), burst)

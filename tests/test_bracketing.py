@@ -74,7 +74,7 @@ class TestBracket:
 
     def test_scaling_commutes(self):
         gen = np.random.default_rng(4)
-        emap = ExposureMap(8, 8, gen.uniform(0, 5, (8, 8)))
+        emap = ExposureMap(gen.uniform(0, 5, (8, 8)))
         spec = BracketSpec((1.0, 2.5, 4.0))
         direct = bracket(emap.scaled(3.0), spec)
         scaled = [m.scaled(3.0) for m in bracket(emap, spec)]

@@ -10,36 +10,36 @@ from quantaflow.filters import (ACTIVATIONS, _correlate2d, eacl_preactivation,
 
 def _random_instance(seed, c_in=1, c_out=1, m=3, k=3, size=8):
     gen = np.random.default_rng(seed)
-    inp = FeatureMap.from_array(gen.standard_normal((c_in, size, size)))
-    phi = Coefficients.from_array(gen.standard_normal((c_out, c_in, m)))
-    atoms = FilterAtoms.from_array(gen.standard_normal((m, k, k)))
+    inp = FeatureMap(gen.standard_normal((c_in, size, size)))
+    phi = Coefficients(gen.standard_normal((c_out, c_in, m)))
+    atoms = FilterAtoms(gen.standard_normal((m, k, k)))
     return inp, phi, atoms
 
 
 class TestCompose:
     def test_single_atom_unit_coeff(self):
         atom = np.arange(9.0).reshape(1, 3, 3)
-        phi = Coefficients.from_array(np.ones((2, 2, 1)))
-        f = compose_filters(phi, FilterAtoms.from_array(atom))
+        phi = Coefficients(np.ones((2, 2, 1)))
+        f = compose_filters(phi, FilterAtoms(atom))
         for o in range(2):
             for i in range(2):
                 assert np.array_equal(f[o, i], atom[0])
 
     def test_zero_coeffs(self):
         _, _, atoms = _random_instance(0)
-        phi = Coefficients.from_array(np.zeros((2, 1, 3)))
+        phi = Coefficients(np.zeros((2, 1, 3)))
         assert np.all(compose_filters(phi, atoms) == 0.0)
 
     def test_difference_of_atoms(self):
         gen = np.random.default_rng(1)
         a, b = gen.standard_normal((2, 3, 3))
-        atoms = FilterAtoms.from_array(np.stack([a, b]))
-        phi = Coefficients.from_array(np.array([[[1.0, -1.0]]]))
+        atoms = FilterAtoms(np.stack([a, b]))
+        phi = Coefficients(np.array([[[1.0, -1.0]]]))
         assert np.allclose(compose_filters(phi, atoms)[0, 0], a - b)
 
     def test_atom_count_mismatch(self):
         _, _, atoms = _random_instance(0, m=3)
-        phi = Coefficients.from_array(np.zeros((1, 1, 2)))
+        phi = Coefficients(np.zeros((1, 1, 2)))
         with pytest.raises(ShapeError):
             compose_filters(phi, atoms)
 
@@ -47,14 +47,14 @@ class TestCompose:
 class TestForward:
     def test_identity_layer(self):
         inp, _, _ = _random_instance(2)
-        phi = Coefficients.from_array(np.ones((1, 1, 1)))
-        atoms = FilterAtoms.from_array(np.ones((1, 1, 1)))
+        phi = Coefficients(np.ones((1, 1, 1)))
+        atoms = FilterAtoms(np.ones((1, 1, 1)))
         out = eacl_forward(inp, phi, atoms, EaclConfig(np.zeros(1), "identity"))
         assert np.allclose(out.data, inp.data)
 
     def test_zero_coeff_bias_relu(self):
         inp, _, atoms = _random_instance(3)
-        phi = Coefficients.from_array(np.zeros((2, 1, 3)))
+        phi = Coefficients(np.zeros((2, 1, 3)))
         out = eacl_forward(inp, phi, atoms,
                            EaclConfig(np.array([0.7, -0.3]), "relu"))
         assert np.all(out.data[0] == 0.7)
@@ -70,7 +70,7 @@ class TestForward:
     def test_linearity_in_coefficients(self):
         inp, phi1, atoms = _random_instance(7)
         _, phi2, _ = _random_instance(8)
-        mixed = Coefficients.from_array(2.0 * phi1.data - 0.5 * phi2.data)
+        mixed = Coefficients(2.0 * phi1.data - 0.5 * phi2.data)
         lhs = eacl_preactivation(inp, mixed, atoms)
         rhs = 2.0 * eacl_preactivation(inp, phi1, atoms) \
             - 0.5 * eacl_preactivation(inp, phi2, atoms)
@@ -79,7 +79,7 @@ class TestForward:
     def test_linearity_in_atoms(self):
         inp, phi, atoms1 = _random_instance(9)
         _, _, atoms2 = _random_instance(10)
-        mixed = FilterAtoms.from_array(atoms1.data + 3.0 * atoms2.data)
+        mixed = FilterAtoms(atoms1.data + 3.0 * atoms2.data)
         lhs = eacl_preactivation(inp, phi, mixed)
         rhs = eacl_preactivation(inp, phi, atoms1) \
             + 3.0 * eacl_preactivation(inp, phi, atoms2)
@@ -87,14 +87,14 @@ class TestForward:
 
     def test_even_kernel_rejected(self):
         inp, _, _ = _random_instance(4)
-        phi = Coefficients.from_array(np.ones((1, 1, 1)))
-        atoms = FilterAtoms.from_array(np.ones((1, 2, 2)))
+        phi = Coefficients(np.ones((1, 1, 1)))
+        atoms = FilterAtoms(np.ones((1, 2, 2)))
         with pytest.raises(DomainError):
             eacl_forward(inp, phi, atoms, EaclConfig(np.zeros(1)))
 
     def test_channel_mismatch(self):
         inp, _, atoms = _random_instance(5, c_in=2)
-        phi = Coefficients.from_array(np.ones((1, 3, 3)))
+        phi = Coefficients(np.ones((1, 3, 3)))
         with pytest.raises(ShapeError):
             eacl_forward(inp, phi, atoms, EaclConfig(np.zeros(1)))
 

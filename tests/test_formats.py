@@ -138,6 +138,13 @@ class TestFieldRoundTrip:
         formats.write_field(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_state_past_cap_rejected(self, tmp_path):
+        # m*k*k = 9000 > MAX_STATE: the header alone is refused.
+        p = tmp_path / "big.qvf"
+        p.write_bytes(b"QVF1" + struct.pack("<III", 1000, 3, 6))
+        with pytest.raises(DecodeError, match="exceeds"):
+            formats.read_field(p)
+
     def test_wrong_stage_count(self, tmp_path):
         p = tmp_path / "s.qvf"
         p.write_bytes(b"QVF1" + struct.pack("<III", 2, 3, 5))

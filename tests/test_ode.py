@@ -6,6 +6,7 @@ import pytest
 from quantaflow import (AtomVectorField, DomainError, FilterAtoms,
                         IntegrationError, SolverConfig, atoms_for_pair,
                         estimate_lipschitz, eval_field, integrate_atoms)
+from quantaflow import ode
 from quantaflow.filters import Coefficients
 from quantaflow.ode import (_DP_A, _DP_B4, _DP_B5, _DP_C, ConstantField, FieldStack,
                             _dopri45, _rk4_fixed, integrate_stack)
@@ -23,7 +24,24 @@ class DecayField:
 
 def _init(seed=0, m=3, k=3):
     gen = np.random.default_rng(seed)
-    return FilterAtoms.from_array(gen.standard_normal((m, k, k)))
+    return FilterAtoms(gen.standard_normal((m, k, k)))
+
+
+class TestFieldSize:
+    @pytest.mark.parametrize("m, k", [(-1, 3), (0, 3), (3, 0), (100000, 3), (3, 100000)])
+    def test_bad_or_oversized_rejected_before_drawing(self, m, k):
+        with pytest.raises(DomainError):
+            AtomVectorField.seeded(m, k, seed=1)
+        with pytest.raises(DomainError):
+            AtomVectorField.zero(m, k)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STATE", 36)
+        assert AtomVectorField.seeded(4, 3, seed=1).stage_weights[0].shape == (36, 37)
+        assert AtomVectorField.zero(4, 3).m == 4
+        monkeypatch.setattr(ode, "MAX_STATE", 35)
+        with pytest.raises(DomainError, match="exceeds"):
+            AtomVectorField.seeded(4, 3, seed=1)
 
 
 class TestEvalField:
@@ -162,7 +180,7 @@ class TestAtomsForPair:
     def test_zero_field_broadcast(self):
         init = _init(7, m=1)
         field = AtomVectorField.zero(1, 3, init)
-        phi = Coefficients.from_array(np.ones((2, 2, 1)))
+        phi = Coefficients(np.ones((2, 2, 1)))
         filters = atoms_for_pair(field, 0.2, 0.7, phi)
         for o in range(2):
             for i in range(2):
@@ -170,14 +188,14 @@ class TestAtomsForPair:
 
     def test_empty_interval_uses_init(self):
         field = AtomVectorField.seeded(2, 3, 8)
-        phi = Coefficients.from_array(np.random.default_rng(0).standard_normal((1, 1, 2)))
+        phi = Coefficients(np.random.default_rng(0).standard_normal((1, 1, 2)))
         filters = atoms_for_pair(field, 0.33, 0.33, phi)
         expected = np.einsum("oij,jxy->oixy", phi.data, field.lambda_init.data)
         assert np.array_equal(filters, expected)
 
     def test_chained_equals_direct(self):
         field = AtomVectorField.seeded(3, 3, 9)
-        phi = Coefficients.from_array(np.ones((1, 1, 3)))
+        phi = Coefficients(np.ones((1, 1, 3)))
         cfg = SolverConfig()
         direct = atoms_for_pair(field, 0.25, 0.75, phi, cfg)
         mid = integrate_atoms(field, 0.25, 0.5, cfg)

@@ -136,7 +136,7 @@ class TestSampleFrame:
         # 16 exposure levels of 65536 pixels each: the ones per level are
         # Binomial(n, bit_probability(theta_l)) if the sampler has its law.
         levels, n = 0.25 * np.arange(1, 17), 65536
-        emap = ExposureMap(1024, 1024, np.repeat(levels, n).reshape(1024, 1024))
+        emap = ExposureMap(np.repeat(levels, n).reshape(1024, 1024))
         frame = sample_frame(emap, SensorConfig(q, sigma_r, 2024))
         ones = frame.to_array().reshape(16, n).sum(axis=1)
         p = np.array([bit_probability(t, q, sigma_r) for t in levels])
@@ -148,8 +148,8 @@ class TestSampleFrame:
         theta, other = gen.uniform(0.0, 4.0, size=(2, 64, 96))
         keep = gen.random((64, 96)) < 0.5
         cfg = SensorConfig(0.5, 0.25, 17)
-        a = sample_frame(ExposureMap(96, 64, theta), cfg).to_array()
-        b = sample_frame(ExposureMap(96, 64, np.where(keep, theta, other)), cfg).to_array()
+        a = sample_frame(ExposureMap(theta), cfg).to_array()
+        b = sample_frame(ExposureMap(np.where(keep, theta, other)), cfg).to_array()
         assert np.array_equal(a[keep], b[keep])
         assert not np.array_equal(a[~keep], b[~keep])
 
@@ -160,6 +160,13 @@ class TestDensity:
         assert mean_bit_density(frame) == 0.5
         assert mean_bit_density(BinaryFrame.from_array(np.zeros((3, 9)))) == 0.0
         assert mean_bit_density(BinaryFrame.from_array(np.ones((3, 9)))) == 1.0
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_mean_density_counts_packed_bytes(self, width):
+        # Widths that are not a multiple of 8 leave padding bits in each row.
+        bits = np.random.default_rng(width).integers(0, 2, size=(5, width))
+        frame = BinaryFrame.from_array(bits)
+        assert mean_bit_density(frame) == int(frame.to_array().sum()) / (5 * width)
 
     def test_local_density_all_ones_zero_pad(self):
         frame = BinaryFrame.from_array(np.ones((5, 5)))
@@ -281,20 +288,20 @@ class TestInversion:
 class TestTypes:
     def test_negative_exposure_rejected(self):
         with pytest.raises(DomainError):
-            ExposureMap(2, 2, np.array([[0.0, 1.0], [-0.1, 2.0]]))
+            ExposureMap(np.array([[0.0, 1.0], [-0.1, 2.0]]))
 
     def test_nonzero_padding_rejected(self):
         bits = np.full((2, 1), 0xFF, dtype=np.uint8)  # width 5 -> 3 pad bits set
         with pytest.raises(DomainError):
-            BinaryFrame(5, 2, bits)
+            BinaryFrame(5, bits)
         # width 13 -> 3 pad bits in each row's last byte; only the last row's
         # lowest bit is set
         bits = np.zeros((3, 2), dtype=np.uint8)
         bits[-1, -1] = 0x01
         with pytest.raises(DomainError):
-            BinaryFrame(13, 3, bits)
+            BinaryFrame(13, bits)
         bits[-1, -1] = 0x08  # a pixel bit, not padding
-        assert BinaryFrame(13, 3, bits).to_array()[-1, -1] == 1
+        assert BinaryFrame(13, bits).to_array()[-1, -1] == 1
 
     def test_bad_config_rejected(self):
         with pytest.raises(DomainError):

@@ -30,7 +30,7 @@ class TestLayerBound:
 
     def test_zero_coefficients(self):
         inp, _, a1, a2, cfg = random_layer_instance(1)
-        phi = Coefficients.from_array(np.zeros((4, 4, 3)))
+        phi = Coefficients(np.zeros((4, 4, 3)))
         report = verify_layer_bound(inp, phi, a1, a2, cfg)
         assert report.lhs == 0.0 and report.rhs == 0.0 and report.holds
 
@@ -196,8 +196,8 @@ class TestContinuity:
     def _setup(self, seed):
         gen = np.random.default_rng(seed)
         field = AtomVectorField.seeded(3, 3, seed)
-        inp = FeatureMap.from_array(gen.uniform(0, 1, size=(1, 12, 12)))
-        phi = Coefficients.from_array(gen.standard_normal((1, 1, 3)))
+        inp = FeatureMap(gen.uniform(0, 1, size=(1, 12, 12)))
+        phi = Coefficients(gen.standard_normal((1, 1, 3)))
         cfg = EaclConfig(bias=np.zeros(1), activation="relu")
         return field, phi, inp, cfg
 
