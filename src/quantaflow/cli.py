@@ -191,14 +191,7 @@ def _cmd_qis_forward(args):
 
 
 def _cmd_export_pgm(args):
-    with open(args.infile, "rb") as f:
-        magic = f.read(4)
-    if magic == b"QBF1":
-        formats.export_pgm_frame(args.out, formats.read_frame(args.infile))
-    elif magic == b"QEX1":
-        formats.export_pgm_map(args.out, formats.read_float_map(args.infile))
-    else:
-        raise DomainError(f"cannot export {magic!r} files as PGM")
+    formats.export_pgm(args.out, args.infile)
     print(f"wrote {args.out}")
     return 0
 

@@ -67,9 +67,6 @@ class FeatureMap:
     def __post_init__(self):
         frozen_array(self, "data", 3, "feature")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data.ravel()))
-
 
 # Non-expansive: |act(a) - act(b)| <= |a - b|. Sigmoid too (1/4-Lipschitz),
 # but the layer-bound verifier restricts itself to the first three.

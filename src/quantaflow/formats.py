@@ -1,5 +1,7 @@
 """Binary file codecs. All formats are little-endian, magic-tagged, and
-reject both truncated and oversized payloads.
+reject both truncated and oversized payloads. Writers check the whole
+payload before they open the file: an f32 payload must stay finite in
+float32.
 
 QEX1  float map (exposure, density, pixel values): u32 w, h; f32 data
 QBF1  bit-packed binary frame: u32 w, h; MSB-first bytes, rows byte-aligned
@@ -11,6 +13,7 @@ PGM   P5 export for visualization only (no reader)
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -41,16 +44,46 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def magic(self, expected: bytes):
+    def header(self, magic: bytes, *fields: str) -> list:
+        """Check the magic, then read one u32 per named header field."""
         got = self.take(4, "magic")
-        if got != expected:
-            raise DecodeError(f"bad magic {got!r}, expected {expected!r}", offset=0)
+        if got != magic:
+            raise DecodeError(f"bad magic {got!r}, expected {magic!r}", offset=self.pos - 4)
+        return [self.u32(name) for name in fields]
+
+    def f32(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.take(4 * count, what), dtype="<f4").astype(np.float64)
 
     def done(self):
         if self.pos != len(self.data):
             raise DecodeError(
                 f"{len(self.data) - self.pos} trailing bytes beyond declared payload",
                 offset=self.pos)
+
+
+def _open(path, magic: bytes, *fields: str) -> list:
+    """[reader, *header fields] of the file at `path`."""
+    r = _Reader(Path(path).read_bytes())
+    return [r, *r.header(magic, *fields)]
+
+
+def _header(magic: bytes, *fields: int) -> bytes:
+    return magic + struct.pack(f"<{len(fields)}I", *fields)
+
+
+def _f32(arr, what: str) -> np.ndarray:
+    """`arr` as little-endian float32: DomainError unless every value stays finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(arr).astype("<f4", order="C")
+    if not np.isfinite(out).all():
+        raise DomainError(f"{what} must be finite in float32")
+    return out
+
+
+def _save(path, *chunks):
+    """Write the checked chunks (bytes or C-contiguous arrays) in turn."""
+    with open(path, "wb") as f:
+        f.writelines(chunks)
 
 
 def _check_dims(width: int, height: int):
@@ -66,24 +99,15 @@ def write_float_map(path, arr: np.ndarray):
         raise DomainError("float map must be 2-D")
     h, w = arr.shape
     _check_dims(w, h)
-    with open(path, "wb") as f:
-        f.write(b"QEX1" + struct.pack("<II", w, h))
-        f.write(arr.astype("<f4").tobytes())
+    _save(path, _header(b"QEX1", w, h), _f32(arr, "float map"))
 
 
 def read_float_map(path) -> np.ndarray:
-    r = _Reader(Path(path).read_bytes())
-    r.magic(b"QEX1")
-    w = r.u32("width")
-    h = r.u32("height")
+    r, w, h = _open(path, b"QEX1", "width", "height")
     _check_dims(w, h)
-    data = np.frombuffer(r.take(4 * w * h, "pixel data"), dtype="<f4")
+    data = r.f32(w * h, "pixel data")
     r.done()
-    return data.reshape(h, w).astype(np.float64)
-
-
-def write_exposure_map(path, emap: ExposureMap):
-    write_float_map(path, emap.theta)
+    return data.reshape(h, w)
 
 
 def read_exposure_map(path) -> ExposureMap:
@@ -91,10 +115,6 @@ def read_exposure_map(path) -> ExposureMap:
 
 
 # --- QBF1 binary frames ------------------------------------------------------
-
-def _frame_payload(frame: BinaryFrame) -> bytes:
-    return frame.bits.tobytes()
-
 
 def _decode_frame_payload(r: _Reader, w: int, h: int, what: str) -> BinaryFrame:
     row_bytes = (w + 7) // 8
@@ -108,16 +128,11 @@ def _decode_frame_payload(r: _Reader, w: int, h: int, what: str) -> BinaryFrame:
 
 def write_frame(path, frame: BinaryFrame):
     _check_dims(frame.width, frame.height)
-    with open(path, "wb") as f:
-        f.write(b"QBF1" + struct.pack("<II", frame.width, frame.height))
-        f.write(_frame_payload(frame))
+    _save(path, _header(b"QBF1", frame.width, frame.height), frame.bits)
 
 
 def read_frame(path) -> BinaryFrame:
-    r = _Reader(Path(path).read_bytes())
-    r.magic(b"QBF1")
-    w = r.u32("width")
-    h = r.u32("height")
+    r, w, h = _open(path, b"QBF1", "width", "height")
     _check_dims(w, h)
     frame = _decode_frame_payload(r, w, h, "frame payload")
     r.done()
@@ -128,59 +143,45 @@ def read_frame(path) -> BinaryFrame:
 
 def write_burst(path, burst: ExposureBurst):
     _check_dims(burst.width, burst.height)
-    k = len(burst)
-    with open(path, "wb") as f:
-        f.write(b"QBB1" + struct.pack("<III", burst.width, burst.height, k))
-        f.write(np.asarray(burst.alphas, dtype="<f4").tobytes())
-        f.write(np.asarray(burst.theta_tilde, dtype="<f4").tobytes())
-        for frame in burst.frames:
-            f.write(_frame_payload(frame))
+    _save(path, _header(b"QBB1", burst.width, burst.height, len(burst)),
+          _f32(burst.alphas, "alpha table"), _f32(burst.theta_tilde, "theta_tilde table"),
+          *(frame.bits for frame in burst.frames))
 
 
 def read_burst(path) -> ExposureBurst:
-    r = _Reader(Path(path).read_bytes())
-    r.magic(b"QBB1")
-    w = r.u32("width")
-    h = r.u32("height")
-    k = r.u32("frame count")
+    r, w, h, k = _open(path, b"QBB1", "width", "height", "frame count")
     _check_dims(w, h)
     if k == 0:
         raise DecodeError("burst with zero frames", offset=12)
-    alphas = np.frombuffer(r.take(4 * k, "alpha table"), dtype="<f4")
-    labels = np.frombuffer(r.take(4 * k, "theta_tilde table"), dtype="<f4")
-    frames = []
-    for tau in range(k):
-        frames.append(_decode_frame_payload(r, w, h, f"burst frame {tau}"))
+    alphas = r.f32(k, "alpha table")
+    labels = r.f32(k, "theta_tilde table")
+    frames = tuple(_decode_frame_payload(r, w, h, f"burst frame {tau}") for tau in range(k))
     r.done()
-    return ExposureBurst(tuple(frames), tuple(float(a) for a in alphas),
-                         tuple(float(t) for t in labels))
+    return ExposureBurst(frames, tuple(alphas.tolist()), tuple(labels.tolist()))
 
 
 # --- QTN1 tensors ------------------------------------------------------------
 
+def _tensor_chunks(arr) -> tuple:
+    arr = np.asarray(arr)
+    if not (0 < arr.ndim <= 8 and 0 < arr.size <= MAX_PIXELS):  # what the reader accepts
+        raise DomainError(f"tensor of shape {arr.shape} out of range")
+    return _header(b"QTN1", arr.ndim, *arr.shape), _f32(arr, "tensor data")
+
+
 def write_tensor(path, arr: np.ndarray):
-    with open(path, "wb") as f:
-        f.write(_tensor_bytes(np.asarray(arr)))
-
-
-def _tensor_bytes(arr: np.ndarray) -> bytes:
-    if arr.size > MAX_PIXELS:
-        raise DomainError("tensor too large")
-    dims = struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
-    return b"QTN1" + dims + arr.astype("<f4").tobytes()
+    _save(path, *_tensor_chunks(arr))
 
 
 def _decode_tensor(r: _Reader) -> np.ndarray:
-    r.magic(b"QTN1")
-    rank = r.u32("rank")
+    rank, = r.header(b"QTN1", "rank")
     if rank == 0 or rank > 8:
         raise DecodeError(f"unsupported tensor rank {rank}", offset=r.pos - 4)
     dims = [r.u32(f"dim {i}") for i in range(rank)]
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if count <= 0 or count > MAX_PIXELS:
         raise DecodeError(f"tensor element count {count} out of range", offset=r.pos)
-    data = np.frombuffer(r.take(4 * count, "tensor data"), dtype="<f4")
-    return data.reshape(dims).astype(np.float64)
+    return r.f32(count, "tensor data").reshape(dims)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -193,40 +194,42 @@ def read_tensor(path) -> np.ndarray:
 # --- QVF1 vector fields ------------------------------------------------------
 
 def write_field(path, field_: AtomVectorField):
-    m, k = field_.m, field_.k
-    with open(path, "wb") as f:
-        f.write(b"QVF1" + struct.pack("<III", m, k, len(field_.stage_weights)))
-        for w in field_.stage_weights:
-            f.write(w.astype("<f4").tobytes())
-        f.write(_tensor_bytes(field_.lambda_init.data))
+    _save(path, _header(b"QVF1", field_.m, field_.k, len(field_.stage_weights)),
+          *(_f32(w, f"stage {s} weights") for s, w in enumerate(field_.stage_weights)),
+          *_tensor_chunks(field_.lambda_init.data))
 
 
 def read_field(path) -> AtomVectorField:
-    r = _Reader(Path(path).read_bytes())
-    r.magic(b"QVF1")
-    m = r.u32("atom count")
-    k = r.u32("spatial size")
-    stages = r.u32("stage count")
+    r, m, k, stages = _open(path, b"QVF1", "atom count", "spatial size", "stage count")
     try:
         n = _state_size(m, k)
     except DomainError as exc:
         raise DecodeError(f"invalid field dims: {exc}", offset=4) from None
     if stages != STAGE_COUNT:
         raise DecodeError(f"stage count {stages} != {STAGE_COUNT}", offset=12)
-    weights = []
-    for s in range(stages):
-        block = np.frombuffer(r.take(4 * n * (n + 1), f"stage {s} weights"),
-                              dtype="<f4")
-        weights.append(block.reshape(n, n + 1).astype(np.float64))
+    weights = tuple(r.f32(n * (n + 1), f"stage {s} weights").reshape(n, n + 1)
+                    for s in range(stages))
     init = _decode_tensor(r)
     if init.shape != (m, k, k):
         raise DecodeError(f"initial atoms shape {init.shape} != ({m}, {k}, {k})",
                           offset=r.pos)
     r.done()
-    return AtomVectorField(tuple(weights), FilterAtoms(init))
+    return AtomVectorField(weights, FilterAtoms(init))
 
 
 # --- PGM P5 export -----------------------------------------------------------
+
+def export_pgm(path, infile):
+    """A QBF1 frame or a QEX1 map, chosen by the magic of `infile`, as PGM."""
+    with open(infile, "rb") as f:
+        magic = f.read(4)
+    if magic == b"QBF1":
+        export_pgm_frame(path, read_frame(infile))
+    elif magic == b"QEX1":
+        export_pgm_map(path, read_float_map(infile))
+    else:
+        raise DomainError(f"cannot export {magic!r} files as PGM")
+
 
 def export_pgm_frame(path, frame: BinaryFrame):
     """Binary frame as 8-bit PGM: {0,1} -> {0,255}."""
@@ -237,6 +240,8 @@ def export_pgm_frame(path, frame: BinaryFrame):
 def export_pgm_map(path, arr: np.ndarray):
     """Float map as 8-bit PGM, min-max scaled; scale kept in the comment."""
     arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError("cannot export a map with non-finite values as PGM")
     lo, hi = float(arr.min()), float(arr.max())
     span = hi - lo if hi > lo else 1.0
     scaled = np.round((arr - lo) / span * 255.0).astype(np.uint8)
@@ -245,6 +250,4 @@ def export_pgm_map(path, arr: np.ndarray):
 
 def _write_pgm(path, arr: np.ndarray, comment: str):
     h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n# {comment}\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    _save(path, f"P5\n# {comment}\n{w} {h}\n255\n".encode("ascii"), arr)

@@ -81,14 +81,13 @@ class AtomVectorField:
         return self.lambda_init.k
 
     @classmethod
-    def seeded(cls, m: int, k: int, seed: int,
-               init_scale: float = 1.0) -> "AtomVectorField":
+    def seeded(cls, m: int, k: int, seed: int) -> "AtomVectorField":
         """Deterministic random field: uniform(-s, s) with s = 1/sqrt(fan_in)."""
         n = _state_size(m, k)
         gen = np.random.default_rng(seed)
         s = 1.0 / np.sqrt(n + 1)
         weights = tuple(gen.uniform(-s, s, size=(n, n + 1)) for _ in range(STAGE_COUNT))
-        init = FilterAtoms(init_scale * gen.standard_normal((m, k, k)))
+        init = FilterAtoms(gen.standard_normal((m, k, k)))
         return cls(weights, init)
 
     @classmethod

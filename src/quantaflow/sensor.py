@@ -67,7 +67,7 @@ class BinaryFrame:
     height = property(lambda self: self.bits.shape[0])
 
     def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.uint8)
+        b = np.ascontiguousarray(self.bits, dtype=np.uint8)
         row_bytes = (self.width + 7) // 8
         if self.width < 0 or b.ndim != 2 or b.shape[1] != row_bytes:
             raise ShapeError(f"packed shape {b.shape} cannot hold rows of width {self.width}")
@@ -177,10 +177,7 @@ def bit_probability(theta: float, q: float, sigma_r: float) -> float:
     """
     if not (math.isfinite(theta) and theta >= 0):
         raise DomainError("theta must be finite and >= 0")
-    if not (math.isfinite(q) and q > 0):
-        raise DomainError("q must be finite and > 0")
-    if not (math.isfinite(sigma_r) and sigma_r >= 0):
-        raise DomainError("sigma_r must be finite and >= 0")
+    SensorConfig(q, sigma_r)  # its rule for q and sigma_r
     return min(max(1.0 - float(_complement(theta, q, sigma_r)), 0.0), 1.0)
 
 

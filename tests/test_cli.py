@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import quantaflow
 from quantaflow import formats
 from quantaflow.cli import main
 from quantaflow.manifest import RunManifest
+from quantaflow.ode import AtomVectorField
 from quantaflow.sensor import BinaryFrame, mean_bit_density
 
 
@@ -207,7 +209,7 @@ class TestBracketAndDensity:
         reported = float(capsys.readouterr().out.splitlines()[-2].split(":")[1])
         assert reported == pytest.approx(mean_bit_density(burst.frames[0]))
 
-    @pytest.mark.parametrize("alphas", ["1,x", "0.5,,2"])
+    @pytest.mark.parametrize("alphas", ["1,x", "0.5,,2", "1,1e39"])
     def test_bad_alphas_is_domain_error(self, tmp_path, capsys, alphas):
         emap_path = tmp_path / "scene.qex"
         formats.write_float_map(str(emap_path), np.full((4, 4), 2.0))
@@ -217,6 +219,7 @@ class TestBracketAndDensity:
         assert rc == 1
         assert one_error_line(capsys)
         assert not out.exists()
+        assert not (tmp_path / "burst.qbb.manifest.json").exists()
 
     def test_negative_radius_rejected_without_out(self, tmp_path, capsys):
         frame_path = tmp_path / "f.qbf"
@@ -309,6 +312,21 @@ class TestAtoms:
         assert err.startswith("error:") and err.count("\n") == 1 and "tolerances" in err
         assert not out.exists()
 
+    def test_wrapping_init_dims_is_decode_error(self, tmp_path, capsys):
+        # A valid header and stage blocks, then an embedded QTN1 whose dims
+        # multiply to 671371 in int64 arithmetic, with that much data.
+        field_path = tmp_path / "f.qvf"
+        formats.write_field(str(field_path), AtomVectorField.seeded(1, 2, seed=3))
+        n = 1 * 2 * 2  # the state size m*k*k
+        head = field_path.read_bytes()[:16 + 6 * 4 * n * (n + 1)]
+        field_path.write_bytes(head + b"QTN1" + struct.pack("<4I", 3, 3104227921, 3731840169,
+                                                            236817699) + bytes(4 * 671371))
+        out = tmp_path / "a.qtn"
+        rc = run(["atoms", "--field", str(field_path), "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys)
+        assert not out.exists()
+
     def test_missing_field_is_domain_error(self, capsys, tmp_path):
         rc = run(["atoms", "--out", str(tmp_path / "a.qtn")])
         assert rc == 1
@@ -385,7 +403,8 @@ class TestCalibrate:
         assert abs(vals.mean() - 50.0 * 0.68) < 4 * math.sqrt(50 * 0.68 / vals.size)
 
 
-    @pytest.mark.parametrize("gain", ["nan", "inf"])
+    # A gain of 1e38 is finite, but 68 * 1e38 / 0.68 photons overflow float32.
+    @pytest.mark.parametrize("gain", ["nan", "inf", "1e38"])
     def test_cmos_non_finite_gain_is_domain_error(self, tmp_path, capsys, gain):
         src = tmp_path / "gray.qex"
         formats.write_float_map(str(src), np.full((4, 4), 68.0))
@@ -441,6 +460,17 @@ class TestExportPgm:
                   str(tmp_path / "x.pgm")])
         assert rc == 1
         assert "cannot export" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_is_domain_error(self, tmp_path, capsys, value):
+        path = tmp_path / "m.qex"
+        data = np.array([[0.0, value], [1.0, 2.0]], dtype="<f4")
+        path.write_bytes(b"QEX1" + struct.pack("<II", 2, 2) + data.tobytes())
+        pgm = tmp_path / "m.pgm"
+        rc = run(["export-pgm", "--in", str(path), "--out", str(pgm)])
+        assert rc == 1
+        assert one_error_line(capsys)
+        assert not pgm.exists()
 
 
 class TestMissingFile:

@@ -3,9 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from quantaflow import (AtomVectorField, BinaryFrame, DecodeError, ExposureBurst,
-                        ExposureMap, formats)
+from quantaflow import (AtomVectorField, BinaryFrame, DecodeError, DomainError,
+                        ExposureBurst, ExposureMap, FilterAtoms, formats)
 from quantaflow.bracketing import default_labels
+
+# QTN1 dims whose element count wraps to 671371 in int64 arithmetic.
+WRAPPING_DIMS = (3104227921, 3731840169, 236817699)
 
 
 def _rt_bytes(tmp_path, writer, obj, name):
@@ -28,7 +31,7 @@ class TestFloatMapRoundTrip:
     def test_exposure_map_wrapper(self, tmp_path):
         emap = ExposureMap.constant(5, 3, 2.5)
         p = tmp_path / "m.qex"
-        formats.write_exposure_map(p, emap)
+        formats.write_float_map(p, emap.theta)
         back = formats.read_exposure_map(p)
         assert (back.width, back.height) == (5, 3)
         assert np.array_equal(back.theta, emap.theta)
@@ -69,6 +72,13 @@ class TestFrameRoundTrip:
         formats.write_frame(p1, frame)
         formats.write_frame(p2, formats.read_frame(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_frame_of_a_strided_view(self, tmp_path):
+        # The writer streams the frame's bits, which the frame keeps contiguous.
+        packed = np.arange(6, dtype=np.uint8).reshape(3, 2)
+        p = tmp_path / "v.qbf"
+        formats.write_frame(p, BinaryFrame(8, packed[:, ::2]))
+        assert formats.read_frame(p).bits.tolist() == [[0], [2], [4]]
 
     def test_nonzero_padding_rejected(self, tmp_path):
         # width 5 means 3 padding bits per row byte
@@ -128,6 +138,14 @@ class TestTensorRoundTrip:
         with pytest.raises(DecodeError):
             formats.read_tensor(p)
 
+    def test_element_count_past_cap_rejected(self, tmp_path):
+        # The product of these dims wraps to 671371 in int64; the data is
+        # there, so only an exact element count refuses the header.
+        p = tmp_path / "w.qtn"
+        p.write_bytes(b"QTN1" + struct.pack("<4I", 3, *WRAPPING_DIMS) + bytes(4 * 671371))
+        with pytest.raises(DecodeError, match="element count"):
+            formats.read_tensor(p)
+
 
 class TestFieldRoundTrip:
     def test_byte_identical(self, tmp_path):
@@ -168,3 +186,46 @@ class TestPgm:
         header = data.split(b"\n255\n")[0].decode()
         assert "min-max scaled" in header and "4.0" in header
         assert data.endswith(bytes([0, 128, 64, 255]))
+
+
+def _field_with_stage0(value):
+    field = AtomVectorField.seeded(1, 2, seed=3)
+    weights = (np.full_like(field.stage_weights[0], value), *field.stage_weights[1:])
+    return AtomVectorField(weights, field.lambda_init)
+
+
+def _burst_with_alphas(alphas):
+    gen = np.random.default_rng(0)
+    frames = tuple(BinaryFrame.from_array(gen.integers(0, 2, size=(3, 5)))
+                   for _ in alphas)
+    return ExposureBurst(frames, alphas, default_labels(len(alphas)))
+
+
+class TestWritersRefuseBadPayload:
+    """A writer refuses a payload it cannot write, one not finite in
+    float32 or one of a size the reader refuses, before it opens the file."""
+
+    @pytest.mark.parametrize("writer, obj", [
+        (formats.write_float_map, np.array([[1.0, np.nan]])),
+        (formats.write_float_map, np.array([[1.0, -np.inf]])),
+        (formats.write_float_map, np.array([[1.0, 1e39]])),
+        (formats.write_burst, _burst_with_alphas((1.0, 1e39))),
+        (formats.write_burst, _burst_with_alphas((1.0, float("inf")))),
+        (formats.write_tensor, np.array([0.0, np.nan, 1.0])),
+        (formats.write_tensor, np.full((2, 2), -1e39)),
+        (formats.write_tensor, np.broadcast_to(0.0, (2 ** 31 + 1,))),  # a view: no copy
+        (formats.write_tensor, np.zeros((0, 3))),
+        (formats.write_tensor, np.array(1.0)),
+        (formats.write_field, _field_with_stage0(1e39)),
+        (formats.write_field, AtomVectorField.zero(1, 2, FilterAtoms(np.full((1, 2, 2), 4e38)))),
+        (formats.export_pgm_map, np.array([[0.0, np.nan]])),
+        (formats.export_pgm_map, np.array([[np.inf, 1.0]])),
+    ], ids=["map-nan", "map-neg-inf", "map-1e39", "burst-alpha-1e39", "burst-alpha-inf",
+            "tensor-nan", "tensor-neg-1e39", "tensor-past-cap", "tensor-empty", "tensor-rank-0",
+            "field-stage-1e39", "field-init-4e38",
+            "pgm-map-nan", "pgm-map-inf"])
+    def test_refused_without_file(self, tmp_path, writer, obj):
+        p = tmp_path / "out"
+        with pytest.raises(DomainError):
+            writer(p, obj)
+        assert not p.exists()

@@ -98,6 +98,13 @@ class TestBitProbability:
         with pytest.raises(DomainError):
             bit_probability(theta, 0.5, 0.25)
 
+    @pytest.mark.parametrize("q, sigma_r, match", [
+        (0.0, 0.25, "ADC threshold q"), (math.nan, 0.25, "ADC threshold q"),
+        (0.5, -1.0, "read-noise sigma_r"), (0.5, math.inf, "read-noise sigma_r")])
+    def test_bad_sensor_parameters_follow_sensor_config(self, q, sigma_r, match):
+        with pytest.raises(DomainError, match=match):
+            bit_probability(1.0, q, sigma_r)
+
 
 class TestSampleFrame:
     def test_all_zero_map(self):
