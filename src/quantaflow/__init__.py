@@ -1,7 +1,7 @@
 """quantaflow: 1-bit quanta sensor simulation, exposure bracketing,
 exposure-conditioned filter atoms, and numerical bound verification."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (DecodeError, DomainError, IntegrationError, QuantaError,
                      ShapeError, UnidentifiableError)
@@ -12,8 +12,7 @@ from .bracketing import (BracketSpec, ExposureBurst, DEFAULT_ALPHAS, bracket,
                          burst_mse, extract_exposure, generate_burst)
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
                       compose_filters, eacl_forward)
-from .ode import (AtomVectorField, SolverConfig, atoms_for_pair,
-                  estimate_lipschitz, eval_field, integrate_atoms)
+from .ode import AtomVectorField, SolverConfig, estimate_lipschitz, integrate_atoms
 from .verifier import (BoundReport, verify_density_identity,
                        verify_exposure_continuity, verify_layer_bound)
 from .calibration import CmosParams, QisParams, cmos_gray_to_photons, qis_forward

@@ -5,10 +5,12 @@ Each value type is its array: `FilterAtoms` the atoms (m, k, k),
 `Coefficients` phi (c_out, c_in, m), `FeatureMap` x (channels, height,
 width). Every dimension is derived from the array's shape.
 
-Full filters factor as F[o,i] = sum_j phi[o,i,j] * atoms[j]; the layer is
-plain cross-correlation (zero padding, stride 1) with those filters.
-`_correlate2d` is the one correlation routine: it takes leading batch axes,
-so the verifier runs a block of layer instances through the same calls.
+Full filters factor as F[o,i] = sum_j phi[o,i,j] * atoms[j], so the layer,
+plain cross-correlation (zero padding, stride 1) with those filters, is
+the input correlated with each atom and mixed by phi: `_atom_responses`
+then `_mix`, the one layer route. `_correlate2d` is the one correlation
+routine. Both take leading batch axes, so the verifier runs a block of
+layer instances through the same calls.
 """
 
 from __future__ import annotations
@@ -112,14 +114,17 @@ def _correlate2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _filter_responses(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
-    """Inputs (..., c_in, h, w) through filters (..., c_out, c_in, k, k):
-    (..., c_out, h, w), input channels summed in order from zero."""
-    per_channel = _correlate2d(x[..., None, :, :, :], filters)
-    out = np.zeros(per_channel.shape[:-3] + per_channel.shape[-2:])
-    for i in range(per_channel.shape[-3]):
-        out += per_channel[..., i, :, :]
-    return out
+def _atom_responses(x: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Inputs (..., c_in, h, w) correlated with atoms (..., m, k, k):
+    (..., c_in, m, h, w)."""
+    return _correlate2d(x[..., None, :, :], atoms[..., None, :, :, :])
+
+
+def _mix(phi: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    """Pre-activations (..., c_out, h, w): atom responses (..., c_in, m, h, w)
+    mixed by coefficients (..., c_out, c_in, m). Unoptimized einsum keeps
+    BLAS, and with it the thread count, out of the sums."""
+    return np.einsum("...oij,...ijhw->...ohw", phi, responses)
 
 
 def _check_layer_shapes(inp: FeatureMap, phi: Coefficients, atoms: FilterAtoms):
@@ -133,22 +138,9 @@ def _check_layer_shapes(inp: FeatureMap, phi: Coefficients, atoms: FilterAtoms):
 
 def eacl_preactivation(inp: FeatureMap, phi: Coefficients, atoms: FilterAtoms,
                        bias: np.ndarray | None = None) -> np.ndarray:
-    """Pre-activation output by composing filters first, then correlating."""
+    """Pre-activation output: atom responses mixed by the coefficients."""
     _check_layer_shapes(inp, phi, atoms)
-    out = _filter_responses(inp.data, compose_filters(phi, atoms))
-    if bias is not None:
-        out += np.asarray(bias, dtype=np.float64)[:, None, None]
-    return out
-
-
-def eacl_preactivation_atomspace(inp: FeatureMap, phi: Coefficients,
-                                 atoms: FilterAtoms,
-                                 bias: np.ndarray | None = None) -> np.ndarray:
-    """Same result through the other route: correlate each atom with each
-    input channel, then mix by the coefficients."""
-    _check_layer_shapes(inp, phi, atoms)
-    responses = _correlate2d(inp.data[:, None], atoms.data)  # (c_in, m, h, w)
-    out = np.einsum("oij,ijhw->ohw", phi.data, responses)
+    out = _mix(phi.data, _atom_responses(inp.data, atoms.data))
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64)[:, None, None]
     return out
@@ -156,7 +148,7 @@ def eacl_preactivation_atomspace(inp: FeatureMap, phi: Coefficients,
 
 def eacl_forward(inp: FeatureMap, phi: Coefficients, atoms: FilterAtoms,
                  cfg: EaclConfig) -> FeatureMap:
-    """Layer output: correlate with composed filters, add bias, activate."""
+    """Layer output: pre-activation plus bias, activated."""
     if cfg.bias.shape != (phi.c_out,):
         raise ShapeError(f"bias length {cfg.bias.shape[0]} != c_out {phi.c_out}")
     pre = eacl_preactivation(inp, phi, atoms, cfg.bias)

@@ -1,7 +1,7 @@
 """Binary file codecs. All formats are little-endian, magic-tagged, and
 reject both truncated and oversized payloads. Writers check the whole
 payload before they open the file: an f32 payload must stay finite in
-float32.
+float32, and readers refuse one that is not.
 
 QEX1  float map (exposure, density, pixel values): u32 w, h; f32 data
 QBF1  bit-packed binary frame: u32 w, h; MSB-first bytes, rows byte-aligned
@@ -52,7 +52,14 @@ class _Reader:
         return [self.u32(name) for name in fields]
 
     def f32(self, count: int, what: str) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count, what), dtype="<f4").astype(np.float64)
+        """Finite float32 values, as every writer writes them, cast to float64."""
+        start = self.pos
+        data = np.frombuffer(self.take(4 * count, what), dtype="<f4")
+        finite = np.isfinite(data)
+        if not finite.all():
+            raise DecodeError(f"non-finite value in {what}",
+                              offset=start + 4 * int(np.argmin(finite)))
+        return data.astype(np.float64)
 
     def done(self):
         if self.pos != len(self.data):
@@ -86,9 +93,12 @@ def _save(path, *chunks):
         f.writelines(chunks)
 
 
-def _check_dims(width: int, height: int):
+def _check_dims(width: int, height: int, offset: int | None = None):
+    """Refuse the dimensions no reader accepts: a DecodeError at the header's
+    `offset` when reading, a DomainError when writing."""
     if width <= 0 or height <= 0 or width * height > MAX_PIXELS:
-        raise DecodeError(f"dimensions {width}x{height} out of range", offset=4)
+        msg = f"dimensions {width}x{height} out of range"
+        raise DomainError(msg) if offset is None else DecodeError(msg, offset=offset)
 
 
 # --- QEX1 float maps ---------------------------------------------------------
@@ -104,7 +114,7 @@ def write_float_map(path, arr: np.ndarray):
 
 def read_float_map(path) -> np.ndarray:
     r, w, h = _open(path, b"QEX1", "width", "height")
-    _check_dims(w, h)
+    _check_dims(w, h, offset=4)
     data = r.f32(w * h, "pixel data")
     r.done()
     return data.reshape(h, w)
@@ -133,7 +143,7 @@ def write_frame(path, frame: BinaryFrame):
 
 def read_frame(path) -> BinaryFrame:
     r, w, h = _open(path, b"QBF1", "width", "height")
-    _check_dims(w, h)
+    _check_dims(w, h, offset=4)
     frame = _decode_frame_payload(r, w, h, "frame payload")
     r.done()
     return frame
@@ -150,7 +160,7 @@ def write_burst(path, burst: ExposureBurst):
 
 def read_burst(path) -> ExposureBurst:
     r, w, h, k = _open(path, b"QBB1", "width", "height", "frame count")
-    _check_dims(w, h)
+    _check_dims(w, h, offset=4)
     if k == 0:
         raise DecodeError("burst with zero frames", offset=12)
     alphas = r.f32(k, "alpha table")

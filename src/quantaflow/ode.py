@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError, ShapeError
-from .filters import Coefficients, FilterAtoms, compose_filters
+from .filters import FilterAtoms
 
 STAGE_COUNT = 6
 _NORM_EPS = 1e-5
@@ -142,24 +142,6 @@ def _field_rhs(stage_weights, theta_tilde, x: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
-def eval_field(field_: AtomVectorField, theta_tilde: float,
-               state: FilterAtoms) -> FilterAtoms:
-    """dLambda/dtheta at the given exposure and atom state."""
-    out = field_.derivative(float(theta_tilde), state.data)
-    return FilterAtoms(out)
-
-
-@dataclass(frozen=True)
-class ConstantField:
-    """Test/reference field whose derivative is a fixed tensor."""
-
-    value: np.ndarray
-    lambda_init: FilterAtoms
-
-    def derivative(self, theta_tilde, state):
-        return np.broadcast_to(np.asarray(self.value, dtype=np.float64), np.shape(state))
-
-
 # The solvers integrate rows: y0 is (B, n), t0 and t1 are (B,), and
 # rhs(t, y) maps (B,) times and (B, n) states to (B, n) derivatives. Rows
 # never mix, so each row gives the bits of a solve of that row alone.
@@ -272,13 +254,6 @@ def integrate_stack(field_, init: np.ndarray, theta_in: float, targets,
     else:
         out = _dopri45(rhs, t0, t1, y0, solver.rtol, solver.atol, solver.max_steps)
     return out.reshape(shape)
-
-
-def atoms_for_pair(field_, theta_in: float, theta_target: float,
-                   phi: Coefficients,
-                   solver: SolverConfig = SolverConfig()) -> np.ndarray:
-    """Composed (c_out, c_in, k, k) filters for an exposure pair."""
-    return compose_filters(phi, integrate_atoms(field_, theta_in, theta_target, solver))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ of one, and a seeded `run_X_suite` over blocks of `BLOCK` instances. The
 layer-bound block serves all activations in one pass: only the outputs
 depend on them. `_bound_activation` is the one rule for which activations
 a bound admits, and `_bound_constants` the one place its constant is
-computed. Every window norm goes through `filters._correlate2d`. `SUITES`
-maps each suite name to the report rows that `qflow verify` writes.
+computed. Every layer output is the layer's own route, atom responses
+mixed by phi, and every window norm goes through `filters._correlate2d`.
+`SUITES` maps each suite name to the report rows that `qflow verify` writes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
-                      ACTIVATIONS, _correlate2d, _filter_responses, compose_filters)
+                      ACTIVATIONS, _atom_responses, _correlate2d, _mix)
 from .ode import AtomVectorField, FieldStack, SolverConfig, integrate_stack
 from .sensor import BinaryFrame, NeighborhoodSpec, neighborhood_ones
 
@@ -108,35 +109,32 @@ def _layer_bound_block(instances, activations) -> dict:
     that share their shapes; only the outputs are evaluated per activation."""
     acts = {name: _bound_activation(name) for name in activations}
     inps, phis, atoms1, atoms2, _ = zip(*instances)
-    x = _stack(inps)                                   # (B, c_in, h, w)
+    x, phi = _stack(inps), _stack(phis)                # (B, c_in, h, w), (B, c_out, c_in, m)
     a1, a2 = _stack(atoms1), _stack(atoms2)            # (B, m, k, k)
-    delta = a1 - a2
-    pre1, pre2 = (_filter_responses(x, np.stack(list(map(compose_filters, phis, atoms))))
-                  for atoms in (atoms1, atoms2))
+    # B[i,j](u) = r1 - r2 is the difference of the two atom responses at
+    # pixel u for input channel i and atom j, (B, c_in, m, h, w): the one
+    # quantity that the layer outputs mix and both inner stages bound.
+    r1, r2 = _atom_responses(x, a1), _atom_responses(x, a2)
+    b = r1 - r2
+    pre1, pre2 = _mix(phi, r1), _mix(phi, r2)          # (B, c_out, h, w)
     dys = {name: act(pre1) - act(pre2) for name, act in acts.items()}
     sq = _neighborhood_sq_norms(x, a1.shape[-1])       # (B, c_in, h, w)
     consts = _bound_constants(phis, sq)
-    # Inner stages. B[i,j](u) is the difference of the two atom responses
-    # at pixel u for input channel i and atom j; (B, c_in, m, h, w).
-    xs = x[:, :, None]
-    b = _correlate2d(xs, a1[:, None]) - _correlate2d(xs, a2[:, None])
-    cs_lhs = np.abs(_correlate2d(xs, delta[:, None]))
-    nb_norms = np.sqrt(sq)[:, :, None]
+
+    # Hoelder with p = q = 2: sum |phi_oij B_ij(u)| <= ||phi_o|| * ||B(u)||.
+    holder_lhs = _mix(np.abs(phi), np.abs(b))
+    phi_row_norms = np.linalg.norm(phi.reshape(phi.shape[:2] + (-1,)), axis=2)
+    b_norms = np.sqrt(np.einsum("bijhw->bhw", b * b))
+    holder_rhs = phi_row_norms[..., None, None] * b_norms[:, None]
+    # Cauchy-Schwarz: |B_ij(u)| = |<x_i, dLambda_j>_{N_u}| <= ||x_i||_{2,N_u} ||dLambda_j||.
+    atom_norms = np.linalg.norm((a1 - a2).reshape(a1.shape[:2] + (-1,)), axis=2)
+    cauchy_rhs = np.sqrt(sq)[:, :, None] * atom_norms[:, None, :, None, None]
 
     reports = {name: [] for name in acts}
-    for n, (_, phi, at1, at2, seed) in enumerate(instances):
+    for n, (_, _, at1, at2, seed) in enumerate(instances):
         rhs = consts[n] * at1.distance(at2)
-
-        # Hoelder with p = q = 2: sum |phi_oij B_ij(u)| <= ||phi_o|| * ||B(u)||.
-        holder_lhs = np.einsum("oij,ijhw->ohw", np.abs(phi.data), np.abs(b[n]))
-        phi_row_norms = np.linalg.norm(phi.data.reshape(phi.c_out, -1), axis=1)
-        b_norms = np.sqrt(np.einsum("ijhw->hw", b[n] * b[n]))
-        holder = _argmax_check(holder_lhs, phi_row_norms[:, None, None] * b_norms[None])
-
-        # Cauchy-Schwarz: |<x_i, dLambda_j>_{N_u}| <= ||x_i||_{2,N_u} ||dLambda_j||.
-        atom_norms = np.linalg.norm(delta[n].reshape(phi.m, -1), axis=1)
-        cauchy = _argmax_check(cs_lhs[n], nb_norms[n] * atom_norms[None, :, None, None])
-
+        holder = _argmax_check(holder_lhs[n], holder_rhs[n])
+        cauchy = _argmax_check(np.abs(b[n]), cauchy_rhs[n])
         for name, dy in dys.items():
             lhs = float(np.linalg.norm(dy[n].ravel()))
             holds = bool(lhs <= rhs + SLACK and holder.holds and cauchy.holds)
@@ -196,19 +194,18 @@ def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfi
     fields, phis, inps = zip(*instances)
     base = _stack(f.lambda_init for f in fields)       # (B, m, k, k)
     moved = integrate_stack(FieldStack.of(fields), base, theta0,
-                            [theta0 + d for d in deltas], solver)
-    moved = [[FilterAtoms(a) for a in atoms] for atoms in moved]
+                            [theta0 + d for d in deltas], solver)  # (B, D, m, k, k)
     x = _stack(inps)                                   # (B, c_in, h, w)
-    filters = np.stack([[compose_filters(p, a) for a in (f.lambda_init, *atoms)]
-                        for p, f, atoms in zip(phis, fields, moved)])
-    y = act(_filter_responses(x[:, None], filters))    # (B, 1 + D, c_out, h, w)
+    atoms = np.concatenate([base[:, None], moved], axis=1)  # (B, 1 + D, m, k, k)
+    # Outputs at the base atoms and at each offset: (B, 1 + D, c_out, h, w).
+    y = act(_mix(_stack(phis)[:, None], _atom_responses(x[:, None], atoms)))
     consts = _bound_constants(phis, _neighborhood_sq_norms(x, base.shape[-1]))
 
     reports = []
     for n, (field_n, const) in enumerate(zip(fields, consts)):
         d_vals = tuple(float(np.linalg.norm((y[n, 1 + i] - y[n, 0]).ravel()))
                        for i in range(len(deltas)))
-        a_vals = tuple(field_n.lambda_init.distance(atoms) for atoms in moved[n])
+        a_vals = tuple(field_n.lambda_init.distance(FilterAtoms(a)) for a in moved[n])
         ok = tuple(bool(d <= const * a + SLACK) for d, a in zip(d_vals, a_vals))
         decreasing = all(b < a or (a == 0.0 and b == 0.0)
                          for a, b in zip(d_vals, d_vals[1:]))

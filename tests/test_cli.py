@@ -461,15 +461,19 @@ class TestExportPgm:
         assert rc == 1
         assert "cannot export" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_map_is_domain_error(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800000, 0xFF800000, 0x7F800001],
+                             ids=["nan", "inf", "-inf", "snan"])
+    def test_non_finite_map_is_decode_error(self, tmp_path, capsys, bits):
+        # The float32 bits go in as written: a signalling NaN stays signalling.
         path = tmp_path / "m.qex"
-        data = np.array([[0.0, value], [1.0, 2.0]], dtype="<f4")
+        data = np.array([[0.0, 0.0], [1.0, 2.0]], dtype="<f4")
+        data.view("<u4")[0, 1] = bits
         path.write_bytes(b"QEX1" + struct.pack("<II", 2, 2) + data.tobytes())
         pgm = tmp_path / "m.pgm"
         rc = run(["export-pgm", "--in", str(path), "--out", str(pgm)])
+        err = capsys.readouterr().err
         assert rc == 1
-        assert one_error_line(capsys)
+        assert err == "error: non-finite value in pixel data (at byte offset 16)\n"
         assert not pgm.exists()
 
 

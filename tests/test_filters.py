@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from quantaflow import (Coefficients, DomainError, EaclConfig, FeatureMap,
                         FilterAtoms, ShapeError, compose_filters, eacl_forward)
-from quantaflow.filters import (ACTIVATIONS, _correlate2d, eacl_preactivation,
-                                eacl_preactivation_atomspace)
+from quantaflow.filters import ACTIVATIONS, _correlate2d, eacl_preactivation
 
 
 def _random_instance(seed, c_in=1, c_out=1, m=3, k=3, size=8):
@@ -62,9 +61,12 @@ class TestForward:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_path_equivalence(self, seed):
+        # Reference: compose the full filters first, correlate each input
+        # channel with its filter, then sum over input channels.
         inp, phi, atoms = _random_instance(seed, c_in=2, c_out=3)
         a = eacl_preactivation(inp, phi, atoms)
-        b = eacl_preactivation_atomspace(inp, phi, atoms)
+        b = _correlate2d(inp.data[None], compose_filters(phi, atoms)).sum(axis=1)
+        assert a.shape == b.shape == (3, 8, 8)
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_linearity_in_coefficients(self):

@@ -11,13 +11,6 @@ from quantaflow.bracketing import default_labels
 WRAPPING_DIMS = (3104227921, 3731840169, 236817699)
 
 
-def _rt_bytes(tmp_path, writer, obj, name):
-    p1 = tmp_path / f"a_{name}"
-    p2 = tmp_path / f"b_{name}"
-    writer(p1, obj)
-    return p1, p2
-
-
 class TestFloatMapRoundTrip:
     def test_byte_identical(self, tmp_path):
         gen = np.random.default_rng(0)
@@ -112,7 +105,6 @@ class TestBurstRoundTrip:
         p1 = tmp_path / "a.qbb"
         formats.write_burst(p1, burst)
         data = p1.read_bytes()
-        frame_bytes = 2 * 7  # ceil(11/8)=2 bytes per row, 7 rows
         truncated = tmp_path / "trunc.qbb"
         truncated.write_bytes(data[:len(data) - 3])  # partial last frame
         with pytest.raises(DecodeError) as ei:
@@ -209,6 +201,7 @@ class TestWritersRefuseBadPayload:
         (formats.write_float_map, np.array([[1.0, np.nan]])),
         (formats.write_float_map, np.array([[1.0, -np.inf]])),
         (formats.write_float_map, np.array([[1.0, 1e39]])),
+        (formats.write_float_map, np.zeros((0, 5))),
         (formats.write_burst, _burst_with_alphas((1.0, 1e39))),
         (formats.write_burst, _burst_with_alphas((1.0, float("inf")))),
         (formats.write_tensor, np.array([0.0, np.nan, 1.0])),
@@ -220,7 +213,7 @@ class TestWritersRefuseBadPayload:
         (formats.write_field, AtomVectorField.zero(1, 2, FilterAtoms(np.full((1, 2, 2), 4e38)))),
         (formats.export_pgm_map, np.array([[0.0, np.nan]])),
         (formats.export_pgm_map, np.array([[np.inf, 1.0]])),
-    ], ids=["map-nan", "map-neg-inf", "map-1e39", "burst-alpha-1e39", "burst-alpha-inf",
+    ], ids=["map-nan", "map-neg-inf", "map-1e39", "map-empty", "burst-alpha-1e39", "burst-alpha-inf",
             "tensor-nan", "tensor-neg-1e39", "tensor-past-cap", "tensor-empty", "tensor-rank-0",
             "field-stage-1e39", "field-init-4e38",
             "pgm-map-nan", "pgm-map-inf"])

@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from quantaflow import (AtomVectorField, DomainError, FilterAtoms,
-                        IntegrationError, SolverConfig, atoms_for_pair,
-                        estimate_lipschitz, eval_field, integrate_atoms)
+                        IntegrationError, ShapeError, SolverConfig, compose_filters,
+                        estimate_lipschitz, integrate_atoms)
 from quantaflow import ode
 from quantaflow.filters import Coefficients
-from quantaflow.ode import (_DP_A, _DP_B4, _DP_B5, _DP_C, ConstantField, FieldStack,
+from quantaflow.ode import (_DP_A, _DP_B4, _DP_B5, _DP_C, FieldStack,
                             _dopri45, _rk4_fixed, integrate_stack)
+
+
+class ConstantField:
+    """Reference field whose derivative is a fixed tensor."""
+
+    def __init__(self, value, lambda_init):
+        self.value, self.lambda_init = value, lambda_init
+
+    def derivative(self, theta_tilde, state):
+        return np.broadcast_to(np.asarray(self.value, dtype=np.float64), np.shape(state))
 
 
 class DecayField:
@@ -45,17 +55,19 @@ class TestFieldSize:
 
 
 class TestEvalField:
+    """The field evaluated at one exposure and atom state."""
+
     def test_zero_parameters_give_zero_field(self):
         init = _init()
         field = AtomVectorField.zero(3, 3, init)
-        out = eval_field(field, 0.5, init)
-        assert np.all(out.data == 0.0)
+        out = field.derivative(0.5, init.data)
+        assert np.all(out == 0.0)
 
     def test_deterministic(self):
         field = AtomVectorField.seeded(3, 3, 42)
-        a = eval_field(field, 0.3, field.lambda_init)
-        b = eval_field(field, 0.3, field.lambda_init)
-        assert np.array_equal(a.data, b.data)
+        a = field.derivative(0.3, field.lambda_init.data)
+        b = field.derivative(0.3, field.lambda_init.data)
+        assert np.array_equal(a, b)
 
     def test_lipschitz_in_state(self):
         # The field is a composition of affine maps, tanh, and per-atom
@@ -76,8 +88,8 @@ class TestEvalField:
 
     def test_dim_mismatch(self):
         field = AtomVectorField.seeded(3, 3, 1)
-        with pytest.raises(Exception):
-            eval_field(field, 0.5, _init(m=2))
+        with pytest.raises(ShapeError):
+            field.derivative(0.5, _init(m=2).data)
 
 
 class TestIntegrate:
@@ -176,12 +188,19 @@ class TestIntegrate:
         assert back.distance(field.lambda_init) <= tol
 
 
+def _filters_for_pair(field, theta_in, theta_target, phi, solver=SolverConfig()):
+    return compose_filters(phi, integrate_atoms(field, theta_in, theta_target, solver))
+
+
 class TestAtomsForPair:
+    """Filters for an exposure pair: the atoms integrated along the field,
+    mixed by the coefficients."""
+
     def test_zero_field_broadcast(self):
         init = _init(7, m=1)
         field = AtomVectorField.zero(1, 3, init)
         phi = Coefficients(np.ones((2, 2, 1)))
-        filters = atoms_for_pair(field, 0.2, 0.7, phi)
+        filters = _filters_for_pair(field, 0.2, 0.7, phi)
         for o in range(2):
             for i in range(2):
                 assert np.array_equal(filters[o, i], init.data[0])
@@ -189,7 +208,7 @@ class TestAtomsForPair:
     def test_empty_interval_uses_init(self):
         field = AtomVectorField.seeded(2, 3, 8)
         phi = Coefficients(np.random.default_rng(0).standard_normal((1, 1, 2)))
-        filters = atoms_for_pair(field, 0.33, 0.33, phi)
+        filters = _filters_for_pair(field, 0.33, 0.33, phi)
         expected = np.einsum("oij,jxy->oixy", phi.data, field.lambda_init.data)
         assert np.array_equal(filters, expected)
 
@@ -197,10 +216,10 @@ class TestAtomsForPair:
         field = AtomVectorField.seeded(3, 3, 9)
         phi = Coefficients(np.ones((1, 1, 3)))
         cfg = SolverConfig()
-        direct = atoms_for_pair(field, 0.25, 0.75, phi, cfg)
+        direct = _filters_for_pair(field, 0.25, 0.75, phi, cfg)
         mid = integrate_atoms(field, 0.25, 0.5, cfg)
-        chained = atoms_for_pair(AtomVectorField(field.stage_weights, mid),
-                                 0.5, 0.75, phi, cfg)
+        chained = _filters_for_pair(AtomVectorField(field.stage_weights, mid),
+                                    0.5, 0.75, phi, cfg)
         tol = 10 * (cfg.atol + cfg.rtol * np.linalg.norm(direct))
         assert np.linalg.norm(direct - chained) <= tol
 
