@@ -1,8 +1,10 @@
 """Command-line entry point (`qflow`).
 
-Exit codes: 0 success, 1 domain/decode error, 2 usage error. Randomized
-commands take --seed, an integer in [0, 2**64); `main` checks it, digests
---in and --params, and writes <output>.manifest.json next to the output.
+Exit codes: 0 success, 1 domain/decode error, 2 usage error; each failure
+is one stderr line, `error: ...` from `main` or `usage error: ...` from
+`_Parser.error`. Randomized commands take --seed, an integer in [0, 2**64);
+`main` checks it, digests --in and --params, and writes
+<output>.manifest.json next to the output.
 """
 
 from __future__ import annotations
@@ -30,20 +32,26 @@ SEED_LIMIT = 2 ** 64
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with near-miss suggestions for unknown flags."""
+    """argparse whose every usage error is one stderr line and exit 2. Each
+    parser refuses its unknown flags, with a near miss from its own flags."""
 
-    all_options: set = set()
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            close = [m for t in extras if t.startswith("-")
+                     for m in difflib.get_close_matches(t, self._option_string_actions, n=1)]
+            self.error(f"unrecognized arguments: {' '.join(extras)}"
+                       + (f" (did you mean {close[0]}?)" if close else ""))
+        return args, extras
 
     def error(self, message):
-        if "unrecognized arguments" in message:
-            bad = message.split(":", 1)[1].strip().split()
-            for token in bad:
-                if token.startswith("-"):
-                    close = difflib.get_close_matches(token, self.all_options, n=1)
-                    if close:
-                        message += f" (did you mean {close[0]}?)"
-                        break
-        super().error(message)
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def _parse_size(text: str):
@@ -54,6 +62,8 @@ def _parse_size(text: str):
         raise DomainError(f"bad size {text!r}, expected WxH")
     if w < 1 or h < 1:
         raise DomainError(f"bad size {text!r}, width and height must be >= 1")
+    if w * h > formats.MAX_PIXELS:
+        raise DomainError(f"bad size {text!r}, more than {formats.MAX_PIXELS} pixels")
     return w, h
 
 
@@ -153,10 +163,6 @@ def _cmd_atoms(args):
 
 
 def _cmd_verify(args):
-    if args.instances < 1:
-        print(f"usage error: --instances must be >= 1, got {args.instances}",
-              file=sys.stderr)
-        raise SystemExit(2)
     suites = SUITES if args.suite == "all" else (args.suite,)
     payload = {"seed": args.seed, "instances": args.instances, "suites": {}}
     all_hold = True
@@ -256,7 +262,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run numerical bound verification suites")
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", default="report.json")
     p.set_defaults(func=_cmd_verify, manifest="report")
@@ -275,23 +281,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export-pgm", parents=[infile], help="export QEX1/QBF1 as 8-bit PGM")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_pgm)
-
-    options = set()
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            for act in sp._actions:
-                options.update(act.option_strings)
-    _Parser.all_options = options
     return parser
 
 
 def _run_seeded(args, argv, output):
     """Run a randomized command: check its seed, digest its inputs, run it,
     and write `<output>.manifest.json` unless it raised."""
-    if args.seed is None:
-        print(f"usage error: --{args.manifest.replace('_', '-')} requires --seed",
-              file=sys.stderr)
-        raise SystemExit(2)
     if not 0 <= args.seed < SEED_LIMIT:
         raise DomainError(f"--seed must be in [0, 2**64), got {args.seed}")
     t0 = time.monotonic()
@@ -308,8 +303,11 @@ def _run_seeded(args, argv, output):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     output = args.manifest and getattr(args, args.manifest)
+    if output is not None and args.seed is None:
+        parser.error(f"{args.command} --{args.manifest.replace('_', '-')} requires --seed")
     try:
         if output is None:
             return args.func(args)

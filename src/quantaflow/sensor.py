@@ -22,6 +22,9 @@ _STREAM_PHOTON = 1
 # Exposure cap for bracketing during inversion; far above anything a
 # bit density below 1 can demand in this application.
 THETA_CAP = 64.0
+# Most terms of the complement series `_series_terms`, one exp pass over the
+# frame each: about 3 s per Mpx at the cap (2-core Xeon).
+SERIES_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,8 @@ class SensorConfig:
             raise DomainError("ADC threshold q must be finite and > 0")
         if not (math.isfinite(self.sigma_r) and self.sigma_r >= 0):
             raise DomainError("read-noise sigma_r must be finite and >= 0")
+        if self.q + 9.0 * self.sigma_r > SERIES_CAP - 1:  # terms up to ceil(q + 9 sigma_r)
+            raise DomainError(f"q + 9 sigma_r must be <= {SERIES_CAP - 1}")
 
 
 @dataclass(frozen=True)
@@ -247,8 +252,7 @@ def local_bit_density(frame: BinaryFrame, nb: NeighborhoodSpec) -> DensityMap:
 def invert_bit_density(mu: float, q: float, sigma_r: float) -> float:
     """Exposure theta-hat with bit_probability(theta-hat) = mu.
 
-    Closed form -ln(1 - mu) when sigma_r = 0 and q in (0, 1]; otherwise
-    bisection over [0, THETA_CAP], where the forward map rises
+    Bisection over [0, THETA_CAP], where the forward map rises
     monotonically in theta. The bracket keeps
     bit_probability(lo) < mu <= bit_probability(hi) and halves until lo
     and hi are adjacent floats, the only case in which the midpoint rounds
@@ -262,9 +266,6 @@ def invert_bit_density(mu: float, q: float, sigma_r: float) -> float:
         raise UnidentifiableError(
             f"bit density {mu} at or below the read-noise floor {floor}"
         )
-    if sigma_r == 0.0 and 0.0 < q <= 1.0:
-        return -math.log(1.0 - mu)
-
     lo, hi = 0.0, THETA_CAP
     if bit_probability(hi, q, sigma_r) < mu:
         raise DomainError(f"bit density {mu} requires exposure above cap {THETA_CAP}")

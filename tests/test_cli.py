@@ -6,13 +6,14 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quantaflow
-from quantaflow import formats
+from quantaflow import cli, formats
 from quantaflow.cli import main
 from quantaflow.manifest import RunManifest
 from quantaflow.ode import AtomVectorField
@@ -78,6 +79,48 @@ class TestSimulate:
         assert err.startswith("error: bad size") and err.count("\n") == 1
         assert "offset" not in err
         assert not out.exists()
+
+    def test_size_past_pixel_cap_is_refused_before_sampling(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(formats, "MAX_PIXELS", 64)
+        monkeypatch.setattr(cli, "sample_frame", lambda *a: pytest.fail("sampled"))
+        out = tmp_path / "f.qbf"
+        rc = run(["simulate", "--theta-const", "1.0", "--size", "9x8",
+                  "--seed", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: bad size '9x8', more than 64 pixels\n"
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
+    def test_size_at_pixel_cap_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_PIXELS", 64)
+        out = tmp_path / "f.qbf"
+        assert run(["simulate", "--theta-const", "1.0", "--size", "8x8",
+                    "--seed", "0", "--out", str(out)]) == 0
+        assert formats.read_frame(str(out)).bits.shape == (8, 1)
+
+    # Sensors whose complement series would pass sensor.SERIES_CAP terms:
+    # without the cap they overflowed, took seconds, or ran for minutes.
+    @pytest.mark.parametrize("sensor", [["--q", "1e300", "--sigma-r", "0"],
+                                        ["--sigma-r", "1e5"],
+                                        ["--q", "1e9", "--sigma-r", "0"],
+                                        ["--q", "1e7", "--sigma-r", "0.25"],
+                                        ["--sigma-r", "1e300"]], ids=" ".join)
+    @pytest.mark.parametrize("command", ["simulate", "bracket", "estimate"])
+    def test_series_past_cap_is_domain_error(self, tmp_path, capsys, monkeypatch,
+                                             command, sensor):
+        monkeypatch.chdir(tmp_path)
+        formats.write_float_map("scene.qex", np.full((2, 2), 1.0))
+        formats.write_frame("f.qbf", BinaryFrame.from_array(np.eye(2)))
+        argv = {"simulate": ["simulate", "--theta-const", "1", "--size", "2x2"],
+                "bracket": ["bracket", "--in", "scene.qex"],
+                "estimate": ["estimate", "--in", "f.qbf"]}[command]
+        seeded = [] if command == "estimate" else ["--seed", "1", "--out", "out"]
+        t0 = time.monotonic()
+        assert run(argv + sensor + seeded) == 1
+        assert time.monotonic() - t0 < 1.0
+        assert one_error_line(capsys)
+        assert sorted(os.listdir()) == ["f.qbf", "scene.qex"]
 
 
 # Each randomized command, with OUT, SCENE and PARAMS standing for paths.
@@ -163,6 +206,23 @@ class TestUnknownFlag:
                  "--seed", "0", "--out", str(tmp_path / "f.qbf")])
         assert ei.value.code == 2
         assert "did you mean --theta-const?" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, err", [
+        (["estimate", "--in", "f.qbf", "--rtol", "1"],
+         "usage error: qflow estimate: unrecognized arguments: --rtol 1\n"),
+        (["density", "--in", "f.qbf", "--sed", "1"],
+         "usage error: qflow density: unrecognized arguments: --sed 1\n"),
+        (["calibrate", "cmos", "--in", "g.qex", "--out", "o.qex", "--gian", "2"],
+         "usage error: qflow calibrate cmos: unrecognized arguments: --gian 2 "
+         "(did you mean --gain?)\n"),
+    ], ids=["rtol-of-atoms", "seed-of-others", "nested-command"])
+    def test_near_miss_from_own_flags(self, capsys, argv, err):
+        # A flag of another command is no near miss: estimate has no --rtol,
+        # density no --seed.
+        with pytest.raises(SystemExit) as ei:
+            run(argv)
+        assert ei.value.code == 2
+        assert capsys.readouterr().err == err
 
 
 class TestEstimate:
@@ -475,6 +535,85 @@ class TestExportPgm:
         assert rc == 1
         assert err == "error: non-finite value in pixel data (at byte offset 16)\n"
         assert not pgm.exists()
+
+
+# Bad flags (exit 2) and bad values or inputs (exit 1) for every subcommand.
+# The files named are made by TestErrorContract; "out" is never made.
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "simulate-q-abc": ["simulate", "--q", "abc", "--theta-const", "1", "--size", "2x2",
+                       "--seed", "1", "--out", "out"],
+    "simulate-no-seed": ["simulate", "--theta-const", "1", "--size", "2x2", "--out", "out"],
+    "simulate-two-sources": ["simulate", "--theta-const", "1", "--in", "scene.qex",
+                             "--seed", "1", "--out", "out"],
+    "simulate-near-miss": ["simulate", "--theta-konst", "1", "--size", "2x2",
+                           "--seed", "1", "--out", "out"],
+    "bracket-no-in": ["bracket", "--seed", "1", "--out", "out"],
+    "bracket-sigma-r-x": ["bracket", "--in", "scene.qex", "--sigma-r", "x",
+                          "--seed", "1", "--out", "out"],
+    "density-radius-1.5": ["density", "--in", "f.qbf", "--radius", "1.5"],
+    "density-boundary-wrap": ["density", "--in", "f.qbf", "--boundary", "wrap"],
+    "density-unknown-flag": ["density", "--in", "f.qbf", "--sed", "1"],
+    "estimate-unknown-flag": ["estimate", "--in", "f.qbf", "--rtol", "1"],
+    "atoms-solver-euler": ["atoms", "--solver", "euler"],
+    "atoms-new-field-no-seed": ["atoms", "--new-field", "out"],
+    "verify-suite-nope": ["verify", "--suite", "nope", "--seed", "1"],
+    "verify-instances-0": ["verify", "--instances", "0", "--seed", "1"],
+    "verify-seed-1.5": ["verify", "--instances", "1", "--seed", "1.5"],
+    "calibrate-no-mode": ["calibrate"],
+    "cmos-unknown-flag": ["calibrate", "cmos", "--in", "scene.qex", "--gian", "2",
+                          "--out", "out"],
+    "qis-forward-no-params": ["calibrate", "qis-forward", "--in", "scene.qex",
+                              "--seed", "1", "--out", "out"],
+    "export-pgm-no-out": ["export-pgm", "--in", "f.qbf"],
+}
+DOMAIN_ERRORS = {
+    "simulate-q-1e300": ["simulate", "--theta-const", "1", "--size", "2x2", "--q", "1e300",
+                         "--sigma-r", "0", "--seed", "1", "--out", "out"],
+    "simulate-size-0x4": ["simulate", "--theta-const", "1", "--size", "0x4",
+                          "--seed", "1", "--out", "out"],
+    "simulate-truncated-in": ["simulate", "--in", "trunc.qex", "--seed", "1", "--out", "out"],
+    "bracket-alphas": ["bracket", "--in", "scene.qex", "--alphas", "1,x",
+                       "--seed", "1", "--out", "out"],
+    "density-truncated-in": ["density", "--in", "trunc.qbf", "--out", "out"],
+    "estimate-truncated-in": ["estimate", "--in", "trunc.qbf"],
+    "estimate-missing-in": ["estimate", "--in", "nope.qbf"],
+    "atoms-no-field": ["atoms", "--out", "out"],
+    "verify-seed-2**64": ["verify", "--instances", "1", "--seed", str(2 ** 64),
+                          "--report", "out"],
+    "cmos-truncated-in": ["calibrate", "cmos", "--in", "trunc.qex", "--out", "out"],
+    "qis-forward-bad-json": ["calibrate", "qis-forward", "--in", "scene.qex",
+                             "--params", "bad.json", "--seed", "1", "--out", "out"],
+    "export-pgm-truncated-in": ["export-pgm", "--in", "trunc.qbf", "--out", "out"],
+}
+
+
+class TestErrorContract:
+    """Every failure is one stderr line, `usage error:` with exit 2 or `error:`
+    with exit 1, and leaves no output file and no manifest."""
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        *((argv, 2, "usage error: qflow") for argv in USAGE_ERRORS.values()),
+        *((argv, 1, "error: ") for argv in DOMAIN_ERRORS.values())],
+        ids=[*USAGE_ERRORS, *DOMAIN_ERRORS])
+    def test_one_line_and_no_files(self, tmp_path, capsys, monkeypatch, argv, code, prefix):
+        monkeypatch.chdir(tmp_path)
+        formats.write_float_map("scene.qex", np.full((4, 4), 2.0))
+        formats.write_frame("f.qbf", BinaryFrame.from_array(np.eye(4)))
+        Path("trunc.qex").write_bytes(Path("scene.qex").read_bytes()[:-3])
+        Path("trunc.qbf").write_bytes(Path("f.qbf").read_bytes()[:-1])
+        Path("bad.json").write_text('{"gain_ratio": 1.0,')
+        inputs = sorted(os.listdir())
+        try:
+            rc = run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert sorted(os.listdir()) == inputs
 
 
 class TestMissingFile:

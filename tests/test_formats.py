@@ -2,9 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quantaflow import (AtomVectorField, BinaryFrame, DecodeError, DomainError,
-                        ExposureBurst, ExposureMap, FilterAtoms, formats)
+                        ExposureBurst, ExposureMap, FilterAtoms, QuantaError, formats)
 from quantaflow.bracketing import default_labels
 
 # QTN1 dims whose element count wraps to 671371 in int64 arithmetic.
@@ -222,3 +223,67 @@ class TestWritersRefuseBadPayload:
         with pytest.raises(DomainError):
             writer(p, obj)
         assert not p.exists()
+
+
+# One small valid value per container, with its writer and reader.
+_GEN = np.random.default_rng(12)
+FUZZ = {
+    "QEX1": (formats.write_float_map, formats.read_float_map,
+             _GEN.uniform(0, 9, size=(3, 4))),
+    "QBF1": (formats.write_frame, formats.read_frame,
+             BinaryFrame.from_array(_GEN.integers(0, 2, size=(3, 11)))),
+    "QBB1": (formats.write_burst, formats.read_burst, _burst_with_alphas((1.0, 2.0))),
+    "QTN1": (formats.write_tensor, formats.read_tensor, _GEN.standard_normal((2, 3, 3))),
+    "QVF1": (formats.write_field, formats.read_field, AtomVectorField.seeded(1, 2, seed=3)),
+}
+
+
+def _header_offsets(data: bytes) -> list:
+    """Offsets of the u32 header fields: after the magic up to the first
+    payload byte, and those of an embedded QTN1 (rank 3 here)."""
+    lead = {b"QEX1": 3, b"QBF1": 3, b"QBB1": 4, b"QTN1": 5, b"QVF1": 4}[data[:4]]
+    offsets = [4 * i for i in range(1, lead)]
+    if data[:4] == b"QVF1":
+        start = data.index(b"QTN1", 16)
+        offsets += [start + 4 * i for i in range(1, 5)]
+    return offsets
+
+
+class TestFuzz:
+    """A mutated container either reads to a value that its writer writes
+    back byte for byte, or raises QuantaError: never another exception and,
+    as pytest turns RuntimeWarning into an error, never a warning."""
+
+    @pytest.mark.parametrize("magic", FUZZ)
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_file_reads_or_raises_quanta_error(self, tmp_path, magic, data):
+        writer, reader, value = FUZZ[magic]
+        path = tmp_path / "mutated"
+        writer(path, value)
+        blob = bytearray(path.read_bytes())
+        kind = data.draw(st.sampled_from(["flip", "truncate", "header", "f32"]), label="kind")
+        if kind == "flip":
+            for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1,
+                                          max_size=4), label="positions"):
+                blob[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        elif kind == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1), label="length"):]
+        elif kind == "header":  # a small count half the time, any u32 otherwise
+            pos = data.draw(st.sampled_from(_header_offsets(bytes(blob))), label="offset")
+            value = data.draw(st.integers(0, 16) | st.integers(0, 2 ** 32 - 1), label="u32")
+            blob[pos:pos + 4] = struct.pack("<I", value)
+        else:  # a float32 over any word, its exponent from each class: zero or
+            # subnormal, normal, the largest, and infinity or NaN
+            pos = 4 * data.draw(st.integers(1, len(blob) // 4 - 1), label="word")
+            exponent = data.draw(st.sampled_from([0, 1, 127, 254, 255]), label="exponent")
+            bits = exponent << 23 | data.draw(st.integers(0, 2 ** 23 - 1), label="mantissa")
+            blob[pos:pos + 4] = struct.pack("<I", bits | data.draw(st.booleans()) << 31)
+        path.write_bytes(blob)
+        try:
+            back = reader(path)
+        except QuantaError:
+            return
+        writer(tmp_path / "again", back)
+        assert (tmp_path / "again").read_bytes() == bytes(blob)

@@ -11,7 +11,8 @@ from quantaflow import (BinaryFrame, DomainError, ExposureMap, NeighborhoodSpec,
                         SensorConfig, UnidentifiableError, bit_probability,
                         invert_bit_density, local_bit_density, mean_bit_density,
                         sample_frame)
-from quantaflow.sensor import THETA_CAP, neighborhood_ones, noise_floor
+from quantaflow.sensor import (SERIES_CAP, THETA_CAP, _series_terms, neighborhood_ones,
+                               noise_floor)
 
 # Frozen 50-digit-arithmetic reference values (mpmath: ncdf, and the
 # probability series summed to k = 60).
@@ -98,9 +99,14 @@ class TestBitProbability:
         with pytest.raises(DomainError):
             bit_probability(theta, 0.5, 0.25)
 
+    # The last six would sum a complement series past SERIES_CAP terms: without
+    # the cap, 1e300 overflowed and the others ran for seconds or more.
     @pytest.mark.parametrize("q, sigma_r, match", [
         (0.0, 0.25, "ADC threshold q"), (math.nan, 0.25, "ADC threshold q"),
-        (0.5, -1.0, "read-noise sigma_r"), (0.5, math.inf, "read-noise sigma_r")])
+        (0.5, -1.0, "read-noise sigma_r"), (0.5, math.inf, "read-noise sigma_r"),
+        *((q, sigma_r, "q \\+ 9 sigma_r must be <= 255") for q, sigma_r in [
+            (1e300, 0.0), (0.5, 1e5), (1e9, 0.0), (1e7, 0.25), (0.5, 1e300),
+            (math.nextafter(SERIES_CAP - 1, math.inf), 0.0)])])
     def test_bad_sensor_parameters_follow_sensor_config(self, q, sigma_r, match):
         with pytest.raises(DomainError, match=match):
             bit_probability(1.0, q, sigma_r)
@@ -257,9 +263,8 @@ class TestInversion:
         with pytest.raises(UnidentifiableError):
             invert_bit_density(floor * 0.5, 0.5, 0.5)
 
-    # sigma_r = 0 with q <= 1 takes the closed form; every other pair bisects.
-    BISECTED = [(q, sigma_r) for q in (0.5, 1.5, 3.7) for sigma_r in (0.0, 0.25, 1.0)
-                if not (sigma_r == 0.0 and q <= 1.0)]
+    # Every sensor bisects, the ideal one (sigma_r = 0, q <= 1) included.
+    BISECTED = [(q, sigma_r) for q in (0.5, 1.5, 3.7) for sigma_r in (0.0, 0.25, 1.0)]
 
     @pytest.mark.parametrize("q, sigma_r", BISECTED)
     def test_bisection_brackets_exactly(self, q, sigma_r):
@@ -315,6 +320,13 @@ class TestTypes:
             SensorConfig(q=0.0)
         with pytest.raises(DomainError):
             SensorConfig(sigma_r=-1.0)
+
+    @pytest.mark.parametrize("q, sigma_r", [(SERIES_CAP - 1, 0.0), (SERIES_CAP - 10, 1.0),
+                                            (3.0, (SERIES_CAP - 4) / 9)])
+    def test_series_at_cap_accepted(self, q, sigma_r):
+        SensorConfig(q, sigma_r)
+        assert len(_series_terms(q, sigma_r)) <= SERIES_CAP
+        assert 0.0 <= bit_probability(q, q, sigma_r) <= 1.0
 
     def test_pack_round_trip(self):
         gen = np.random.default_rng(1)
