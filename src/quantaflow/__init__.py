@@ -12,7 +12,7 @@ from .bracketing import (BracketSpec, ExposureBurst, DEFAULT_ALPHAS, bracket,
                          burst_mse, extract_exposure, generate_burst)
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
                       compose_filters, eacl_forward)
-from .ode import AtomVectorField, SolverConfig, estimate_lipschitz, integrate_atoms
+from .ode import AtomVectorField, SolverConfig, integrate_atoms
 from .verifier import (BoundReport, verify_density_identity,
                        verify_exposure_continuity, verify_layer_bound)
 from .calibration import CmosParams, QisParams, cmos_gray_to_photons, qis_forward

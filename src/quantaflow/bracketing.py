@@ -47,6 +47,8 @@ class ExposureBurst:
         labels = tuple(float(t) for t in self.theta_tilde)
         if not (len(frames) == len(alphas) == len(labels)):
             raise ShapeError("frames, alphas, theta_tilde must share length")
+        if not frames:
+            raise DomainError("burst must hold at least one frame")
         if len({(f.width, f.height) for f in frames}) > 1:
             raise ShapeError("all burst frames must share dimensions")
         if any(not (0.0 < t < 1.0) for t in labels):

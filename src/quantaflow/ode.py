@@ -7,7 +7,7 @@ exposure); integration uses fixed-step RK4 or adaptive Dormand-Prince 4(5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .filters import FilterAtoms
 STAGE_COUNT = 6
 _NORM_EPS = 1e-5
 
-#: Largest atom state n = m*k*k of a seeded, zero or decoded field: its
+#: Largest atom state n = m*k*k of any field, built or decoded: its
 #: six n x (n+1) float64 stage matrices stay under 51 MiB.
 MAX_STATE = 1024
 
@@ -61,7 +61,7 @@ class AtomVectorField:
     lambda_init: FilterAtoms
 
     def __post_init__(self):
-        n = self.lambda_init.m * self.lambda_init.k ** 2
+        n = _state_size(self.lambda_init.m, self.lambda_init.k)
         ws = tuple(np.asarray(w, dtype=np.float64) for w in self.stage_weights)
         if len(ws) != STAGE_COUNT:
             raise ShapeError(f"expected {STAGE_COUNT} stages, got {len(ws)}")
@@ -104,6 +104,16 @@ class AtomVectorField:
         if x.shape[-3:] != self.lambda_init.data.shape:
             raise ShapeError(f"state shape {x.shape} != (..., {self.m}, {self.k}, {self.k})")
         return _field_rhs(self.stage_weights, theta_tilde, x)
+
+    def speed_bound(self) -> float:
+        """M = ||W_6||_2 * sqrt(n + 1) >= ||dLambda/dtheta|| at every state and
+        theta_tilde in [0, 1]: W_6 applies to n tanh outputs and theta_tilde.
+        A solver step y + h * sum_i b_i k_i takes each k_i at a theta_tilde
+        inside the step, so the solver's own atoms keep ||Lambda(theta) -
+        Lambda(theta0)|| <= kappa * M * |theta - theta0|, kappa = sum_i |b_i|:
+        1 for rk4-fixed, about 1.6448 for dopri45 (fifth-order weights)."""
+        w6 = self.stage_weights[-1]
+        return float(np.linalg.norm(w6, 2) * np.sqrt(w6.shape[0] + 1))
 
 
 @dataclass(frozen=True)
@@ -255,39 +265,3 @@ def integrate_stack(field_, init: np.ndarray, theta_in: float, targets,
         out = _dopri45(rhs, t0, t1, y0, solver.rtol, solver.atol, solver.max_steps)
     return out.reshape(shape)
 
-
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    epsilon: float
-    argmax_pair: tuple  # (theta_1, theta_2)
-
-
-def estimate_lipschitz(field_, theta0: float, samples: int,
-                       delta_grid, solver: SolverConfig = SolverConfig()) -> LipschitzEstimate:
-    """Empirical continuity constant of the atom flow started at theta0.
-
-    For each base point and offset delta, both endpoints are integrated
-    from theta0 and the ratio ||Lambda_1 - Lambda_2|| / |delta| recorded.
-    """
-    if samples < 2:
-        raise DomainError("need at least 2 sample points")
-    deltas = [float(d) for d in delta_grid]
-    if any(d <= 0 for d in deltas):
-        raise DomainError("delta grid entries must be > 0")
-    bases = np.linspace(0.02, 0.98, samples)
-    pairs = [(float(t1), float(t1 + d), d) for t1 in bases for d in deltas
-             if 0.0 < t1 + d < 1.0]
-    targets = sorted({t for t1, t2, _ in pairs for t in (t1, t2)})
-    row = {t: i for i, t in enumerate(targets)}
-    atoms = integrate_stack(field_, field_.lambda_init.data[None], theta0,
-                            targets, solver)[0] if pairs else None
-
-    best = 0.0
-    best_pair = (bases[0], bases[0])
-    for t1, t2, d in pairs:
-        dist = float(np.linalg.norm((atoms[row[t1]] - atoms[row[t2]]).ravel()))
-        ratio = dist / d
-        if ratio > best:
-            best = ratio
-            best_pair = (t1, t2)
-    return LipschitzEstimate(best, best_pair)

@@ -76,6 +76,8 @@ class BinaryFrame:
         row_bytes = (self.width + 7) // 8
         if self.width < 0 or b.ndim != 2 or b.shape[1] != row_bytes:
             raise ShapeError(f"packed shape {b.shape} cannot hold rows of width {self.width}")
+        if self.width < 1 or b.shape[0] < 1:
+            raise DomainError(f"frame {self.width}x{b.shape[0]} is empty")
         pad = 8 * row_bytes - self.width
         if pad and np.any(b[:, -1] & ((1 << pad) - 1)):
             raise DomainError("padding bits must be zero")

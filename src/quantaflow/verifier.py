@@ -225,15 +225,14 @@ def verify_exposure_continuity(field_, phi: Coefficients, inp: FeatureMap,
                              _bound_activation(cfg.activation), solver)[0]
 
 
-def random_layer_instance(seed: int, c: int = 4, m: int = 3, k: int = 3,
-                          size: int = 16, activation: str = "relu"):
+def random_layer_instance(seed: int, activation: str = "relu"):
     """Seeded random (input, phi, atoms1, atoms2, cfg) tuple for bound checks."""
     gen = np.random.default_rng(seed)
-    inp = FeatureMap(gen.uniform(0.0, 1.0, size=(c, size, size)))
-    phi = Coefficients(gen.standard_normal((c, c, m)))
-    atoms1 = FilterAtoms(gen.standard_normal((m, k, k)))
-    atoms2 = FilterAtoms(atoms1.data + 0.1 * gen.standard_normal((m, k, k)))
-    cfg = EaclConfig(bias=np.zeros(c), activation=activation)
+    inp = FeatureMap(gen.uniform(0.0, 1.0, size=(4, 16, 16)))
+    phi = Coefficients(gen.standard_normal((4, 4, 3)))
+    atoms1 = FilterAtoms(gen.standard_normal((3, 3, 3)))
+    atoms2 = FilterAtoms(atoms1.data + 0.1 * gen.standard_normal((3, 3, 3)))
+    cfg = EaclConfig(bias=np.zeros(4), activation=activation)
     return inp, phi, atoms1, atoms2, cfg
 
 

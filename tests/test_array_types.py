@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from quantaflow import (BinaryFrame, Coefficients, DensityMap, DomainError,
-                        EaclConfig, ExposureMap, FeatureMap, FilterAtoms, ShapeError)
+                        EaclConfig, ExposureBurst, ExposureMap, FeatureMap, FilterAtoms,
+                        SensorConfig, ShapeError, formats, mean_bit_density, sample_frame)
 
 # (constructor from an array, array shape, expected dimensions). Every
 # shape has distinct axis lengths, so a swapped pair of dimensions shows.
@@ -65,6 +66,18 @@ class TestBinaryFrame:
     def test_wrong_shape_is_shape_error(self, width, shape):
         with pytest.raises(ShapeError):
             BinaryFrame(width, np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("make", [
+        lambda p: mean_bit_density(BinaryFrame.from_array(np.zeros((3, 0)))),
+        lambda p: BinaryFrame(8, np.zeros((0, 1), dtype=np.uint8)),
+        lambda p: sample_frame(ExposureMap(np.zeros((0, 4))), SensorConfig()),
+        lambda p: formats.write_burst(p, ExposureBurst((), (), ())),
+    ], ids=["width-0", "height-0", "sampled-height-0", "burst-of-0-frames"])
+    def test_empty_frame_or_burst_is_domain_error(self, tmp_path, make):
+        # The readers refuse these sizes; the types refuse them as well.
+        with pytest.raises(DomainError):
+            make(tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_stored_bits_are_read_only(self):
         frame = BinaryFrame.from_array(np.eye(3))

@@ -249,6 +249,34 @@ def _header_offsets(data: bytes) -> list:
     return offsets
 
 
+def _zero_field(magic: str, data: bytes) -> tuple:
+    """The valid FUZZ file `data` of `magic` with one size field of its
+    header set to 0 and the payload cut to the length that header then
+    declares, with the message and offset of that field's own check."""
+    zero = struct.pack("<I", 0)
+    if magic in ("QEX1", "QBF1"):                   # width
+        return data[:4] + zero + data[8:12], "dimensions 0x3 out of range", 4
+    if magic == "QBB1":                             # frame count
+        return data[:12] + zero, "zero frames", 12
+    if magic == "QTN1":                             # dims (2, 0, 3)
+        return data[:12] + zero + data[16:20], "element count 0 out of range", 20
+    start = data.index(b"QTN1", 16)                 # QVF1 m: init of shape (0, 2, 2)
+    init = data[start:start + 8] + zero + data[start + 12:start + 20]
+    return data[:4] + zero + data[8:16] + init, "invalid field dims", 4
+
+
+@pytest.mark.parametrize("magic", FUZZ)
+def test_zero_size_field_meets_its_own_check(tmp_path, magic):
+    writer, reader, value = FUZZ[magic]
+    path = tmp_path / "zero"
+    writer(path, value)
+    data, message, offset = _zero_field(magic, path.read_bytes())
+    path.write_bytes(data)
+    with pytest.raises(DecodeError, match=message) as exc:
+        reader(path)
+    assert exc.value.offset == offset
+
+
 class TestFuzz:
     """A mutated container either reads to a value that its writer writes
     back byte for byte, or raises QuantaError: never another exception and,

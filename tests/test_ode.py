@@ -5,7 +5,7 @@ import pytest
 
 from quantaflow import (AtomVectorField, DomainError, FilterAtoms,
                         IntegrationError, ShapeError, SolverConfig, compose_filters,
-                        estimate_lipschitz, integrate_atoms)
+                        integrate_atoms)
 from quantaflow import ode
 from quantaflow.filters import Coefficients
 from quantaflow.ode import (_DP_A, _DP_B4, _DP_B5, _DP_C, FieldStack,
@@ -49,9 +49,20 @@ class TestFieldSize:
         monkeypatch.setattr(ode, "MAX_STATE", 36)
         assert AtomVectorField.seeded(4, 3, seed=1).stage_weights[0].shape == (36, 37)
         assert AtomVectorField.zero(4, 3).m == 4
+        built = AtomVectorField(tuple(np.zeros((36, 37)) for _ in range(6)),
+                                FilterAtoms(np.zeros((4, 3, 3))))
+        assert built.stage_weights[5].shape == (36, 37)
         monkeypatch.setattr(ode, "MAX_STATE", 35)
         with pytest.raises(DomainError, match="exceeds"):
             AtomVectorField.seeded(4, 3, seed=1)
+        with pytest.raises(DomainError, match="exceeds"):
+            AtomVectorField(built.stage_weights, built.lambda_init)
+
+    def test_direct_construction_past_cap_rejected(self):
+        # n = 2 * 23 * 23 = 1058: a field that the QVF1 reader refuses.
+        weights = tuple(np.broadcast_to(0.0, (1058, 1059)) for _ in range(6))
+        with pytest.raises(DomainError, match="exceeds MAX_STATE"):
+            AtomVectorField(weights, FilterAtoms(np.zeros((2, 23, 23))))
 
 
 class TestEvalField:
@@ -224,57 +235,44 @@ class TestAtomsForPair:
         assert np.linalg.norm(direct - chained) <= tol
 
 
-class TestLipschitz:
+class TestSpeedBound:
+    """M = ||W_6||_2 * sqrt(n + 1) bounds the field, and kappa * M the
+    solvers' own atoms per unit of exposure."""
+
     def test_zero_field(self):
-        field = AtomVectorField.zero(2, 3)
-        est = estimate_lipschitz(field, 0.5, samples=4, delta_grid=[0.1, 0.01])
-        assert est.epsilon == 0.0
+        assert AtomVectorField.zero(2, 3).speed_bound() == 0.0
 
-    def test_constant_field_exact(self):
-        init = _init(10, m=2)
-        c = np.random.default_rng(3).standard_normal(init.data.shape)
-        field = ConstantField(c, init)
-        est = estimate_lipschitz(field, 0.5, samples=5, delta_grid=[0.2, 0.05])
-        assert est.epsilon == pytest.approx(np.linalg.norm(c.ravel()), rel=1e-9)
+    def test_known_last_stage(self):
+        field = AtomVectorField.zero(1, 2)           # n = 4
+        w6 = np.zeros((4, 5))
+        w6[0, 0], w6[1, 4], w6[3, 2] = 3.0, -4.0, 2.0  # singular values 4, 3, 2
+        field = AtomVectorField((*field.stage_weights[:5], w6), field.lambda_init)
+        assert field.speed_bound() == pytest.approx(4.0 * math.sqrt(5.0), rel=1e-14)
 
-    def test_seeded_field_grid_refinement_stable(self):
-        field = AtomVectorField.seeded(3, 3, 11)
-        coarse = estimate_lipschitz(field, 0.5, samples=6, delta_grid=[0.1])
-        fine = estimate_lipschitz(field, 0.5, samples=6, delta_grid=[0.01])
-        assert math.isfinite(coarse.epsilon) and coarse.epsilon > 0
-        assert abs(fine.epsilon - coarse.epsilon) < 0.1 * coarse.epsilon
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_derivative_within_bound(self, scale, theta):
+        for seed, (m, k) in enumerate([(1, 2), (3, 3), (2, 4)]):
+            field = AtomVectorField.seeded(m, k, 50 + seed)
+            states = scale * np.random.default_rng(seed).standard_normal((8, m, k, k))
+            norms = np.linalg.norm(field.derivative(theta, states).reshape(8, -1), axis=1)
+            assert norms.max() <= field.speed_bound()
 
-    def test_one_solve_matches_per_endpoint_solves(self):
-        field = AtomVectorField.seeded(3, 3, 13)
-        deltas = [0.3, 0.1, 0.02]
-        est = estimate_lipschitz(field, 0.5, samples=7, delta_grid=deltas)
-        best, best_pair = 0.0, None
-        for t1 in np.linspace(0.02, 0.98, 7):
-            for d in deltas:
-                t2 = t1 + d
-                if 0.0 < t2 < 1.0:
-                    a = integrate_atoms(field, 0.5, float(t1)).data
-                    b = integrate_atoms(field, 0.5, float(t2)).data
-                    ratio = float(np.linalg.norm((a - b).ravel())) / d
-                    if ratio > best:
-                        best, best_pair = ratio, (float(t1), float(t2))
-        assert est.epsilon == best
-        assert est.argmax_pair == best_pair
-
-    def test_no_pair_in_range(self):
-        est = estimate_lipschitz(AtomVectorField.seeded(2, 3, 1), 0.5,
-                                 samples=3, delta_grid=[5.0])
-        assert est.epsilon == 0.0
-
-    def test_continuity_hypothesis_on_fine_grid(self):
-        field = AtomVectorField.seeded(3, 3, 12)
-        cfg = SolverConfig()
-        eps = estimate_lipschitz(field, 0.5, samples=6,
-                                 delta_grid=[0.2, 0.1, 0.05]).epsilon * 1.1
-        base = integrate_atoms(field, 0.5, 0.4, cfg)
-        for delta in np.linspace(0.01, 0.3, 12):
-            moved = integrate_atoms(field, 0.5, 0.4 + delta, cfg)
-            assert base.distance(moved) <= eps * delta + 1e-6
+    @pytest.mark.parametrize("method", ["dopri45", "rk4-fixed"])
+    @pytest.mark.parametrize("m, k", [(1, 2), (3, 3), (2, 4)])
+    def test_solver_moves_at_most_kappa_m(self, method, m, k):
+        kappa = float(np.abs(_DP_B5).sum()) if method == "dopri45" else 1.0
+        fields = [AtomVectorField.seeded(m, k, 70 + i) for i in range(4)]
+        theta0 = 0.4
+        targets = [0.9, 0.5, 0.41, 0.401, 0.399, 0.3, 0.05]   # forward and backward
+        init = np.stack([f.lambda_init.data for f in fields])
+        out = integrate_stack(FieldStack.of(fields), init, theta0, targets,
+                              SolverConfig(method=method, fixed_steps=16))
+        for field, start, moved in zip(fields, init, out):
+            bound = kappa * field.speed_bound()
+            for target, atoms in zip(targets, moved):
+                dist = np.linalg.norm((atoms - start).ravel())
+                assert dist <= bound * abs(target - theta0) + 1e-12 * np.linalg.norm(start)
 
 
 # One-row references: the scalar-time loops that the batched solvers
