@@ -40,6 +40,8 @@ class ExposureBurst:
     frames: tuple  # K BinaryFrames, same dims
     alphas: tuple
     theta_tilde: tuple
+    width = property(lambda self: self.frames[0].width)
+    height = property(lambda self: self.frames[0].height)
 
     def __post_init__(self):
         frames = tuple(self.frames)
@@ -61,14 +63,6 @@ class ExposureBurst:
 
     def __len__(self):
         return len(self.frames)
-
-    @property
-    def width(self):
-        return self.frames[0].width
-
-    @property
-    def height(self):
-        return self.frames[0].height
 
 
 def default_labels(k: int) -> tuple:
@@ -95,18 +89,24 @@ def extract_exposure(gray: np.ndarray, theta_max: float = 25.0,
     return ExposureMap(theta_max * img ** gamma)
 
 
+def _bracketed(emap: ExposureMap, alpha: float) -> ExposureMap:
+    """The one scale rule of a bracket: theta * (1 / alpha)."""
+    return emap.scaled(1.0 / alpha)
+
+
 def bracket(emap: ExposureMap, spec: BracketSpec) -> list:
     """Scale the exposure map by 1/alpha for each divisor, in divisor order."""
-    return [emap.scaled(1.0 / a) for a in spec.alphas]
+    return [_bracketed(emap, a) for a in spec.alphas]
 
 
 def generate_burst(emap: ExposureMap, spec: BracketSpec,
                    cfg: SensorConfig) -> ExposureBurst:
-    """Sample one frame per bracket with independent per-frame substreams."""
+    """Sample one frame per bracket with independent per-frame substreams,
+    scaling each bracket's map just before its frame is drawn."""
     frames = []
-    for tau, scaled in enumerate(bracket(emap, spec)):
+    for tau, a in enumerate(spec.alphas):
         frame_cfg = SensorConfig(cfg.q, cfg.sigma_r, rng.frame_seed(cfg.seed, tau))
-        frames.append(sample_frame(scaled, frame_cfg))
+        frames.append(sample_frame(_bracketed(emap, a), frame_cfg))
     return ExposureBurst(tuple(frames), spec.alphas, default_labels(len(spec)))
 
 

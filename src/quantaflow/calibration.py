@@ -89,7 +89,8 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
 
     Per pixel: Poisson(ET * QE * (CRF * X + dark)), scaled by the gain,
     clipped, quantized (uniform over [0, clip_max], round half up), then
-    Gaussian noise added last, matching the printed model order.
+    Gaussian noise added last, matching the printed model order. The
+    rates are checked over the whole map, then drawn in `rng.tiles`.
     """
     x = np.asarray(photons, dtype=np.float64)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
@@ -102,13 +103,14 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
         rate = p.exposure_time * p.quantum_efficiency * (crf * x + p.dark_signal)
     if np.any(rate > RATE_CAP):
         raise DomainError(f"Poisson rate {rate.max():g} exceeds the cap {RATE_CAP:g}")
-    idx = np.arange(x.size, dtype=np.uint64)
-    keys = rng.substream_keys(seed, idx, _STREAM_QIS_PHOTON)
-    counts = rng.poissons(rate.ravel(), keys).astype(np.float64)
-    v = np.clip(p.gain_ratio * counts, 0.0, p.clip_max)
+    rate = rate.ravel()
+    out = np.empty(rate.size)
     step = p.clip_max / (2 ** p.adc_bits - 1)
-    quantized = np.floor(v / step + 0.5) * step
-    if p.sigma_real_noise > 0:
-        noise_keys = rng.substream_keys(seed, idx, _STREAM_QIS_NOISE)
-        quantized += p.sigma_real_noise * rng.standard_normals(noise_keys)
-    return quantized.reshape(x.shape)
+    for t, idx in rng.tiles(rate.size):
+        counts = rng.poissons(rate[t], rng.substream_keys(seed, idx, _STREAM_QIS_PHOTON))
+        v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
+        out[t] = np.floor(v / step + 0.5) * step
+        if p.sigma_real_noise > 0:
+            noise_keys = rng.substream_keys(seed, idx, _STREAM_QIS_NOISE)
+            out[t] += p.sigma_real_noise * rng.standard_normals(noise_keys)
+    return out.reshape(x.shape)

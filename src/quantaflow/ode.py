@@ -59,6 +59,8 @@ class AtomVectorField:
 
     stage_weights: tuple  # STAGE_COUNT arrays of shape (n, n+1)
     lambda_init: FilterAtoms
+    m = property(lambda self: self.lambda_init.m)
+    k = property(lambda self: self.lambda_init.k)
 
     def __post_init__(self):
         n = _state_size(self.lambda_init.m, self.lambda_init.k)
@@ -71,14 +73,6 @@ class AtomVectorField:
             if not np.all(np.isfinite(w)):
                 raise DomainError("stage weights must be finite")
         object.__setattr__(self, "stage_weights", ws)
-
-    @property
-    def m(self):
-        return self.lambda_init.m
-
-    @property
-    def k(self):
-        return self.lambda_init.k
 
     @classmethod
     def seeded(cls, m: int, k: int, seed: int) -> "AtomVectorField":

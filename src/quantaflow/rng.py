@@ -1,10 +1,11 @@
 """Counter-based random streams with one independent substream per pixel.
 
-Every draw is a pure function of (seed, stream tag, pixel index), so
-sampling is reproducible bit-for-bit no matter how work is split across
-threads. The mixer is the splitmix64 finalizer applied twice, vectorized
-over uint64 numpy arrays. SciPy is imported only inside the two
-quantile samplers that use it, so importing this module loads NumPy alone.
+Every draw is a pure function of (seed, stream tag, pixel index), so a
+frame is drawn in `tiles` of TILE = 65536 pixels, one after another, with
+the same bits as any other split and with memory bounded by the tile. The
+mixer is the splitmix64 finalizer, vectorized in place over uint64 numpy
+arrays. SciPy is imported only inside the two quantile samplers that use
+it, so importing this module loads NumPy alone.
 """
 
 from __future__ import annotations
@@ -16,15 +17,26 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _TAG_PRIME = np.uint64(0xD6E8FEB86659FD93)
 _IDX_PRIME = np.uint64(0xC2B2AE3D27D4EB4F)
 
+TILE = 1 << 16  # pixels per tile: a tile's temporaries stay in cache
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer (Steele et al. output mix)
+
+def tiles(n: int):
+    """(slice, uint64 pixel indices) of each run of TILE pixels in range(n)."""
+    for s in range(0, n, TILE):
+        yield slice(s, s + TILE), np.arange(s, min(s + TILE, n), dtype=np.uint64)
+
+
+def _mix64(x: np.ndarray, rounds: int = 1) -> np.ndarray:
+    # splitmix64 finalizer (Steele et al. output mix), `rounds` times over one
+    # copy of x, in place, with one scratch buffer for the shifts
     x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= _MUL1
-    x ^= x >> np.uint64(27)
-    x *= _MUL2
-    x ^= x >> np.uint64(31)
+    t = np.empty_like(x)
+    for _ in range(rounds):
+        x ^= np.right_shift(x, np.uint64(30), out=t)
+        x *= _MUL1
+        x ^= np.right_shift(x, np.uint64(27), out=t)
+        x *= _MUL2
+        x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
@@ -39,8 +51,9 @@ def substream_keys(seed: int, indices: np.ndarray, tag: int) -> np.ndarray:
 
 def uniforms(keys: np.ndarray) -> np.ndarray:
     """Uniform floats in [0, 1) on the 2^-53 grid, one per key."""
-    bits = _mix64(_mix64(keys))
-    return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    bits = _mix64(keys, rounds=2)
+    bits >>= np.uint64(11)
+    return bits.astype(np.float64) * (2.0 ** -53)
 
 
 def _normal_quantiles(u: np.ndarray) -> np.ndarray:

@@ -89,7 +89,7 @@ class BinaryFrame:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ShapeError("bit array must be 2-D")
-        return cls(arr.shape[1], np.packbits(arr.astype(bool), axis=1))
+        return cls(arr.shape[1], np.packbits(arr.astype(bool, copy=False), axis=1))
 
     def to_array(self) -> np.ndarray:
         """Unpacked (height, width) uint8 array of 0/1."""
@@ -200,12 +200,14 @@ def sample_frame(emap: ExposureMap, cfg: SensorConfig) -> BinaryFrame:
     against the threshold q. Each pixel draws the one uniform u of its
     own counter-based substream and fires iff u >= 1 - p(theta), so
     a bit depends only on (cfg.seed, pixel index, theta at that pixel),
-    never on execution order or on the other pixels.
+    never on execution order or on the other pixels. The pixels are drawn
+    in `rng.tiles`, so memory beyond the bits is bounded by the tile.
     """
     theta = emap.theta.ravel()
-    keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), _STREAM_PHOTON)
-    u = rng.uniforms(keys)
-    bits = u >= _complement(theta, cfg.q, cfg.sigma_r)
+    bits = np.empty(theta.size, dtype=bool)
+    for t, idx in rng.tiles(theta.size):
+        u = rng.uniforms(rng.substream_keys(cfg.seed, idx, _STREAM_PHOTON))
+        np.greater_equal(u, _complement(theta[t], cfg.q, cfg.sigma_r), out=bits[t])
     return BinaryFrame.from_array(bits.reshape(emap.theta.shape))
 
 

@@ -166,6 +166,18 @@ class TestSampleFrame:
         assert np.array_equal(a[keep], b[keep])
         assert not np.array_equal(a[~keep], b[~keep])
 
+    def test_large_frame_memory_is_bounded_by_the_tile(self):
+        # 16 Mpx: the bits and the packed frame, not frame-sized temporaries.
+        emap = ExposureMap.constant(4096, 4096, 1.0)
+        tracemalloc.start()
+        try:
+            frame = sample_frame(emap, SensorConfig(0.5, 0.25, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
+        assert frame.width == frame.height == 4096
+
 
 class TestDensity:
     def test_mean_density_counts(self):

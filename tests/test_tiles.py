@@ -1,0 +1,102 @@
+"""Tiled sampling: the same bytes at every tile size, and memory bounded by
+the tile rather than the frame."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from quantaflow import (BracketSpec, ExposureMap, QisParams, SensorConfig,
+                        generate_burst, qis_forward, rng, sample_frame)
+from quantaflow.sensor import _STREAM_PHOTON, _complement
+
+H, W = 217, 301  # 65317 pixels: less than one default tile
+# (frame, tile size): 1 and 7 pixels on 19 x 23 (tiny tiles are slow), 4097
+# and more than the frame on 217 x 301. Tiles of 7 and 4097 leave a short last tile.
+SPLITS = [((19, 23), 1), ((19, 23), 7), ((H, W), 4097), ((H, W), H * W + 1)]
+
+
+def _whole_frame(emap, cfg):
+    """Bits of `sample_frame` as drawn over the whole frame at once (0.5.0)."""
+    theta = emap.theta.ravel()
+    keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), _STREAM_PHOTON)
+    bits = rng.uniforms(keys) >= _complement(theta, cfg.q, cfg.sigma_r)
+    return np.packbits(bits.reshape(emap.theta.shape), axis=1)
+
+
+def _outputs(shape, seed):
+    gen = np.random.default_rng(3)
+    theta, crf = gen.uniform(0.0, 6.0, size=shape), gen.uniform(0.5, 2.0, size=shape)
+    emap, cfg = ExposureMap(theta), SensorConfig(0.5, 0.25, seed)
+    burst = generate_burst(emap, BracketSpec((1.0, 2.5, 4.0)), cfg)
+    # Photon maps with rates 0..55: every count regime, with and without noise.
+    qis = [qis_forward(20.0 * theta, QisParams(), seed),
+           qis_forward(20.0 * theta, QisParams(sigma_real_noise=0.7, crf=crf,
+                                               dark_signal=1.5), seed)]
+    return [sample_frame(emap, cfg).bits.tobytes(),
+            *(f.bits.tobytes() for f in burst.frames), *(q.tobytes() for q in qis)]
+
+
+@pytest.mark.parametrize("shape, tile", SPLITS)
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+def test_outputs_do_not_depend_on_the_tile_size(monkeypatch, shape, tile, seed):
+    default = _outputs(shape, seed)
+    monkeypatch.setattr(rng, "TILE", tile)
+    assert _outputs(shape, seed) == default
+
+
+@pytest.mark.parametrize("shape", [(H, W), (3, 5), (512, 300)])
+@pytest.mark.parametrize("q, sigma_r", [(0.5, 0.25), (1.5, 0.0)])
+def test_tiled_frame_matches_whole_frame_reference(shape, q, sigma_r):
+    emap = ExposureMap(np.random.default_rng(8).uniform(0.0, 8.0, size=shape))
+    cfg = SensorConfig(q, sigma_r, 77)
+    assert np.array_equal(sample_frame(emap, cfg).bits, _whole_frame(emap, cfg))
+
+
+def test_tiles_cover_range_in_order(monkeypatch):
+    monkeypatch.setattr(rng, "TILE", 4)
+    runs = list(rng.tiles(10))
+    assert [idx.tolist() for _, idx in runs] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    assert all(np.arange(10)[t].tolist() == idx.tolist() for t, idx in runs)
+    assert list(rng.tiles(0)) == []
+
+
+def _splitmix64(x):
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & (2 ** 64 - 1)
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & (2 ** 64 - 1)
+    return x ^ (x >> 31)
+
+
+def test_in_place_mixer_is_splitmix64():
+    values = [0, 1, 2 ** 63, 2 ** 64 - 1, 0x123456789ABCDEF]
+    x = np.array(values, dtype=np.uint64)
+    assert rng._mix64(x).tolist() == [_splitmix64(v) for v in values]
+    assert rng._mix64(x, rounds=2).tolist() == [_splitmix64(_splitmix64(v)) for v in values]
+    assert x.tolist() == values  # the input is left as it was
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_frame_memory_is_bounded_by_the_tile():
+    emap = ExposureMap(np.random.default_rng(1).uniform(0.0, 25.0, size=(1024, 1024)))
+    assert _peak_mib(lambda: sample_frame(emap, SensorConfig(0.5, 0.25, 1))) <= 8
+
+
+def test_burst_holds_one_scaled_map_at_a_time():
+    emap = ExposureMap(np.random.default_rng(2).uniform(0.0, 25.0, size=(512, 512)))
+    assert _peak_mib(lambda: generate_burst(emap, BracketSpec(), SensorConfig(0.5, 0.25, 1))) <= 8
+
+
+def test_qis_forward_memory_is_bounded():
+    photons = np.random.default_rng(3).uniform(0.0, 50.0, size=(1024, 1024))
+    params = QisParams(sigma_real_noise=0.5)
+    assert _peak_mib(lambda: qis_forward(photons, params, 1)) <= 48
