@@ -13,8 +13,8 @@ from .bracketing import (BracketSpec, ExposureBurst, DEFAULT_ALPHAS, bracket,
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
                       compose_filters, eacl_forward)
 from .ode import AtomVectorField, SolverConfig, integrate_atoms
-from .verifier import (BoundReport, verify_density_identity,
-                       verify_exposure_continuity, verify_layer_bound)
+from .verifier import (verify_density_identity, verify_exposure_continuity,
+                       verify_layer_bound)
 from .calibration import CmosParams, QisParams, cmos_gray_to_photons, qis_forward
 
 __all__ = [name for name in dir() if not name.startswith("_")]

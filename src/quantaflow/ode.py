@@ -244,6 +244,8 @@ def integrate_stack(field_, init: np.ndarray, theta_in: float, targets,
     for name, v in (("theta_in", theta_in), *(("theta_target", v) for v in targets)):
         if not (0.0 < v < 1.0):
             raise DomainError(f"{name} must lie in (0, 1), got {v}")
+    if not targets or len(init) == 0:
+        raise DomainError("integrate_stack needs at least one target and one initial state")
     shape = (init.shape[0], len(targets)) + init.shape[1:]
     rows = shape[0] * shape[1]
 

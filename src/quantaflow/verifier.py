@@ -12,24 +12,25 @@ inside all checks.
 
 Each certificate has one shape: a `_X_block` that evaluates a block of
 instances as the rows of one array, a one-instance check that is its block
-of one, and a seeded `run_X_suite` over blocks of `BLOCK` instances. The
-layer-bound block serves all activations in one pass: only the outputs
-depend on them. `_bound_activation` is the one rule for which activations
-a bound admits, and `_bound_constants` the one place its constant is
-computed. Every layer output is the layer's own route, atom responses
-mixed by phi, and every window norm goes through `filters._correlate2d`.
-`SUITES` maps each suite name to the report rows that `qflow verify` writes.
+of one, and a seeded `run_X_suite` over the seed blocks of `_seed_blocks`.
+Every check and suite returns the report rows that `qflow verify` writes:
+plain dicts of floats, bools and lists, one per instance (and activation
+or radius), each with its own `holds`. The layer-bound block serves all
+activations in one pass: only the outputs depend on them.
+`_bound_activation` is the one rule for which activations a bound admits,
+and `_bound_constants` the one place its constant is computed. Every layer
+output is the layer's own route, atom responses mixed by phi, and every
+window norm goes through `filters._correlate2d`. `SUITES` maps each suite
+name to its run function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import DomainError
-from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
-                      ACTIVATIONS, _atom_responses, _correlate2d, _mix)
+from .errors import DomainError, ShapeError
+from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms, ACTIVATIONS,
+                      _atom_responses, _check_layer_shapes, _correlate2d, _mix)
 from .ode import AtomVectorField, FieldStack, SolverConfig, integrate_stack
 from .sensor import BinaryFrame, NeighborhoodSpec, neighborhood_ones
 
@@ -43,39 +44,6 @@ BOUND_ACTIVATIONS = ("relu", "tanh", "identity")
 BLOCK = 16
 
 
-@dataclass(frozen=True)
-class StageCheck:
-    lhs: float
-    rhs: float
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs + SLACK
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    lhs: float
-    rhs: float
-    holds: bool
-    slack: float
-    instance_seed: int
-    intermediate: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "slack": self.slack,
-            "instance_seed": self.instance_seed,
-            "intermediate": {
-                name: {"lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
-                for name, c in self.intermediate.items()
-            },
-        }
-
-
 def _neighborhood_sq_norms(x: np.ndarray, k: int) -> np.ndarray:
     """Squared window norms of inputs (..., h, w): sums of x^2 over the
     k x k neighborhood, zero-padded."""
@@ -86,9 +54,11 @@ def _stack(items):
     return np.stack([item.data for item in items])
 
 
-def _argmax_check(lhs: np.ndarray, rhs: np.ndarray) -> "StageCheck":
+def _argmax_check(lhs: np.ndarray, rhs: np.ndarray) -> dict:
+    """The stage entry {lhs, rhs, holds} where lhs - rhs is largest."""
     i = np.unravel_index(np.argmax(lhs - rhs), lhs.shape)
-    return StageCheck(float(lhs[i]), float(rhs[i]))
+    lhs, rhs = float(lhs[i]), float(rhs[i])
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + SLACK}
 
 
 def _bound_activation(name: str):
@@ -104,9 +74,10 @@ def _bound_constants(phis, sq: np.ndarray) -> list:
     return [phi.norm() * float(m) * np.sqrt(sq[0, 0].size) for phi, m in zip(phis, nb_max)]
 
 
-def _layer_bound_block(instances, activations) -> dict:
-    """BoundReports by activation for (input, phi, atoms1, atoms2, seed) tuples
-    that share their shapes; only the outputs are evaluated per activation."""
+def _layer_bound_block(instances, activations) -> list:
+    """Report rows for (input, phi, atoms1, atoms2, seed) tuples that share
+    their shapes, by activation and then by instance; only the outputs are
+    evaluated per activation."""
     acts = {name: _bound_activation(name) for name in activations}
     inps, phis, atoms1, atoms2, _ = zip(*instances)
     x, phi = _stack(inps), _stack(phis)                # (B, c_in, h, w), (B, c_out, c_in, m)
@@ -130,26 +101,33 @@ def _layer_bound_block(instances, activations) -> dict:
     atom_norms = np.linalg.norm((a1 - a2).reshape(a1.shape[:2] + (-1,)), axis=2)
     cauchy_rhs = np.sqrt(sq)[:, :, None] * atom_norms[:, None, :, None, None]
 
-    reports = {name: [] for name in acts}
-    for n, (_, _, at1, at2, seed) in enumerate(instances):
-        rhs = consts[n] * at1.distance(at2)
-        holder = _argmax_check(holder_lhs[n], holder_rhs[n])
-        cauchy = _argmax_check(np.abs(b[n]), cauchy_rhs[n])
-        for name, dy in dys.items():
+    stages = [(_argmax_check(holder_lhs[n], holder_rhs[n]),
+               _argmax_check(np.abs(b[n]), cauchy_rhs[n])) for n in range(len(instances))]
+    rows = []
+    for name, dy in dys.items():
+        for n, (_, _, at1, at2, seed) in enumerate(instances):
+            rhs = float(consts[n] * at1.distance(at2))
             lhs = float(np.linalg.norm(dy[n].ravel()))
-            holds = bool(lhs <= rhs + SLACK and holder.holds and cauchy.holds)
-            reports[name].append(BoundReport(
-                lhs=lhs, rhs=rhs, holds=holds, slack=rhs - lhs, instance_seed=seed,
-                intermediate={"holder": holder, "cauchy_schwarz": cauchy}))
-    return reports
+            holder, cauchy = stages[n]
+            rows.append({
+                "lhs": lhs, "rhs": rhs,
+                "holds": lhs <= rhs + SLACK and holder["holds"] and cauchy["holds"],
+                "slack": rhs - lhs, "instance_seed": seed,
+                "intermediate": {"holder": dict(holder), "cauchy_schwarz": dict(cauchy)},
+                "activation": name})
+    return rows
 
 
 def verify_layer_bound(inp: FeatureMap, phi: Coefficients, atoms1: FilterAtoms,
                        atoms2: FilterAtoms, cfg: EaclConfig,
-                       instance_seed: int = 0) -> BoundReport:
-    """Evaluate both sides of the layer bound plus its two inner stages."""
+                       instance_seed: int = 0) -> dict:
+    """The report row of both sides of the layer bound plus its two inner
+    stages, for a layer that `eacl_forward` accepts."""
+    if atoms1.data.shape != atoms2.data.shape:
+        raise ShapeError(f"atom shapes differ: {atoms1.data.shape} != {atoms2.data.shape}")
+    _check_layer_shapes(inp, phi, atoms1)
     return _layer_bound_block([(inp, phi, atoms1, atoms2, instance_seed)],
-                              [cfg.activation])[cfg.activation][0]
+                              [cfg.activation])[0]
 
 
 def _density_block(bits: np.ndarray, nb: NeighborhoodSpec) -> list:
@@ -167,31 +145,12 @@ def verify_density_identity(frame: BinaryFrame, nb: NeighborhoodSpec) -> bool:
     return _density_block(frame.to_array()[None], nb)[0]
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    deltas: tuple
-    output_distances: tuple   # D(delta)
-    atom_distances: tuple     # A(delta)
-    bound_constant: float
-    bound_holds: tuple
-    decreasing: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.decreasing and all(self.bound_holds)
-
-    def to_dict(self) -> dict:
-        return {"output_distances": list(self.output_distances),
-                "atom_distances": list(self.atom_distances),
-                "bound_holds": list(self.bound_holds),
-                "decreasing": self.decreasing, "holds": self.holds}
-
-
 def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfig) -> list:
-    """ContinuityReports for (field, phi, input) triples that share their
-    shapes. All atoms at all offsets come from one batched solve along the
-    triples' fields stacked."""
-    fields, phis, inps = zip(*instances)
+    """Report rows for (field, phi, input, seed) tuples that share their
+    shapes: the output distances D(delta) and atom distances A(delta) at
+    each offset. All atoms at all offsets come from one batched solve along
+    the tuples' fields stacked."""
+    fields, phis, inps, seeds = zip(*instances)
     base = _stack(f.lambda_init for f in fields)       # (B, m, k, k)
     moved = integrate_stack(FieldStack.of(fields), base, theta0,
                             [theta0 + d for d in deltas], solver)  # (B, D, m, k, k)
@@ -201,28 +160,40 @@ def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfi
     y = act(_mix(_stack(phis)[:, None], _atom_responses(x[:, None], atoms)))
     consts = _bound_constants(phis, _neighborhood_sq_norms(x, base.shape[-1]))
 
-    reports = []
-    for n, (field_n, const) in enumerate(zip(fields, consts)):
-        d_vals = tuple(float(np.linalg.norm((y[n, 1 + i] - y[n, 0]).ravel()))
-                       for i in range(len(deltas)))
-        a_vals = tuple(field_n.lambda_init.distance(FilterAtoms(a)) for a in moved[n])
-        ok = tuple(bool(d <= const * a + SLACK) for d, a in zip(d_vals, a_vals))
+    rows = []
+    for n, (field_n, const, seed) in enumerate(zip(fields, consts, seeds)):
+        d_vals = [float(np.linalg.norm((y[n, 1 + i] - y[n, 0]).ravel()))
+                  for i in range(len(deltas))]
+        a_vals = [field_n.lambda_init.distance(FilterAtoms(a)) for a in moved[n]]
+        ok = [bool(d <= const * a + SLACK) for d, a in zip(d_vals, a_vals)]
         decreasing = all(b < a or (a == 0.0 and b == 0.0)
                          for a, b in zip(d_vals, d_vals[1:]))
-        reports.append(ContinuityReport(tuple(deltas), d_vals, a_vals, const, ok, decreasing))
-    return reports
+        rows.append({"instance_seed": seed, "output_distances": d_vals,
+                     "atom_distances": a_vals, "bound_holds": ok,
+                     "decreasing": decreasing, "holds": decreasing and all(ok)})
+    return rows
 
 
 def verify_exposure_continuity(field_, phi: Coefficients, inp: FeatureMap,
                                theta0: float, deltas, cfg: EaclConfig,
-                               solver: SolverConfig = SolverConfig()) -> ContinuityReport:
-    """Shrinking the exposure offset shrinks the layer-output change,
-    and each offset respects the layer bound."""
+                               solver: SolverConfig = SolverConfig()) -> dict:
+    """The report row (`instance_seed` 0) of shrinking the exposure offset
+    shrinking the layer-output change, with each offset respecting the
+    layer bound, for a layer that `eacl_forward` accepts."""
     deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise DomainError("deltas must be positive and strictly decreasing")
-    return _continuity_block([(field_, phi, inp)], theta0, deltas,
+    if not deltas or any(d <= 0 for d in deltas) or \
+            any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise DomainError("deltas must be non-empty, positive and strictly decreasing")
+    _check_layer_shapes(inp, phi, field_.lambda_init)
+    return _continuity_block([(field_, phi, inp, 0)], theta0, deltas,
                              _bound_activation(cfg.activation), solver)[0]
+
+
+def _seed_blocks(instances: int, seed: int):
+    """The seeds of each block of a suite: `instances` seeds from `seed` on,
+    in ranges of at most `BLOCK`."""
+    for start in range(seed, seed + instances, BLOCK):
+        yield range(start, min(start + BLOCK, seed + instances))
 
 
 def random_layer_instance(seed: int, activation: str = "relu"):
@@ -236,14 +207,15 @@ def random_layer_instance(seed: int, activation: str = "relu"):
     return inp, phi, atoms1, atoms2, cfg
 
 
-def run_layer_bound_suite(instances: int, seed: int) -> dict:
-    """BoundReports by activation, in BOUND_ACTIVATIONS order, for `instances`
-    seeded random layer instances, each drawn and evaluated once."""
-    blocks = [_layer_bound_block([(*random_layer_instance(s)[:4], s) for s in
-                                  range(start, min(start + BLOCK, seed + instances))],
-                                 BOUND_ACTIVATIONS)
-              for start in range(seed, seed + instances, BLOCK)]
-    return {name: [r for block in blocks for r in block[name]] for name in BOUND_ACTIVATIONS}
+def run_layer_bound_suite(instances: int, seed: int) -> list:
+    """Report rows, by activation in BOUND_ACTIVATIONS order and then by
+    seed, for `instances` seeded random layer instances, each drawn and
+    evaluated once."""
+    rows = [row for seeds in _seed_blocks(instances, seed)
+            for row in _layer_bound_block([(*random_layer_instance(s)[:4], s) for s in seeds],
+                                          BOUND_ACTIVATIONS)]
+    # sorted is stable: each activation's rows stay in seed order.
+    return sorted(rows, key=lambda row: BOUND_ACTIVATIONS.index(row["activation"]))
 
 
 #: Exposure offsets and base exposure of the continuity suite.
@@ -262,14 +234,11 @@ def continuity_instance(seed: int):
 
 
 def run_continuity_suite(instances: int, seed: int) -> list:
-    """ContinuityReports for `instances` seeded random fields and layers."""
-    reports = []
-    for start in range(0, instances, BLOCK):
-        block = [continuity_instance(s)[:3]
-                 for s in range(seed + start, seed + min(start + BLOCK, instances))]
-        reports += _continuity_block(block, CONTINUITY_THETA0, CONTINUITY_DELTAS,
-                                     _bound_activation("relu"), SolverConfig())
-    return reports
+    """Report rows for `instances` seeded random fields and layers."""
+    return [row for seeds in _seed_blocks(instances, seed)
+            for row in _continuity_block([(*continuity_instance(s)[:3], s) for s in seeds],
+                                         CONTINUITY_THETA0, CONTINUITY_DELTAS,
+                                         _bound_activation("relu"), SolverConfig())]
 
 
 #: Frame side and neighborhood radii of the density suite.
@@ -282,22 +251,19 @@ def run_density_suite(instances: int, seed: int) -> list:
     the successive draws of one generator seeded with `seed`."""
     gen = np.random.default_rng(seed)
     rows = []
-    for start in range(0, instances, BLOCK):
-        bits = gen.integers(0, 2, size=(min(BLOCK, instances - start),
-                                        DENSITY_SIDE, DENSITY_SIDE))
+    for seeds in _seed_blocks(instances, seed):
+        bits = gen.integers(0, 2, size=(len(seeds), DENSITY_SIDE, DENSITY_SIDE))
         holds = [_density_block(bits, NeighborhoodSpec(r)) for r in DENSITY_RADII]
-        rows += [{"instance_seed": seed + start + i, "radius": r, "holds": ok[i]}
-                 for i in range(len(bits)) for r, ok in zip(DENSITY_RADII, holds)]
+        rows += [{"instance_seed": s, "radius": r, "holds": ok[i]}
+                 for i, s in enumerate(seeds) for r, ok in zip(DENSITY_RADII, holds)]
     return rows
 
 
 #: Report rows of each `qflow verify` suite by name, from (instances, seed).
+#: Each entry looks its run function up when called, so a module attribute
+#: patched by a test or a tracer is the one that runs.
 SUITES = {
-    "layer-bound": lambda instances, seed: [
-        r.to_dict() | {"activation": a}
-        for a, reports in run_layer_bound_suite(instances, seed).items() for r in reports],
-    "density": run_density_suite,
-    "continuity": lambda instances, seed: [
-        {"instance_seed": seed + i} | r.to_dict()
-        for i, r in enumerate(run_continuity_suite(instances, seed))],
+    "layer-bound": lambda instances, seed: run_layer_bound_suite(instances, seed),
+    "density": lambda instances, seed: run_density_suite(instances, seed),
+    "continuity": lambda instances, seed: run_continuity_suite(instances, seed),
 }

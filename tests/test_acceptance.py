@@ -169,7 +169,7 @@ def test_criterion_06_layer_bound_and_continuity():
             inp, phi, a1, a2, cfg = random_layer_instance(
                 seed=60_000 + i, activation=activation)
             report = verify_layer_bound(inp, phi, a1, a2, cfg)
-            if not report.holds:
+            if not report["holds"]:
                 violations += 1
 
     from quantaflow.filters import Coefficients, EaclConfig, FeatureMap
@@ -184,8 +184,8 @@ def test_criterion_06_layer_bound_and_continuity():
         # atoms; relu can zero the whole map and collapse the ordering
         cfg = EaclConfig(bias=np.zeros(1), activation="identity")
         rep = verify_exposure_continuity(field, phi, inp, 0.3, deltas, cfg)
-        d = dict(zip(rep.deltas, rep.output_distances))
-        ordered &= d[1e-3] < d[1e-2] < d[1e-1] and rep.holds
+        d = dict(zip(deltas, rep["output_distances"]))
+        ordered &= d[1e-3] < d[1e-2] < d[1e-1] and rep["holds"]
     elapsed = time.monotonic() - t0
     _report(f"6 layer bound holds on 3000 random instances "
             f"({violations} violations) and output distance shrinks with "

@@ -377,6 +377,17 @@ class TestBatchedSolver:
                 alone = integrate_atoms(field, 0.4, target, cfg).data
                 assert out[b, d].tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("method", ["dopri45", "rk4-fixed"])
+    def test_nothing_to_integrate_rejected(self, method):
+        # Zero targets or zero initial states leave no row to check.
+        field = AtomVectorField.seeded(3, 3, 31)
+        init = field.lambda_init.data[None]
+        cfg = SolverConfig(method=method)
+        with pytest.raises(DomainError):
+            integrate_stack(field, init, 0.4, [], cfg)
+        with pytest.raises(DomainError):
+            integrate_stack(field, init[:0], 0.4, [0.5], cfg)
+
     def test_step_cap_reports_failing_row(self):
         field = AtomVectorField.seeded(3, 3, 23)
         rhs = lambda t, y: field.derivative(t, y.reshape(-1, 3, 3, 3)).reshape(y.shape)
