@@ -20,7 +20,7 @@ from . import __version__, formats
 from .bracketing import BracketSpec, generate_burst
 from .calibration import CmosParams, QisParams, cmos_gray_to_photons, qis_forward
 from .errors import QuantaError, DomainError
-from .manifest import RunManifest
+from .manifest import file_digest, write_manifest
 from .ode import AtomVectorField, SolverConfig, integrate_atoms
 from .sensor import (ExposureMap, NeighborhoodSpec, SensorConfig,
                      invert_bit_density, local_bit_density, mean_bit_density,
@@ -122,12 +122,12 @@ def _cmd_bracket(args):
 
 
 def _cmd_density(args):
-    nb = NeighborhoodSpec(radius=args.radius, boundary=args.boundary)
     frame = formats.read_frame(args.infile)
-    pad = 2 * args.radius
+    pad = 2 * max(args.radius, 0)
     if (frame.width + pad) * (frame.height + pad) > formats.MAX_PIXELS:
         raise DomainError(f"--radius {args.radius} pads the {frame.width}x{frame.height} "
                           f"frame past {formats.MAX_PIXELS} pixels")
+    nb = NeighborhoodSpec(radius=args.radius, boundary=args.boundary)
     print(f"mean bit density: {mean_bit_density(frame):.9f}")
     if args.out:
         formats.write_float_map(args.out, local_bit_density(frame, nb).mu)
@@ -290,14 +290,12 @@ def _run_seeded(args, argv, output):
     if not 0 <= args.seed < SEED_LIMIT:
         raise DomainError(f"--seed must be in [0, 2**64), got {args.seed}")
     t0 = time.monotonic()
-    man = RunManifest(command=argv, seed=args.seed, version=__version__)
-    for path in (getattr(args, "infile", None), getattr(args, "params", None)):
-        if path is not None:
-            man.add_input(path)
+    inputs = {path: file_digest(path)
+              for path in (getattr(args, "infile", None), getattr(args, "params", None))
+              if path is not None}
     rc = args.func(args)
-    man.duration_s = time.monotonic() - t0
-    man.outputs.append(str(output))
-    man.write(f"{output}.manifest.json")
+    write_manifest(f"{output}.manifest.json", argv, args.seed, __version__, inputs,
+                   output, time.monotonic() - t0)
     return rc
 
 

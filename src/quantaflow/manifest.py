@@ -1,12 +1,15 @@
-"""Run manifests: enough metadata to reproduce any output file bit-for-bit."""
+"""Run manifests: what a seeded command ran with.
+
+`<output>.manifest.json` records the command line, the seed, the package
+version, the blake2b digest of each input read, the output path and the
+wall time. It does not pin numpy or the BLAS kernel, whose dispatch can
+move the last bits of `verify` reports, and records no output digest.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-
-from .errors import DomainError
 
 
 def file_digest(path) -> str:
@@ -18,42 +21,10 @@ def file_digest(path) -> str:
     return f"blake2b:{h.hexdigest()}"
 
 
-@dataclass
-class RunManifest:
-    command: list
-    seed: int | None
-    version: str
-    inputs: dict = field(default_factory=dict)   # path -> file_digest
-    outputs: list = field(default_factory=list)
-    duration_s: float = 0.0
-
-    def add_input(self, path):
-        self.inputs[str(path)] = file_digest(path)
-
-    def verify_inputs(self):
-        for path, digest in self.inputs.items():
-            actual = file_digest(path)
-            if actual != digest:
-                raise DomainError(
-                    f"digest mismatch for {path}: recorded {digest}, got {actual}")
-
-    def write(self, path):
-        payload = {
-            "command": self.command,
-            "seed": self.seed,
-            "version": self.version,
-            "inputs": self.inputs,
-            "outputs": [str(p) for p in self.outputs],
-            "duration_s": self.duration_s,
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        with open(path) as f:
-            raw = json.load(f)
-        return cls(command=raw["command"], seed=raw["seed"], version=raw["version"],
-                   inputs=raw["inputs"], outputs=raw["outputs"],
-                   duration_s=raw["duration_s"])
+def write_manifest(path, command, seed, version, inputs, output, duration_s):
+    """Write the manifest JSON to `path`; `inputs` maps path -> file_digest."""
+    payload = {"command": command, "seed": seed, "version": version, "inputs": inputs,
+               "outputs": [str(output)], "duration_s": duration_s}
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")

@@ -118,6 +118,8 @@ class NeighborhoodSpec:
     def __post_init__(self):
         if self.radius < 0:
             raise DomainError("radius must be >= 0")
+        if self.size > np.iinfo(np.int64).max:  # neighborhood_ones counts in int64
+            raise DomainError(f"radius {self.radius}: (2r+1)^2 overflows an int64 count")
         if self.boundary not in ("zero-pad", "clamp"):
             raise DomainError(f"unknown boundary rule {self.boundary!r}")
 

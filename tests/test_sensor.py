@@ -247,6 +247,20 @@ class TestDensity:
                   "clamp": [[2002001, 2002000], [2002000, 2002001]]}[boundary]
         assert np.array_equal(mu, np.array(counts) / 2001 ** 2)
 
+    def test_largest_radius_counts_exactly_in_int64(self):
+        # (2r+1)^2 <= 2^63 - 1 first fails at r = 1518500250.
+        r = 1518500249
+        nb = NeighborhoodSpec(r, "clamp")
+        assert nb.size <= np.iinfo(np.int64).max
+        ones = neighborhood_ones(BinaryFrame.from_array(np.ones((2, 2))), nb)
+        assert np.array_equal(ones, np.full((2, 2), (2 * r + 1) ** 2))
+        # Each pixel sees r + 1 copies of its own line and r of the other.
+        eye = neighborhood_ones(BinaryFrame.from_array(np.eye(2)), nb)
+        same, cross = (r + 1) ** 2 + r ** 2, 2 * r * (r + 1)
+        assert eye.tolist() == [[same, cross], [cross, same]]
+        with pytest.raises(DomainError, match="int64"):
+            NeighborhoodSpec(r + 1, "clamp")
+
 
 class TestInversion:
     def test_closed_form_examples(self):
