@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import DomainError, ShapeError
 from .sensor import BinaryFrame, ExposureMap, SensorConfig, sample_frame
 
@@ -23,8 +22,8 @@ class BracketSpec:
         a = tuple(float(x) for x in self.alphas)
         if not a:
             raise DomainError("alpha set must be non-empty")
-        if any(x <= 0 for x in a):
-            raise DomainError("alpha divisors must be > 0")
+        if not all(0 < x < np.inf for x in a):
+            raise DomainError("alpha divisors must be finite and > 0")
         if any(y <= x for x, y in zip(a, a[1:])):
             raise DomainError("alpha divisors must be strictly increasing")
         object.__setattr__(self, "alphas", a)
@@ -101,12 +100,11 @@ def bracket(emap: ExposureMap, spec: BracketSpec) -> list:
 
 def generate_burst(emap: ExposureMap, spec: BracketSpec,
                    cfg: SensorConfig) -> ExposureBurst:
-    """Sample one frame per bracket with independent per-frame substreams,
-    scaling each bracket's map just before its frame is drawn."""
-    frames = []
-    for tau, a in enumerate(spec.alphas):
-        frame_cfg = SensorConfig(cfg.q, cfg.sigma_r, rng.frame_seed(cfg.seed, tau))
-        frames.append(sample_frame(_bracketed(emap, a), frame_cfg))
+    """Sample one frame per bracket, each map scaled just before its frame is
+    drawn: bracket tau is frame tau + 1 of the cfg.seed photon stream, and
+    `sample_frame` at that seed is frame 0, so no two frames share a draw."""
+    frames = [sample_frame(_bracketed(emap, a), cfg, frame=tau + 1)
+              for tau, a in enumerate(spec.alphas)]
     return ExposureBurst(tuple(frames), spec.alphas, default_labels(len(spec)))
 
 

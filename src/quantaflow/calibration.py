@@ -11,9 +11,6 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ShapeError
 
-_STREAM_QIS_PHOTON = 11
-_STREAM_QIS_NOISE = 12
-
 #: Largest per-pixel Poisson rate `qis_forward` accepts. The count sampler
 #: walks from a normal-quantile guess, and the walk lengthens with the rate:
 #: near 1e12 a draw of 2e5 pixels takes seconds, and far above it it stalls.
@@ -107,10 +104,10 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     out = np.empty(rate.size)
     step = p.clip_max / (2 ** p.adc_bits - 1)
     for t, idx in rng.tiles(rate.size):
-        counts = rng.poissons(rate[t], rng.substream_keys(seed, idx, _STREAM_QIS_PHOTON))
+        counts = rng.poissons(rate[t], rng.substream_keys(seed, idx, rng.QIS_PHOTON))
         v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
         out[t] = np.floor(v / step + 0.5) * step
         if p.sigma_real_noise > 0:
-            noise_keys = rng.substream_keys(seed, idx, _STREAM_QIS_NOISE)
+            noise_keys = rng.substream_keys(seed, idx, rng.QIS_NOISE)
             out[t] += p.sigma_real_noise * rng.standard_normals(noise_keys)
     return out.reshape(x.shape)

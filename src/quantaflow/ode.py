@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import DomainError, IntegrationError, ShapeError
 from .filters import FilterAtoms
 
@@ -78,11 +79,10 @@ class AtomVectorField:
     def seeded(cls, m: int, k: int, seed: int) -> "AtomVectorField":
         """Deterministic random field: uniform(-s, s) with s = 1/sqrt(fan_in)."""
         n = _state_size(m, k)
-        gen = np.random.default_rng(seed)
+        gen = rng.generator(seed, rng.FIELD)
         s = 1.0 / np.sqrt(n + 1)
         weights = tuple(gen.uniform(-s, s, size=(n, n + 1)) for _ in range(STAGE_COUNT))
-        init = FilterAtoms(gen.standard_normal((m, k, k)))
-        return cls(weights, init)
+        return cls(weights, FilterAtoms(gen.standard_normal((m, k, k))))
 
     @classmethod
     def zero(cls, m: int, k: int, lambda_init: FilterAtoms | None = None) -> "AtomVectorField":

@@ -1,11 +1,17 @@
-"""Counter-based random streams with one independent substream per pixel.
+"""Every random draw of quantaflow, keyed by (seed, purpose) in this module:
 
-Every draw is a pure function of (seed, stream tag, pixel index), so a
-frame is drawn in `tiles` of TILE = 65536 pixels, one after another, with
-the same bits as any other split and with memory bounded by the tile. The
-mixer is the splitmix64 finalizer, vectorized in place over uint64 numpy
-arrays. SciPy is imported only inside the two quantile samplers that use
-it, so importing this module loads NumPy alone.
+    FIELD       0  AtomVectorField.seeded    CONTINUITY  3  continuity input and phi
+    PHOTON      1  sample_frame's uniforms   DENSITY     4  verifier density frames
+    LAYER       2  layer-bound instances     QIS_PHOTON 11, QIS_NOISE 12  qis_forward
+
+Pixel draws are counter-based (Salmon et al., SC 2011): `substream_keys` keys
+(seed, tag) and counts frame << 32 | pixel, injective as a frame holds at most
+formats.MAX_PIXELS = 2**31 pixels, so `tiles` of TILE pixels draw the bits of
+any split with memory bounded by the tile. The mixer is the splitmix64
+finalizer, in place over uint64 arrays. Array draws use `generator`, seeded
+with the fixed-width words (seed mod 2**32, seed >> 32, purpose); SeedSequence
+ignores trailing zero words, so FIELD is `default_rng(seed)`. SciPy is imported
+only inside the two quantile samplers, so importing this module loads NumPy alone.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _TAG_PRIME = np.uint64(0xD6E8FEB86659FD93)
 _IDX_PRIME = np.uint64(0xC2B2AE3D27D4EB4F)
 
+FIELD, PHOTON, LAYER, CONTINUITY, DENSITY, QIS_PHOTON, QIS_NOISE = 0, 1, 2, 3, 4, 11, 12
 TILE = 1 << 16  # pixels per tile: a tile's temporaries stay in cache
 
 
@@ -40,13 +47,18 @@ def _mix64(x: np.ndarray, rounds: int = 1) -> np.ndarray:
     return x
 
 
-def substream_keys(seed: int, indices: np.ndarray, tag: int) -> np.ndarray:
-    """One uint64 key per pixel index for the given (seed, tag) stream."""
+def substream_keys(seed: int, indices: np.ndarray, tag: int, frame: int = 0) -> np.ndarray:
+    """One uint64 key per pixel index of `frame` in the (seed, tag) stream."""
     mixed = (seed ^ (tag * int(_TAG_PRIME))) & 0xFFFFFFFFFFFFFFFF
     base = _mix64(np.asarray([mixed], dtype=np.uint64))[0]
-    keys = np.asarray(indices, dtype=np.uint64) * _IDX_PRIME
+    keys = (np.asarray(indices, dtype=np.uint64) | np.uint64(frame << 32)) * _IDX_PRIME
     keys ^= base
     return _mix64(keys)
+
+
+def generator(seed: int, purpose: int) -> np.random.Generator:
+    """The NumPy Generator of the (seed, purpose) array stream."""
+    return np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32, purpose])
 
 
 def uniforms(keys: np.ndarray) -> np.ndarray:
@@ -115,8 +127,3 @@ def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     out = np.zeros(theta.size, dtype=np.int64)
     out[live] = k
     return out.reshape(theta.shape)
-
-
-def frame_seed(seed: int, frame_index: int) -> int:
-    """Per-frame seed for burst sampling: independent yet reproducible."""
-    return (seed ^ (frame_index << 32)) & 0xFFFFFFFFFFFFFFFF

@@ -17,8 +17,6 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ShapeError, UnidentifiableError, frozen_array
 
-_STREAM_PHOTON = 1
-
 # Exposure cap for bracketing during inversion; far above anything a
 # bit density below 1 can demand in this application.
 THETA_CAP = 64.0
@@ -195,20 +193,20 @@ def noise_floor(q: float, sigma_r: float) -> float:
     return bit_probability(0.0, q, sigma_r)
 
 
-def sample_frame(emap: ExposureMap, cfg: SensorConfig) -> BinaryFrame:
+def sample_frame(emap: ExposureMap, cfg: SensorConfig, frame: int = 0) -> BinaryFrame:
     """Draw one binary frame: each pixel is Bernoulli(bit_probability(theta)).
 
     That is the law of Poisson(theta) photons plus Gaussian read noise
-    against the threshold q. Each pixel draws the one uniform u of its
-    own counter-based substream and fires iff u >= 1 - p(theta), so
-    a bit depends only on (cfg.seed, pixel index, theta at that pixel),
+    against the threshold q. Each pixel draws the uniform u of its counter
+    (frame, pixel index) in the PHOTON stream and fires iff u >= 1 - p(theta),
+    so a bit depends only on (cfg.seed, frame, pixel index, theta there),
     never on execution order or on the other pixels. The pixels are drawn
     in `rng.tiles`, so memory beyond the bits is bounded by the tile.
     """
     theta = emap.theta.ravel()
     bits = np.empty(theta.size, dtype=bool)
     for t, idx in rng.tiles(theta.size):
-        u = rng.uniforms(rng.substream_keys(cfg.seed, idx, _STREAM_PHOTON))
+        u = rng.uniforms(rng.substream_keys(cfg.seed, idx, rng.PHOTON, frame))
         np.greater_equal(u, _complement(theta[t], cfg.q, cfg.sigma_r), out=bits[t])
     return BinaryFrame.from_array(bits.reshape(emap.theta.shape))
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rng
 from .errors import DomainError, ShapeError
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms, ACTIVATIONS,
                       _atom_responses, _check_layer_shapes, _correlate2d, _mix)
@@ -198,7 +199,7 @@ def _seed_blocks(instances: int, seed: int):
 
 def random_layer_instance(seed: int, activation: str = "relu"):
     """Seeded random (input, phi, atoms1, atoms2, cfg) tuple for bound checks."""
-    gen = np.random.default_rng(seed)
+    gen = rng.generator(seed, rng.LAYER)
     inp = FeatureMap(gen.uniform(0.0, 1.0, size=(4, 16, 16)))
     phi = Coefficients(gen.standard_normal((4, 4, 3)))
     atoms1 = FilterAtoms(gen.standard_normal((3, 3, 3)))
@@ -224,8 +225,8 @@ CONTINUITY_THETA0 = 0.3
 
 
 def continuity_instance(seed: int):
-    """Seeded random (field, phi, input, cfg) for a continuity check."""
-    gen = np.random.default_rng(seed)
+    """Seeded random (field, phi, input, cfg): the field from FIELD, the rest from CONTINUITY."""
+    gen = rng.generator(seed, rng.CONTINUITY)
     field_ = AtomVectorField.seeded(3, 3, seed)
     inp = FeatureMap(gen.uniform(0, 1, size=(1, 16, 16)))
     phi = Coefficients(gen.standard_normal((1, 1, 3)))
@@ -247,12 +248,12 @@ DENSITY_RADII = (0, 1, 2)
 
 
 def run_density_suite(instances: int, seed: int) -> list:
-    """Report rows, one per frame and radius, for `instances` random frames:
-    the successive draws of one generator seeded with `seed`."""
-    gen = np.random.default_rng(seed)
+    """Report rows, one per frame and radius, for `instances` random frames,
+    each drawn from the DENSITY stream of its own instance seed."""
     rows = []
     for seeds in _seed_blocks(instances, seed):
-        bits = gen.integers(0, 2, size=(len(seeds), DENSITY_SIDE, DENSITY_SIDE))
+        bits = np.stack([rng.generator(s, rng.DENSITY).integers(0, 2, (DENSITY_SIDE,) * 2)
+                         for s in seeds])
         holds = [_density_block(bits, NeighborhoodSpec(r)) for r in DENSITY_RADII]
         rows += [{"instance_seed": s, "radius": r, "holds": ok[i]}
                  for i, s in enumerate(seeds) for r, ok in zip(DENSITY_RADII, holds)]

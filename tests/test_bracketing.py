@@ -24,7 +24,8 @@ def test_default_labels_match_published_table():
     assert default_labels(15) == pytest.approx(EXPECTED_LABELS, abs=0)
 
 
-@pytest.mark.parametrize("alphas", [(), (0.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("alphas", [(), (0.0, 1.0), (2.0, 1.0), (1.0, 1.0),
+                                    (1.0, math.nan), (1.0, math.inf)])
 def test_bad_alpha_sets_rejected(alphas):
     with pytest.raises(DomainError):
         BracketSpec(alphas)

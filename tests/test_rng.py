@@ -1,9 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from quantaflow import rng
+from quantaflow import (BracketSpec, ExposureMap, SensorConfig, generate_burst, rng,
+                        sample_frame, verifier)
+from quantaflow.verifier import continuity_instance, run_density_suite
 
 
 def _poisson_search(theta, keys):
@@ -95,10 +100,126 @@ def test_result_independent_of_batch_split():
     assert np.array_equal(whole, halves)
 
 
-def test_frame_seed_distinct():
-    seeds = {rng.frame_seed(123, i) for i in range(15)}
-    assert len(seeds) == 15
-    assert rng.frame_seed(123, 0) == 123
+PURPOSES = (rng.FIELD, rng.PHOTON, rng.LAYER, rng.CONTINUITY, rng.DENSITY,
+            rng.QIS_PHOTON, rng.QIS_NOISE)
+
+
+@pytest.mark.parametrize("seed", [0, 123, 2 ** 64 - 1])
+def test_frame_counter_does_not_alias_the_seed(seed):
+    # Up to 0.5.0 burst frame tau drew the uniforms of frame 0 at seed
+    # seed ^ (tau << 32).
+    idx = np.arange(4096)
+    for tau in range(1, 16):
+        frame = rng.uniforms(rng.substream_keys(seed, idx, rng.PHOTON, frame=tau))
+        moved = rng.uniforms(rng.substream_keys(seed ^ (tau << 32), idx, rng.PHOTON))
+        assert not np.any(frame == moved)
+
+
+def test_frame_zero_is_the_plain_counter():
+    idx = np.arange(1000, dtype=np.uint64)
+    keys = rng.substream_keys(77, idx, rng.PHOTON)
+    assert np.array_equal(keys, rng.substream_keys(77, idx, rng.PHOTON, frame=0))
+    assert not np.any(keys == rng.substream_keys(77, idx, rng.PHOTON, frame=1))
+    assert idx.tolist() == list(range(1000))  # the indices are left as they were
+
+
+def test_burst_frames_are_not_the_simulated_frame():
+    emap = ExposureMap.constant(64, 64, 0.7)  # bit probability about 1/2
+    cfg = SensorConfig(0.5, 0.0, 12345)
+    spec = BracketSpec(tuple(1.0 + 1e-9 * i for i in range(15)))
+    burst = generate_burst(emap, spec, cfg)
+    frames = [sample_frame(emap, cfg).to_array()] + [f.to_array() for f in burst.frames]
+    for tau, f in enumerate(burst.frames):
+        assert f.bits.tobytes() == sample_frame(emap.scaled(1 / spec.alphas[tau]), cfg,
+                                                frame=tau + 1).bits.tobytes()
+    # Independent frames of p = 1/2 agree on about half their pixels.
+    agree = [np.mean(a == b) for i, a in enumerate(frames) for b in frames[i + 1:]]
+    assert max(agree) < 0.55
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+def test_field_stream_is_the_plain_seed(seed):
+    assert (rng.generator(seed, rng.FIELD).bit_generator.state
+            == np.random.default_rng(seed).bit_generator.state)
+
+
+def test_seed_and_purpose_never_collide():
+    seeds = {s + p * 2 ** 32 for s in (0, 1, 2 ** 32 - 1, 2 ** 40 + 3) for p in PURPOSES}
+    seeds |= {2 ** 63, 2 ** 64 - 1}
+    states = {rng.generator(s, p).bit_generator.state["state"]["state"]
+              for s in seeds for p in PURPOSES}
+    assert len(states) == len(seeds) * len(PURPOSES)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2053297607])
+def test_continuity_input_is_not_the_field_weights(seed):
+    # Up to 0.5.0 the input was an affine copy of the first stage weights.
+    field_, _, inp, _ = continuity_instance(seed)
+    x = inp.data.ravel()
+    w = field_.stage_weights[0].ravel()[:x.size]
+    assert abs(np.corrcoef(x, w)[0, 1]) < 0.2
+
+
+@pytest.mark.parametrize("seed", [0, 2053297607, 2 ** 64 - 1])
+def test_density_row_redraws_from_its_instance_seed(monkeypatch, seed):
+    seen = []
+    block = verifier._density_block
+
+    def recording(bits, nb):
+        if nb.radius == 0:
+            seen.extend(bits)
+        return block(bits, nb)
+
+    monkeypatch.setattr(verifier, "_density_block", recording)
+    start = max(seed - 20, 0)
+    rows = run_density_suite(40, start)
+    frame = seen[seed - start]
+    seen.clear()
+    assert run_density_suite(1, seed) == [r for r in rows if r["instance_seed"] == seed]
+    assert len(seen) == 1 and np.array_equal(seen[0], frame)
+
+
+def _tag_violations(source: str) -> list:
+    """Lines of `source` that call np.random.* or pass a literal tag to
+    `substream_keys`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            found.append(node.lineno)
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        chain = []
+        while isinstance(fn, ast.Attribute):
+            chain.append(fn.attr)
+            fn = fn.value
+        if isinstance(fn, ast.Name):
+            chain.append(fn.id)
+        chain.reverse()
+        if chain[:2] in (["np", "random"], ["numpy", "random"]):
+            found.append(node.lineno)
+        if chain and chain[-1] == "substream_keys":
+            tags = node.args[2:3] + [k.value for k in node.keywords if k.arg == "tag"]
+            if any(isinstance(t, ast.Constant) for t in tags):
+                found.append(node.lineno)
+    return found
+
+
+def test_tag_guard_sees_each_form():
+    source = ("import numpy as np\nfrom numpy.random import default_rng\n"
+              "a = np.random.default_rng(1)\nb = numpy.random.normal()\n"
+              "c = rng.substream_keys(1, idx, 3)\nd = substream_keys(1, idx, tag=3)\n"
+              "e = rng.substream_keys(1, idx, rng.PHOTON)\n")
+    assert _tag_violations(source) == [2, 3, 4, 5, 6]
+
+
+def test_only_rng_keys_a_draw():
+    # `rng` is the one module that names a stream or seeds a generator.
+    src = Path(rng.__file__).parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "rng.py")
+    assert len(modules) > 5
+    assert {p.name: _tag_violations(p.read_text()) for p in modules} == \
+        {p.name: [] for p in modules}
 
 
 @pytest.mark.parametrize("theta", [0.25, 4.0, 29.5, 30.0, 40.0, 100.0])

@@ -8,7 +8,7 @@ import pytest
 
 from quantaflow import (BracketSpec, ExposureMap, QisParams, SensorConfig,
                         generate_burst, qis_forward, rng, sample_frame)
-from quantaflow.sensor import _STREAM_PHOTON, _complement
+from quantaflow.sensor import _complement
 
 H, W = 217, 301  # 65317 pixels: less than one default tile
 # (frame, tile size): 1 and 7 pixels on 19 x 23 (tiny tiles are slow), 4097
@@ -19,7 +19,7 @@ SPLITS = [((19, 23), 1), ((19, 23), 7), ((H, W), 4097), ((H, W), H * W + 1)]
 def _whole_frame(emap, cfg):
     """Bits of `sample_frame` as drawn over the whole frame at once (0.5.0)."""
     theta = emap.theta.ravel()
-    keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), _STREAM_PHOTON)
+    keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), rng.PHOTON)
     bits = rng.uniforms(keys) >= _complement(theta, cfg.q, cfg.sigma_r)
     return np.packbits(bits.reshape(emap.theta.shape), axis=1)
 

@@ -7,7 +7,7 @@ from quantaflow import (AtomVectorField, BinaryFrame, Coefficients, DomainError,
                         EaclConfig, FeatureMap, FilterAtoms, NeighborhoodSpec,
                         ShapeError, SolverConfig, integrate_atoms, verify_density_identity,
                         verify_exposure_continuity, verify_layer_bound)
-from quantaflow import verifier
+from quantaflow import rng, verifier
 from quantaflow.verifier import (BLOCK, BOUND_ACTIVATIONS, CONTINUITY_DELTAS,
                                  CONTINUITY_THETA0, DENSITY_RADII, DENSITY_SIDE, SLACK,
                                  continuity_instance, random_layer_instance,
@@ -125,8 +125,9 @@ def test_continuity_suite_equals_single_calls(instances):
 
 
 def _density_frames(instances, seed):
-    gen = np.random.default_rng(seed)
-    return [gen.integers(0, 2, size=(DENSITY_SIDE, DENSITY_SIDE)) for _ in range(instances)]
+    """One frame per instance seed, from that seed's own DENSITY stream."""
+    return [rng.generator(s, rng.DENSITY).integers(0, 2, size=(DENSITY_SIDE, DENSITY_SIDE))
+            for s in range(seed, seed + instances)]
 
 
 @pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
@@ -154,7 +155,7 @@ def test_clamped_density_block_equals_single_calls(instances, radius):
 @pytest.mark.parametrize("seed", [0, 7, 2053297607])
 def test_density_suite_draws_per_frame_frames(monkeypatch, seed):
     # The suite draws a block of frames at once; they are the frames that
-    # one draw per frame from the same generator gives.
+    # each instance seed draws alone.
     seen = []
     block = verifier._density_block
 
