@@ -11,9 +11,11 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ShapeError
 
-#: Largest per-pixel Poisson rate `qis_forward` accepts. The count sampler
-#: walks from a normal-quantile guess, and the walk lengthens with the rate:
-#: near 1e12 a draw of 2e5 pixels takes seconds, and far above it it stalls.
+#: Largest per-pixel Poisson rate `qis_forward` accepts. A draw takes the
+#: same time at any rate, but its count is floor(x) for a float64 quantile x
+#: near the rate: at the cap the rounding margin kept around integers is
+#: 1e-3, and from 2**52 on, where ulp(x) = 1, x keeps no fraction to floor.
+#: The sampler's counts are checked against mpmath up to the cap.
 RATE_CAP = 1e12
 
 #: Largest ADC bit depth, already more than a float32 QEX1 map resolves (24
@@ -86,8 +88,10 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
 
     Per pixel: Poisson(ET * QE * (CRF * X + dark)), scaled by the gain,
     clipped, quantized (uniform over [0, clip_max], round half up), then
-    Gaussian noise added last, matching the printed model order. The
-    rates are checked over the whole map, then drawn in `rng.tiles`.
+    Gaussian noise added last, matching the printed model order. A first
+    pass over `rng.tiles` checks the largest rate against RATE_CAP; a
+    second draws each tile from its rates, so no frame-sized rate map is
+    held.
     """
     x = np.asarray(photons, dtype=np.float64)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
@@ -96,15 +100,21 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     if not np.isscalar(crf) and np.asarray(crf).shape != x.shape:
         raise ShapeError("response gain map shape must match the photon map")
 
+    xs = x.reshape(-1)
+    gains = np.broadcast_to(crf, x.shape).reshape(-1)  # a view, also of a scalar
+    scale = p.exposure_time * p.quantum_efficiency
+
+    def rates(t):
+        return scale * (gains[t] * xs[t] + p.dark_signal)
+
     with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
-        rate = p.exposure_time * p.quantum_efficiency * (crf * x + p.dark_signal)
-    if np.any(rate > RATE_CAP):
-        raise DomainError(f"Poisson rate {rate.max():g} exceeds the cap {RATE_CAP:g}")
-    rate = rate.ravel()
-    out = np.empty(rate.size)
+        top = max((rates(t).max() for t, _ in rng.tiles(xs.size)), default=0.0)
+    if top > RATE_CAP:
+        raise DomainError(f"Poisson rate {top:g} exceeds the cap {RATE_CAP:g}")
+    out = np.empty(xs.size)
     step = p.clip_max / (2 ** p.adc_bits - 1)
-    for t, idx in rng.tiles(rate.size):
-        counts = rng.poissons(rate[t], rng.substream_keys(seed, idx, rng.QIS_PHOTON))
+    for t, idx in rng.tiles(xs.size):
+        counts = rng.poissons(rates(t), rng.substream_keys(seed, idx, rng.QIS_PHOTON))
         v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
         out[t] = np.floor(v / step + 0.5) * step
         if p.sigma_real_noise > 0:

@@ -254,7 +254,10 @@ def export_pgm_map(path, arr: np.ndarray):
         raise DomainError("cannot export a map with non-finite values as PGM")
     lo, hi = float(arr.min()), float(arr.max())
     span = hi - lo if hi > lo else 1.0
-    scaled = np.round((arr - lo) / span * 255.0).astype(np.uint8)
+    scaled = arr - lo  # one frame-sized temporary, scaled in place
+    scaled /= span
+    scaled *= 255.0
+    scaled = np.round(scaled, out=scaled).astype(np.uint8)
     _write_pgm(path, scaled, comment=f"min-max scaled from [{lo!r}, {hi!r}]")
 
 

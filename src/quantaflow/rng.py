@@ -11,7 +11,9 @@ any split with memory bounded by the tile. The mixer is the splitmix64
 finalizer, in place over uint64 arrays. Array draws use `generator`, seeded
 with the fixed-width words (seed mod 2**32, seed >> 32, purpose); SeedSequence
 ignores trailing zero words, so FIELD is `default_rng(seed)`. SciPy is imported
-only inside the two quantile samplers, so importing this module loads NumPy alone.
+only inside the samplers, so importing this module loads NumPy alone: `ndtri`
+for both quantiles, and `pdtr`, `pdtrc` and `ndtr` for the tail CDF of the few
+Poisson pixels whose quantile lies near an integer.
 """
 
 from __future__ import annotations
@@ -68,17 +70,17 @@ def uniforms(keys: np.ndarray) -> np.ndarray:
     return bits.astype(np.float64) * (2.0 ** -53)
 
 
-def _normal_quantiles(u: np.ndarray) -> np.ndarray:
-    """Phi^-1(u + 2^-54) for uniforms u on the 2^-53 grid of [0, 1).
+def _normal_quantiles(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:
+    """Phi^-1(u + step) for uniforms u on the 2^-53 grid of [0, 1).
 
-    The half step keeps every argument inside (0, 1). Above 1/2 the
-    offset uniform has no float64 value, so it is taken from the upper
-    tail as -Phi^-1((1 - u) - 2^-54); both forms are exact.
+    The default half step keeps every argument inside (0, 1). Above 1/2
+    the offset uniform has no float64 value, so it is taken from the upper
+    tail as -Phi^-1((1 - u) - step); both forms are exact.
     """
     from scipy.special import ndtri
 
     upper = u >= 0.5
-    z = ndtri(np.where(upper, (1.0 - u) - 2.0 ** -54, u + 2.0 ** -54))
+    z = ndtri(np.where(upper, (1.0 - u) - step, u + step))
     return np.where(upper, -z, z)
 
 
@@ -87,43 +89,156 @@ def standard_normals(keys: np.ndarray) -> np.ndarray:
     return _normal_quantiles(uniforms(keys))
 
 
+# Poisson counts (Giles 2016, ACM TOMS 42(1), Alg. 955, "poissinv"). Below
+# _SEARCH_BELOW, in rate or in count, the pmf is summed up from k = 0.
+_SEARCH_BELOW = 10.0
+# Above it the count is floor(x) for the inverse x of Temme's uniform
+# expansion of the incomplete gamma function, measured off by at most
+# 0.05 / theta there; x within _MARGIN / theta + 1e-15 * x (the second term
+# covers the rounding of theta + theta * d) of an integer m is decided
+# between m - 1 and m by one CDF evaluation.
+_MARGIN = 0.6
+# From this rate that CDF is Temme's expansion itself: SciPy's pdtrc sums at
+# most 2000 series terms and loses the upper tail from about 2e5 on.
+_TEMME_FROM = 1e5
+# For |s| < _SERIES, d = r - 1 and the term c = x - theta r come from their
+# series in s and in d; above, from Newton and the direct forms. _H_OF_D,
+# _C0_OF_D and _C1_OF_D are series in d of h = f / d**2 and of Temme's C0, C1.
+_SERIES = 0.05
+_D_OF_S = (0.0, 1.0, 1 / 6, -1 / 72, 1 / 270, -23 / 17280, 19 / 34020, -11237 / 43545600)
+_C_OF_D = (1 / 3, -1 / 36, 43 / 3240, -1 / 120, 403 / 68040)
+_H_OF_D = tuple((-1.0) ** k / ((k + 1) * (k + 2)) for k in range(10))
+_C0_OF_D = (-1 / 3, -1 / 12, 11 / 270, -329 / 12960, 269 / 15120, -72803 / 5443200)
+_C1_OF_D = (-1 / 540, 1 / 288, 1 / 3024, -767 / 1088640)
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _h(d: np.ndarray, log_r: np.ndarray) -> np.ndarray:
+    """f(r) / d**2 for f(r) = 1 - r + r ln r and d = r - 1, in the direct
+    form: its cancellation costs a relative 4 eps / |d|, 2e-14 at _SERIES."""
+    h = np.multiply(1.0 + d, log_r)
+    h -= d
+    h /= d
+    h /= d
+    return h
+
+
+def _count_quantiles(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x with floor(x) the Poisson count of normal quantile z at rate theta.
+
+    s = z / sqrt(theta) and r solves f(r) = s**2 / 2 with sign(r - 1) =
+    sign(s), by Newton on g(r) = d sqrt(2 h) = s, g' = ln r / g, from the
+    series d(s); then x = theta r + ln(sqrt(r) g / (r - 1)) / ln r. For
+    s < -1.3, which occurs only below theta = 40 as |z| < 8.3 on the 2^-53
+    grid, s is raised to -1.3 and x stays below _SEARCH_BELOW.
+    """
+    s = np.sqrt(theta)
+    np.divide(z, s, out=s)
+    np.maximum(s, -1.3, out=s)
+    d = _horner(_D_OF_S, s)
+    c = _horner(_C_OF_D, d)
+    far = np.flatnonzero(np.abs(s) >= _SERIES)
+    sf, df = s[far], d[far]
+    for _ in range(2):  # from the series, two steps leave x within 1e-5 / theta
+        log_r = np.log1p(df)
+        g = np.sqrt(2.0 * _h(df, log_r))
+        g *= df
+        step = g - sf
+        step *= g
+        step /= log_r
+        df -= step
+    log_r = np.log1p(df)
+    cf = np.log(2.0 * _h(df, log_r))
+    cf /= 2.0 * log_r
+    cf += 0.5
+    d[far], c[far] = df, cf
+    d *= theta
+    d += c
+    d += theta
+    return d
+
+
+def _temme(m: np.ndarray, theta: np.ndarray):
+    """(F(m - 1), 1 - F(m - 1)) of Poisson(theta), from Temme's expansion
+    of Q(m, theta) with terms C0 and C1. From _TEMME_FROM on, a count m lies
+    within 0.03 theta of theta, where the series in d stay exact."""
+    from scipy.special import ndtr
+
+    d = (m - theta) / theta
+    w = d * np.sqrt(2.0 * _horner(_H_OF_D, d) * theta)
+    r = np.exp(-0.5 * w * w) / np.sqrt(2.0 * np.pi * m)
+    r *= _horner(_C0_OF_D, d) + _horner(_C1_OF_D, d) / m
+    return ndtr(w) + r, ndtr(-w) - r
+
+
+def _below_cdf(u: np.ndarray, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """u < F(k; theta), compared in the tail on u's side of 1/2: F there,
+    1 - F (against the exact 1 - u) above, each to its own relative error."""
+    from scipy.special import pdtr, pdtrc
+
+    low = u < 0.5
+    tail = np.empty_like(u)
+    big = theta >= _TEMME_FROM
+    for sel, cdf in ((low & ~big, pdtr), (~low & ~big, pdtrc)):
+        tail[sel] = cdf(k[sel], theta[sel])
+    lower, upper = _temme(k[big] + 1.0, theta[big])
+    tail[big] = np.where(low[big], lower, upper)
+    return np.where(low, u < tail, 1.0 - u > tail)
+
+
+def _search(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The smallest k with u < F(k; theta), summing the pmf up from k = 0.
+    A step that no longer changes F ends the climb: the mass left above k
+    is below F's rounding."""
+    k = np.zeros(theta.size, dtype=np.int64)
+    p = np.exp(-theta)
+    cdf = p.copy()
+    climbing = u >= cdf
+    step = 0
+    while climbing.any():
+        step += 1
+        k += climbing
+        p *= theta
+        p /= step
+        grown = cdf + p
+        climbing &= (grown > cdf) & (u >= grown)
+        cdf = grown
+    return k
+
+
 def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Poisson draws, one per pixel: the smallest k with u < F(k; theta)
-    for the uniform u of the pixel's substream (inversion, Giles 2016).
-    theta = 0 draws 0.
+    for the uniform u of the pixel's substream (inversion). theta = 0
+    draws 0.
 
-    A Cornish-Fisher guess from Phi^-1(u) starts each pixel within a few
-    steps of its count; F and the pmf are evaluated there once and then
-    stepped down or up by the pmf recurrence.
+    Rates below _SEARCH_BELOW sum the pmf from k = 0. Above, the count is
+    floor(x) for the quantile x of Giles's asymptotic inversion, taken from
+    Phi^-1(u) itself; the few pixels with x near an integer m take m - 1 or
+    m by one CDF evaluation, and those with x below _SEARCH_BELOW are summed.
     """
-    from scipy.special import gammaln, pdtr
-
     theta = np.asarray(theta, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.uint64)
-    live = np.flatnonzero(theta > 0)
-    th = theta.ravel()[live]
-    u = uniforms(keys.ravel()[live])
-    z = _normal_quantiles(u)
-    k = np.floor(np.maximum(0.0, th + np.sqrt(th) * z + (z * z - 1.0) / 6.0))
-    cdf = pdtr(k, th)
-    pmf = np.exp(k * np.log(th) - th - gammaln(k + 1.0))
-    # Down while u < F(k - 1) = F(k) - pmf(k).
-    idx = np.flatnonzero((k > 0) & (u < cdf - pmf))
-    while idx.size:
-        cdf[idx] -= pmf[idx]
-        pmf[idx] = pmf[idx] * k[idx] / th[idx]
-        k[idx] -= 1
-        idx = idx[(k[idx] > 0) & (u[idx] < cdf[idx] - pmf[idx])]
-    # Up while u >= F(k). A step that no longer changes F ends the climb:
-    # the mass left above k is below F's rounding.
-    idx = np.flatnonzero(u >= cdf)
-    while idx.size:
-        k[idx] += 1
-        pmf[idx] = pmf[idx] * th[idx] / k[idx]
-        grown = cdf[idx] + pmf[idx]
-        moving = grown > cdf[idx]
-        cdf[idx] = grown
-        idx = idx[moving & (u[idx] >= grown)]
-    out = np.zeros(theta.size, dtype=np.int64)
-    out[live] = k
+    th = theta.ravel()
+    u = uniforms(keys.ravel())
+    out = np.zeros(th.size, dtype=np.int64)
+    big = np.flatnonzero(th >= _SEARCH_BELOW)
+    tb, ub = th[big], u[big]
+    x = _count_quantiles(tb, _normal_quantiles(ub, 0.0))
+    m = np.rint(x)
+    margin = _MARGIN / tb
+    margin += 1e-15 * x
+    near = np.flatnonzero(np.abs(x - m) < margin)
+    np.floor(x, out=x)
+    x[near] = m[near] - _below_cdf(ub[near], m[near] - 1.0, tb[near])
+    out[big] = x
+    small = np.flatnonzero(th < _SEARCH_BELOW)
+    small = np.concatenate([small, big[x < _SEARCH_BELOW]])
+    out[small] = _search(th[small], u[small])
     return out.reshape(theta.shape)

@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +9,7 @@ from scipy.special import ndtri
 
 from quantaflow import (BracketSpec, ExposureMap, SensorConfig, generate_burst, rng,
                         sample_frame, verifier)
+from quantaflow.calibration import RATE_CAP
 from quantaflow.verifier import continuity_instance, run_density_suite
 
 
@@ -222,7 +224,7 @@ def test_only_rng_keys_a_draw():
         {p.name: [] for p in modules}
 
 
-@pytest.mark.parametrize("theta", [0.25, 4.0, 29.5, 30.0, 40.0, 100.0])
+@pytest.mark.parametrize("theta", [0.25, 4.0, 9.9, 10.1, 29.5, 30.0, 40.0, 100.0])
 def test_poisson_chi_square(theta):
     n = 400_000
     keys = rng.substream_keys(31, np.arange(n), tag=1)
@@ -235,6 +237,20 @@ def test_poisson_chi_square(theta):
     expected = n * np.concatenate([[dist.cdf(lo)], dist.pmf(cells[1:-1]),
                                    [dist.sf(hi - 1)]])
     observed = np.bincount(np.clip(k, lo, hi) - lo, minlength=cells.size)
+    assert _chi_square_p(observed, expected) > 1e-4
+
+
+def test_poisson_chi_square_at_a_large_rate():
+    # At theta = 1e6 one count holds at most 4e-4 of the mass, so cells cut
+    # at the 0.1% quantiles each expect about 400 of the n draws.
+    n, theta = 400_000, 1e6
+    keys = rng.substream_keys(31, np.arange(n), tag=1)
+    k = rng.poissons(np.full(n, theta), keys)
+    dist = stats.poisson(theta)
+    edges = np.unique(dist.ppf(np.arange(1, 1000) / 1000))
+    expected = n * np.diff(np.concatenate([[0.0], dist.cdf(edges), [1.0]]))
+    observed = np.bincount(np.searchsorted(edges, k), minlength=edges.size + 1)
+    assert expected.min() > 10
     assert _chi_square_p(observed, expected) > 1e-4
 
 
@@ -279,3 +295,86 @@ def test_poisson_extreme_theta(theta):
     k = rng.poissons(np.full(n, theta), keys)
     assert np.all(k >= 0)
     assert abs(k.mean() - theta) <= 5 * np.sqrt(theta / n)
+
+
+# Indices of the (3, QIS_PHOTON) stream whose uniform lies in an outer 1e-6
+# tail (three each side) or within 1e-7 of 1/2 (two).
+TAIL_INDICES = (18163644, 1555908, 14794838, 28517045, 14202106, 12496717, 7350678, 8631595)
+
+
+def _in_count_interval(theta, u, k):
+    """F(k - 1) <= u < F(k) for Poisson(theta), in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        def cdf(j):
+            return mpmath.gammainc(j + 1, theta, mpmath.inf, regularized=True) if j >= 0 else 0
+        return cdf(k - 1) <= mpmath.mpf(u) < cdf(k)
+
+
+def _draw(seed, indices, theta):
+    keys = rng.substream_keys(seed, np.array(indices), rng.QIS_PHOTON)
+    return rng.uniforms(keys), rng.poissons(np.full(len(indices), theta), keys)
+
+
+@pytest.mark.parametrize("theta", [np.nextafter(rng._SEARCH_BELOW, 0.0), rng._SEARCH_BELOW,
+                                   51.0, 1e3, 1e6])
+def test_poisson_matches_mpmath_in_the_tails(theta):
+    u, k = _draw(3, TAIL_INDICES, theta)
+    assert all(_in_count_interval(theta, float(a), int(b)) for a, b in zip(u, k))
+
+
+@pytest.mark.parametrize("seed, index, theta, count", [
+    (3, 99016, 1e8, 100047178),  # the walk up to 0.6.0 stopped at 100046538
+    (18, 258393, 7193633.485994692, 7206965),  # and here at 7206956
+])
+def test_poisson_upper_tail_at_large_rates(seed, index, theta, count):
+    u, k = _draw(seed, [index], theta)
+    assert k[0] == count and _in_count_interval(theta, float(u[0]), count)
+
+
+@pytest.mark.parametrize("theta", [1e5, 1e6, 7193633.485994692, 1e8])
+@pytest.mark.parametrize("z", [-6.0, 6.0])
+def test_near_integer_decision_in_the_far_tails(theta, z):
+    # SciPy's pdtrc is off by a relative 1e-5 at theta = 1e6 and z = 5, and
+    # by 35% at 1e8; Temme's C0 term alone by 5e-10 at 1e5. Uniforms a
+    # relative 1e-12 below 1/2, or 1e-6 above (1 - u is on the 2^-53 grid),
+    # of the tail from F(k) must fall on their side of it.
+    k = np.floor(theta + z * np.sqrt(theta))
+    with mpmath.workdps(30):
+        cdf = mpmath.gammainc(k + 1, theta, mpmath.inf, regularized=True)
+        tail = float(cdf if z < 0 else 1 - cdf)
+        rel = 1e-12 if z < 0 else 1e-6
+        u = np.array([tail * f if z < 0 else 1.0 - tail * f for f in (1 - rel, 1 + rel)])
+        expected = [mpmath.mpf(v) < cdf for v in u]
+    assert sorted(expected) == [False, True]
+    got = rng._below_cdf(u, np.full(2, k), np.full(2, theta))
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("theta", [51.0, 1e6])
+def test_near_integer_decision_above_the_median_uses_the_tail(theta):
+    # Above 1/2, u and F(k) share the 2^-53 grid: where the tail S = 1 - F(k)
+    # rounds up onto 1 - u, u lies below F(k) and equals its float.
+    k = np.floor(theta + 5 * np.sqrt(theta))
+    with mpmath.workdps(30):
+        while True:
+            q = (1 - mpmath.gammainc(k + 1, theta, mpmath.inf, regularized=True)) * 2 ** 53
+            if q - mpmath.floor(q) > 0.5:
+                break
+            k += 1
+        u = 1.0 - float(mpmath.ceil(q)) * 2.0 ** -53
+        assert mpmath.mpf(u) < 1 - q * 2.0 ** -53
+    assert rng._below_cdf(np.array([u]), np.array([k]), np.array([theta])).tolist() == [True]
+
+
+# At RATE_CAP one mpmath evaluation takes seconds, so these counts are frozen;
+# each met F(k - 1) <= u < F(k) in _in_count_interval.
+CAP_COUNTS = {18163644: 999994571845, 1555908: 999994712177, 14794838: 999994758544,
+              28517045: 1000005374962, 14202106: 1000005324849, 12496717: 1000005159953,
+              7350678: 1000000000000, 8631595: 1000000000000,
+              99016: 1000004717485,  # the walk up to 0.6.0 stopped at 1000004575281
+              29867: 999999485297}  # x rounds to 999999485298.0: the CDF decides
+
+
+def test_poisson_counts_at_the_rate_cap():
+    _, k = _draw(3, list(CAP_COUNTS), RATE_CAP)
+    assert dict(zip(CAP_COUNTS, k.tolist())) == CAP_COUNTS
