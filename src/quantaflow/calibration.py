@@ -88,10 +88,10 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
 
     Per pixel: Poisson(ET * QE * (CRF * X + dark)), scaled by the gain,
     clipped, quantized (uniform over [0, clip_max], round half up), then
-    Gaussian noise added last, matching the printed model order. A first
-    pass over `rng.tiles` checks the largest rate against RATE_CAP; a
-    second draws each tile from its rates, so no frame-sized rate map is
-    held.
+    Gaussian noise added last, matching the printed model order. A first,
+    serial pass over `rng.tiles` checks the largest rate against RATE_CAP;
+    then `rng.each_tile` draws each tile from its rates, so no frame-sized
+    rate map is held.
     """
     x = np.asarray(photons, dtype=np.float64)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
@@ -113,11 +113,14 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
         raise DomainError(f"Poisson rate {top:g} exceeds the cap {RATE_CAP:g}")
     out = np.empty(xs.size)
     step = p.clip_max / (2 ** p.adc_bits - 1)
-    for t, idx in rng.tiles(xs.size):
+
+    def draw(t, idx):
         counts = rng.poissons(rates(t), rng.substream_keys(seed, idx, rng.QIS_PHOTON))
         v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
         out[t] = np.floor(v / step + 0.5) * step
         if p.sigma_real_noise > 0:
             noise_keys = rng.substream_keys(seed, idx, rng.QIS_NOISE)
             out[t] += p.sigma_real_noise * rng.standard_normals(noise_keys)
+
+    rng.each_tile(xs.size, draw)
     return out.reshape(x.shape)

@@ -29,11 +29,13 @@ MAX_PIXELS = 2 ** 31
 
 
 class _Reader:
+    """Reads a file's bytes in order; each `take` is a view, not a copy."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise DecodeError(f"truncated file: expected {n} bytes for {what}",
                               offset=self.pos)
@@ -46,7 +48,7 @@ class _Reader:
 
     def header(self, magic: bytes, *fields: str) -> list:
         """Check the magic, then read one u32 per named header field."""
-        got = self.take(4, "magic")
+        got = bytes(self.take(4, "magic"))
         if got != magic:
             raise DecodeError(f"bad magic {got!r}, expected {magic!r}", offset=self.pos - 4)
         return [self.u32(name) for name in fields]

@@ -7,7 +7,11 @@
 Pixel draws are counter-based (Salmon et al., SC 2011): `substream_keys` keys
 (seed, tag) and counts frame << 32 | pixel, injective as a frame holds at most
 formats.MAX_PIXELS = 2**31 pixels, so `tiles` of TILE pixels draw the bits of
-any split with memory bounded by the tile. The mixer is the splitmix64
+any split with memory bounded by the tile. `each_tile` is the one tile pass:
+it draws the tiles on W = len(os.sched_getaffinity(0)) workers, the caller
+being worker 0 and tile i going to worker i mod W, beside which W - 1 pool
+threads are started on first use. A draw writes only its tile's slice of the
+output, so no byte depends on W or TILE. The mixer is the splitmix64
 finalizer, in place over uint64 arrays. Array draws use `generator`, seeded
 with the fixed-width words (seed mod 2**32, seed >> 32, purpose); SeedSequence
 ignores trailing zero words, so FIELD is `default_rng(seed)`. SciPy is imported
@@ -17,6 +21,8 @@ Poisson pixels whose quantile lies near an integer.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -29,10 +35,49 @@ FIELD, PHOTON, LAYER, CONTINUITY, DENSITY, QIS_PHOTON, QIS_NOISE = 0, 1, 2, 3, 4
 TILE = 1 << 16  # pixels per tile: a tile's temporaries stay in cache
 
 
-def tiles(n: int):
-    """(slice, uint64 pixel indices) of each run of TILE pixels in range(n)."""
-    for s in range(0, n, TILE):
+def tiles(n: int, first: int = 0, step: int = 1):
+    """(slice, uint64 pixel indices) of the runs of TILE pixels in range(n):
+    runs first, first + step, first + 2 step, ..."""
+    for s in range(first * TILE, n, step * TILE):
         yield slice(s, s + TILE), np.arange(s, min(s + TILE, n), dtype=np.uint64)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # the threads beside the caller, started by the first pass that needs them
+
+
+def each_tile(n: int, draw) -> None:
+    """draw(t, idx) for each (t, idx) of `tiles(n)`, tile i on worker i mod W
+    of W = len(os.sched_getaffinity(0)), no more than there are tiles; the
+    caller is worker 0. The first error a draw raises is raised here once
+    every worker has stopped. A draw must not call each_tile itself: the
+    pool threads it would wait for are busy with its own pass."""
+    global _pool
+    workers = max(1, min(_cpus(), -(-n // TILE)))
+
+    def share(w):
+        for t, idx in tiles(n, w, workers):
+            draw(t, idx)
+
+    if workers < 2:
+        return share(0)
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # off the import path
+        _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="qflow-tile")
+    others = [_pool.submit(share, w) for w in range(1, workers)]
+    try:
+        share(0)
+    finally:
+        errors = [f.exception() for f in others]  # waits for each worker
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def _mix64(x: np.ndarray, rounds: int = 1) -> np.ndarray:
@@ -137,14 +182,15 @@ def _count_quantiles(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
     sign(s), by Newton on g(r) = d sqrt(2 h) = s, g' = ln r / g, from the
     series d(s); then x = theta r + ln(sqrt(r) g / (r - 1)) / ln r. For
     s < -1.3, which occurs only below theta = 40 as |z| < 8.3 on the 2^-53
-    grid, s is raised to -1.3 and x stays below _SEARCH_BELOW.
+    grid, s is raised to -1.3 and x stays below _SEARCH_BELOW. z is
+    overwritten by s: each array that a tile draw holds at once costs
+    memory per worker.
     """
-    s = np.sqrt(theta)
-    np.divide(z, s, out=s)
+    s = z
+    s /= np.sqrt(theta)
     np.maximum(s, -1.3, out=s)
     d = _horner(_D_OF_S, s)
-    c = _horner(_C_OF_D, d)
-    far = np.flatnonzero(np.abs(s) >= _SERIES)
+    far = np.abs(s) >= _SERIES
     sf, df = s[far], d[far]
     for _ in range(2):  # from the series, two steps leave x within 1e-5 / theta
         log_r = np.log1p(df)
@@ -158,7 +204,9 @@ def _count_quantiles(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
     cf = np.log(2.0 * _h(df, log_r))
     cf /= 2.0 * log_r
     cf += 0.5
-    d[far], c[far] = df, cf
+    d[far] = df
+    c = _horner(_C_OF_D, d)  # the series c(d) where |s| < _SERIES
+    c[far] = cf
     d *= theta
     d += c
     d += theta
@@ -227,16 +275,16 @@ def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     th = theta.ravel()
     u = uniforms(keys.ravel())
-    out = np.zeros(th.size, dtype=np.int64)
     big = np.flatnonzero(th >= _SEARCH_BELOW)
-    tb, ub = th[big], u[big]
-    x = _count_quantiles(tb, _normal_quantiles(ub, 0.0))
+    tb = th[big]
+    x = _count_quantiles(tb, _normal_quantiles(u[big], 0.0))
     m = np.rint(x)
     margin = _MARGIN / tb
     margin += 1e-15 * x
     near = np.flatnonzero(np.abs(x - m) < margin)
     np.floor(x, out=x)
-    x[near] = m[near] - _below_cdf(ub[near], m[near] - 1.0, tb[near])
+    x[near] = m[near] - _below_cdf(u[big[near]], m[near] - 1.0, tb[near])
+    out = np.zeros(th.size, dtype=np.int64)
     out[big] = x
     small = np.flatnonzero(th < _SEARCH_BELOW)
     small = np.concatenate([small, big[x < _SEARCH_BELOW]])

@@ -21,7 +21,8 @@ from .errors import DomainError, ShapeError, UnidentifiableError, frozen_array
 # bit density below 1 can demand in this application.
 THETA_CAP = 64.0
 # Most terms of the complement series `_series_terms`, one exp pass over the
-# frame each: about 3 s per Mpx at the cap (2-core Xeon).
+# frame each: at the cap, 1.5 s per Mpx on one worker, 0.8 s on the two of a
+# 2-core Xeon.
 SERIES_CAP = 256
 
 
@@ -201,13 +202,17 @@ def sample_frame(emap: ExposureMap, cfg: SensorConfig, frame: int = 0) -> Binary
     (frame, pixel index) in the PHOTON stream and fires iff u >= 1 - p(theta),
     so a bit depends only on (cfg.seed, frame, pixel index, theta there),
     never on execution order or on the other pixels. The pixels are drawn
-    in `rng.tiles`, so memory beyond the bits is bounded by the tile.
+    by `rng.each_tile`, so memory beyond the bits is bounded by the tiles
+    in flight.
     """
     theta = emap.theta.ravel()
     bits = np.empty(theta.size, dtype=bool)
-    for t, idx in rng.tiles(theta.size):
+
+    def draw(t, idx):
         u = rng.uniforms(rng.substream_keys(cfg.seed, idx, rng.PHOTON, frame))
         np.greater_equal(u, _complement(theta[t], cfg.q, cfg.sigma_r), out=bits[t])
+
+    rng.each_tile(theta.size, draw)
     return BinaryFrame.from_array(bits.reshape(emap.theta.shape))
 
 

@@ -133,11 +133,15 @@ def verify_layer_bound(inp: FeatureMap, phi: Coefficients, atoms1: FilterAtoms,
 
 def _density_block(bits: np.ndarray, nb: NeighborhoodSpec) -> list:
     """Identity verdicts for 0/1 frames bits (B, h, w): the box sum of
-    `neighborhood_ones` equals the squared window norm the layer bound uses,
-    taken over the frames extended past their border by the boundary rule."""
+    `neighborhood_ones` equals the squared window norm, taken over the frames
+    extended past their border by the boundary rule. The window of side k is
+    a (1, k) then a (k, 1) pass of `_correlate2d`, O(k) per pixel; its sums
+    of 0/1 squares are exact integers."""
     r, (h, w) = nb.radius, bits.shape[-2:]
     padded = np.pad(bits, [(0, 0), (r, r), (r, r)], mode=nb.pad_mode)
-    sq = _neighborhood_sq_norms(padded, 2 * r + 1)[:, r:r + h, r:r + w]
+    ones = np.ones(2 * r + 1)
+    rows = _correlate2d(padded * padded, ones[None, :])
+    sq = _correlate2d(rows, ones[:, None])[:, r:r + h, r:r + w]
     return (neighborhood_ones(bits, nb) == sq).all(axis=(1, 2)).tolist()
 
 

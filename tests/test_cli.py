@@ -636,6 +636,11 @@ def scipy_modules():
 
 cli.build_parser()
 loaded = {"import": scipy_modules()}
+# The tile pool and its concurrent.futures import wait for the first frame
+# of more than one tile: start-up loads neither.
+assert not [m for m in sys.modules if m.startswith("concurrent.futures")]
+import threading
+assert threading.active_count() == 1
 formats.write_float_map("scene.qex", np.full((32, 32), 2.0))
 for argv in (
         ["simulate", "--in", "scene.qex", "--seed", "1", "--out", "f.qbf"],

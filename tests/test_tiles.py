@@ -1,6 +1,9 @@
-"""Tiled sampling: the same bytes at every tile size, and memory bounded by
-the tile rather than the frame."""
+"""Tiled sampling: the same bytes at every tile size and worker count, and
+memory bounded by the tiles in flight rather than the frame."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -53,6 +56,70 @@ def test_tiled_frame_matches_whole_frame_reference(shape, q, sigma_r):
     assert np.array_equal(sample_frame(emap, cfg).bits, _whole_frame(emap, cfg))
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the worker count W of `rng.each_tile`, on a pool of its own."""
+    monkeypatch.setattr(rng, "_pool", None)
+    yield lambda w: monkeypatch.setattr(rng, "_cpus", lambda: w)
+    if rng._pool is not None:
+        rng._pool.shutdown()
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("shape, tile", SPLITS)
+def test_outputs_do_not_depend_on_the_worker_count(workers, monkeypatch, shape, tile, w):
+    default = _outputs(shape, 12345)
+    monkeypatch.setattr(rng, "TILE", tile)
+    workers(w)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
+    try:
+        assert _outputs(shape, 12345) == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_each_tile_deals_tile_i_to_worker_i_mod_w(workers, monkeypatch):
+    monkeypatch.setattr(rng, "TILE", 4)
+    workers(3)
+    seen = {}
+    first_tiles = threading.Barrier(3, timeout=10)  # so three threads hold a share each
+
+    def draw(t, idx):
+        if t.start < 12:
+            first_tiles.wait()
+        seen.setdefault(threading.get_ident(), []).append(t.start)
+
+    rng.each_tile(30, draw)
+    shares = sorted(sorted(starts) for starts in seen.values())
+    assert shares == [[0, 12, 24], [4, 16, 28], [8, 20]]
+    assert sorted(seen[threading.get_ident()]) == [0, 12, 24]  # the caller is worker 0
+
+
+@pytest.mark.parametrize("failing", [0, 2])  # a tile of the caller, of a pool thread
+def test_a_failing_draw_raises_once_every_worker_has_stopped(workers, monkeypatch, failing):
+    monkeypatch.setattr(rng, "TILE", 4)
+    workers(3)
+    drawn = []
+
+    def draw(t, idx):
+        tile = t.start // 4
+        if tile == failing:
+            raise ValueError(f"tile {tile}")
+        time.sleep(0.05 if tile % 3 == 1 else 0.01)  # worker 1 finishes last
+        drawn.append(tile)
+
+    with pytest.raises(ValueError, match=f"tile {failing}"):
+        rng.each_tile(40, draw)
+    stopped = sorted(drawn)  # what had been drawn when the error reached the caller
+    time.sleep(0.2)
+    # The failing worker draws none of its later tiles; the others draw all of theirs.
+    assert stopped == sorted(drawn) == [i for i in range(10) if i % 3 != failing]
+    out = np.zeros(40, dtype=np.uint64)
+    rng.each_tile(40, lambda t, idx: out.__setitem__(t, idx))  # the pool still serves
+    assert out.tolist() == list(range(40))
+
+
 def test_tiles_cover_range_in_order(monkeypatch):
     monkeypatch.setattr(rng, "TILE", 4)
     runs = list(rng.tiles(10))
@@ -100,3 +167,10 @@ def test_qis_forward_memory_is_bounded():
     photons = np.random.default_rng(3).uniform(0.0, 50.0, size=(1024, 1024))
     params = QisParams(sigma_real_noise=0.5)
     assert _peak_mib(lambda: qis_forward(photons, params, 1)) <= 48
+
+
+@pytest.mark.parametrize("bounded", [test_sample_frame_memory_is_bounded_by_the_tile,
+                                     test_qis_forward_memory_is_bounded])
+def test_memory_bounds_hold_with_two_tiles_in_flight(workers, bounded):
+    workers(2)  # as on a machine with two CPUs, whatever this one has
+    bounded()

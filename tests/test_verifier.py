@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +264,15 @@ class TestDensityIdentity:
             for _ in range(5):
                 frame = BinaryFrame.from_array(gen.integers(0, 2, size=shape))
                 assert verify_density_identity(frame, NeighborhoodSpec(radius, boundary))
+
+    @pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
+    def test_wide_radius_costs_the_radius_per_pixel(self, boundary):
+        # Radius 100 pads a 2 x 2 frame to 202 x 202; a k x k window norm
+        # summed offset by offset took 2.5 s there.
+        frame = BinaryFrame.from_array(np.random.default_rng(5).integers(0, 2, size=(2, 2)))
+        start = time.perf_counter()
+        assert verify_density_identity(frame, NeighborhoodSpec(100, boundary))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestContinuity:
