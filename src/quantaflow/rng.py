@@ -8,10 +8,10 @@ Pixel draws are counter-based (Salmon et al., SC 2011): `substream_keys` keys
 (seed, tag) and counts frame << 32 | pixel, injective as a frame holds at most
 formats.MAX_PIXELS = 2**31 pixels, so `tiles` of TILE pixels draw the bits of
 any split with memory bounded by the tile. `each_tile` is the one tile pass:
-it draws the tiles on W = len(os.sched_getaffinity(0)) workers, the caller
-being worker 0 and tile i going to worker i mod W, beside which W - 1 pool
-threads are started on first use. A draw writes only its tile's slice of the
-output, so no byte depends on W or TILE. The mixer is the splitmix64
+it draws the tiles on W workers, W being the CPUs of the process's affinity
+but at most MAX_WORKERS, the caller being worker 0 and tile i going to worker
+i mod W, beside which W - 1 pool threads are started on first use. A draw
+writes only its tile's slice of the output, so no byte depends on W or TILE. The mixer is the splitmix64
 finalizer, in place over uint64 arrays. Array draws use `generator`, seeded
 with the fixed-width words (seed mod 2**32, seed >> 32, purpose); SeedSequence
 ignores trailing zero words, so FIELD is `default_rng(seed)`. SciPy is imported
@@ -49,27 +49,41 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The most workers of a pass: each holds one tile's temporaries (4.5 MiB for
+# `poissons`), so memory grows with W. Two is the count whose speed-up and
+# peak RSS were measured (2-core Xeon, CHANGES.md); raise it only with paired
+# runs from a machine with more cores.
+MAX_WORKERS = 2
 _pool = None  # the threads beside the caller, started by the first pass that needs them
 
 
 def each_tile(n: int, draw) -> None:
     """draw(t, idx) for each (t, idx) of `tiles(n)`, tile i on worker i mod W
-    of W = len(os.sched_getaffinity(0)), no more than there are tiles; the
-    caller is worker 0. The first error a draw raises is raised here once
-    every worker has stopped. A draw must not call each_tile itself: the
-    pool threads it would wait for are busy with its own pass."""
+    of W = the CPUs of the process's affinity, but no more than MAX_WORKERS
+    or the tiles; the caller is worker 0. A worker whose draw raises stops,
+    and the others stop before their next tile. Once every worker has
+    stopped, the caller's error is raised, else the error of the
+    lowest-numbered failing worker. A draw must not call each_tile itself:
+    the pool threads it would wait for are busy with its own pass."""
     global _pool
-    workers = max(1, min(_cpus(), -(-n // TILE)))
+    workers = max(1, min(_cpus(), MAX_WORKERS, -(-n // TILE)))
+    failed = []  # nonempty once a draw has raised: the other workers stop
 
     def share(w):
-        for t, idx in tiles(n, w, workers):
-            draw(t, idx)
+        try:
+            for t, idx in tiles(n, w, workers):
+                if failed:
+                    return
+                draw(t, idx)
+        except BaseException:
+            failed.append(w)
+            raise
 
     if workers < 2:
         return share(0)
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor  # off the import path
-        _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="qflow-tile")
+        _pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="qflow-tile")
     others = [_pool.submit(share, w) for w in range(1, workers)]
     try:
         share(0)

@@ -58,9 +58,15 @@ def test_tiled_frame_matches_whole_frame_reference(shape, q, sigma_r):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Sets the worker count W of `rng.each_tile`, on a pool of its own."""
+    """Sets the worker count W of `rng.each_tile`, as on a machine with `cpus`
+    CPUs and a cap of `cap` workers (by default `cpus`), on a pool of its own."""
     monkeypatch.setattr(rng, "_pool", None)
-    yield lambda w: monkeypatch.setattr(rng, "_cpus", lambda: w)
+
+    def set_workers(cpus, cap=None):
+        monkeypatch.setattr(rng, "_cpus", lambda: cpus)
+        monkeypatch.setattr(rng, "MAX_WORKERS", cpus if cap is None else cap)
+
+    yield set_workers
     if rng._pool is not None:
         rng._pool.shutdown()
 
@@ -96,8 +102,22 @@ def test_each_tile_deals_tile_i_to_worker_i_mod_w(workers, monkeypatch):
     assert sorted(seen[threading.get_ident()]) == [0, 12, 24]  # the caller is worker 0
 
 
+def test_each_tile_uses_no_more_than_max_workers(workers, monkeypatch):
+    monkeypatch.setattr(rng, "TILE", 4)
+    workers(64, cap=rng.MAX_WORKERS)  # as on a machine with 64 CPUs
+    seen = {}
+
+    def draw(t, idx):
+        seen.setdefault(threading.get_ident(), []).append(t.start // 4)
+        time.sleep(0.001)
+
+    rng.each_tile(4 * 128, draw)
+    assert len(seen) <= rng.MAX_WORKERS == 2
+    assert seen[threading.get_ident()] == list(range(0, 128, 2))  # W = 2 deals the tiles
+
+
 @pytest.mark.parametrize("failing", [0, 2])  # a tile of the caller, of a pool thread
-def test_a_failing_draw_raises_once_every_worker_has_stopped(workers, monkeypatch, failing):
+def test_a_failing_draw_stops_every_worker_before_it_raises(workers, monkeypatch, failing):
     monkeypatch.setattr(rng, "TILE", 4)
     workers(3)
     drawn = []
@@ -106,18 +126,38 @@ def test_a_failing_draw_raises_once_every_worker_has_stopped(workers, monkeypatc
         tile = t.start // 4
         if tile == failing:
             raise ValueError(f"tile {tile}")
-        time.sleep(0.05 if tile % 3 == 1 else 0.01)  # worker 1 finishes last
+        time.sleep(0.02)
         drawn.append(tile)
 
     with pytest.raises(ValueError, match=f"tile {failing}"):
-        rng.each_tile(40, draw)
+        rng.each_tile(4 * 60, draw)  # 20 tiles a worker
     stopped = sorted(drawn)  # what had been drawn when the error reached the caller
     time.sleep(0.2)
-    # The failing worker draws none of its later tiles; the others draw all of theirs.
-    assert stopped == sorted(drawn) == [i for i in range(10) if i % 3 != failing]
+    assert stopped == sorted(drawn)  # no worker was still drawing
+    # The failing worker draws none of its later tiles, and the others stop
+    # long before the 40 tiles of their shares.
+    assert not [i for i in drawn if i % 3 == failing]
+    assert len(drawn) < 10
     out = np.zeros(40, dtype=np.uint64)
     rng.each_tile(40, lambda t, idx: out.__setitem__(t, idx))  # the pool still serves
     assert out.tolist() == list(range(40))
+
+
+@pytest.mark.parametrize("first", [1, 2])  # the worker that fails first
+def test_the_error_of_the_lowest_failing_worker_is_raised(workers, monkeypatch, first):
+    monkeypatch.setattr(rng, "TILE", 4)
+    workers(3)
+
+    def draw(t, idx):
+        tile = t.start // 4
+        if tile == 0:
+            time.sleep(0.05)  # the caller's tile: both pool threads fail meanwhile
+        else:
+            time.sleep(0.01 if tile == first else 0.03)
+            raise ValueError(f"tile {tile}")
+
+    with pytest.raises(ValueError, match="tile 1"):  # whichever worker failed first
+        rng.each_tile(12, draw)
 
 
 def test_tiles_cover_range_in_order(monkeypatch):
@@ -170,7 +210,8 @@ def test_qis_forward_memory_is_bounded():
 
 
 @pytest.mark.parametrize("bounded", [test_sample_frame_memory_is_bounded_by_the_tile,
+                                     test_burst_holds_one_scaled_map_at_a_time,
                                      test_qis_forward_memory_is_bounded])
-def test_memory_bounds_hold_with_two_tiles_in_flight(workers, bounded):
-    workers(2)  # as on a machine with two CPUs, whatever this one has
+def test_memory_bounds_hold_with_max_workers_tiles_in_flight(workers, bounded):
+    workers(64, cap=rng.MAX_WORKERS)  # W = MAX_WORKERS, whatever CPUs this machine has
     bounded()
