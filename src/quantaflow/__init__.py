@@ -1,7 +1,7 @@
 """quantaflow: 1-bit quanta sensor simulation, exposure bracketing,
 exposure-conditioned filter atoms, and numerical bound verification."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (DecodeError, DomainError, IntegrationError, QuantaError,
                      ShapeError, UnidentifiableError)

@@ -115,12 +115,12 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     step = p.clip_max / (2 ** p.adc_bits - 1)
 
     def draw(t, idx):
-        counts = rng.poissons(rates(t), rng.substream_keys(seed, idx, rng.QIS_PHOTON))
+        counts = rng.poissons(rates(t), rng.uniforms(idx, seed, rng.QIS_PHOTON))
         v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
         out[t] = np.floor(v / step + 0.5) * step
         if p.sigma_real_noise > 0:
-            noise_keys = rng.substream_keys(seed, idx, rng.QIS_NOISE)
-            out[t] += p.sigma_real_noise * rng.standard_normals(noise_keys)
+            z = rng.standard_normals(rng.uniforms(idx, seed, rng.QIS_NOISE))
+            out[t] += p.sigma_real_noise * z
 
     rng.each_tile(xs.size, draw)
     return out.reshape(x.shape)

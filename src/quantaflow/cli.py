@@ -27,7 +27,7 @@ from .sensor import (ExposureMap, NeighborhoodSpec, SensorConfig,
                      sample_frame)
 from .verifier import SUITES
 
-# Seeds name 64-bit substream keys, so only [0, 2**64) names distinct streams.
+# A seed is two 32-bit SeedSequence words: only [0, 2**64) names distinct streams.
 SEED_LIMIT = 2 ** 64
 
 

@@ -4,20 +4,24 @@
     PHOTON      1  sample_frame's uniforms   DENSITY     4  verifier density frames
     LAYER       2  layer-bound instances     QIS_PHOTON 11, QIS_NOISE 12  qis_forward
 
-Pixel draws are counter-based (Salmon et al., SC 2011): `substream_keys` keys
-(seed, tag) and counts frame << 32 | pixel, injective as a frame holds at most
-formats.MAX_PIXELS = 2**31 pixels, so `tiles` of TILE pixels draw the bits of
-any split with memory bounded by the tile. `each_tile` is the one tile pass:
-it draws the tiles on W workers, W being the CPUs of the process's affinity
-but at most MAX_WORKERS, the caller being worker 0 and tile i going to worker
-i mod W, beside which W - 1 pool threads are started on first use. A draw
-writes only its tile's slice of the output, so no byte depends on W or TILE. The mixer is the splitmix64
-finalizer, in place over uint64 arrays. Array draws use `generator`, seeded
-with the fixed-width words (seed mod 2**32, seed >> 32, purpose); SeedSequence
-ignores trailing zero words, so FIELD is `default_rng(seed)`. SciPy is imported
-only inside the samplers, so importing this module loads NumPy alone: `ndtri`
-for both quantiles, and `pdtr`, `pdtrc` and `ndtr` for the tail CDF of the few
-Poisson pixels whose quantile lies near an integer.
+Every stream is seeded by the words (seed mod 2**32, seed >> 32, purpose).
+Array draws use `generator`, the NumPy Generator of their SeedSequence, which
+ignores trailing zero words, so FIELD is `default_rng(seed)`. Pixel draws are
+counter-based (Salmon et al., SC 2011): `uniforms` is SplitMix64 (Steele, Lea
+and Flood, OOPSLA 2014), one finalizer over base + c * _GAMMA, base being the
+first uint64 of the SeedSequence and c = frame << 32 | pixel, injective as a
+frame holds at most formats.MAX_PIXELS = 2**31 pixels. Two streams share draws
+only if their bases differ by _GAMMA times a difference of counters in use:
+such pairs exist by counting, but as the base is a hash only a search finds
+one. `tiles` of TILE pixels draw the bits of any split with memory bounded by
+the tile, and `each_tile` is the one tile pass: it draws the tiles on W
+workers, W being the CPUs of the process's affinity but at most MAX_WORKERS,
+the caller being worker 0 and tile i going to worker i mod W, beside which
+W - 1 pool threads are started on first use. A draw writes only its tile's
+slice of the output, so no byte depends on W or TILE. The samplers are pure
+functions of their uniforms and import SciPy inside, so importing this module
+loads NumPy alone: `ndtri` for both quantiles, and `pdtr`, `pdtrc` and `ndtr`
+for the tail CDF of the few Poisson pixels whose quantile lies near an integer.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import os
 
 import numpy as np
 
+from .errors import DomainError
+
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
-_TAG_PRIME = np.uint64(0xD6E8FEB86659FD93)
-_IDX_PRIME = np.uint64(0xC2B2AE3D27D4EB4F)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's Weyl increment, 2**64 / golden ratio
 
 FIELD, PHOTON, LAYER, CONTINUITY, DENSITY, QIS_PHOTON, QIS_NOISE = 0, 1, 2, 3, 4, 11, 12
 TILE = 1 << 16  # pixels per tile: a tile's temporaries stay in cache
@@ -94,43 +99,44 @@ def each_tile(n: int, draw) -> None:
             raise e
 
 
-def _mix64(x: np.ndarray, rounds: int = 1) -> np.ndarray:
-    # splitmix64 finalizer (Steele et al. output mix), `rounds` times over one
-    # copy of x, in place, with one scratch buffer for the shifts
-    x = x.astype(np.uint64, copy=True)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    # splitmix64 finalizer (Steele et al. output mix) over uint64 x, in place,
+    # with one scratch buffer for the shifts
     t = np.empty_like(x)
-    for _ in range(rounds):
-        x ^= np.right_shift(x, np.uint64(30), out=t)
-        x *= _MUL1
-        x ^= np.right_shift(x, np.uint64(27), out=t)
-        x *= _MUL2
-        x ^= np.right_shift(x, np.uint64(31), out=t)
+    x ^= np.right_shift(x, np.uint64(30), out=t)
+    x *= _MUL1
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= _MUL2
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
-def substream_keys(seed: int, indices: np.ndarray, tag: int, frame: int = 0) -> np.ndarray:
-    """One uint64 key per pixel index of `frame` in the (seed, tag) stream."""
-    mixed = (seed ^ (tag * int(_TAG_PRIME))) & 0xFFFFFFFFFFFFFFFF
-    base = _mix64(np.asarray([mixed], dtype=np.uint64))[0]
-    keys = (np.asarray(indices, dtype=np.uint64) | np.uint64(frame << 32)) * _IDX_PRIME
-    keys ^= base
-    return _mix64(keys)
+def _seeds(seed: int, purpose: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence([seed & 0xFFFFFFFF, seed >> 32, purpose])
 
 
 def generator(seed: int, purpose: int) -> np.random.Generator:
     """The NumPy Generator of the (seed, purpose) array stream."""
-    return np.random.default_rng([seed & 0xFFFFFFFF, seed >> 32, purpose])
+    return np.random.default_rng(_seeds(seed, purpose))
 
 
-def uniforms(keys: np.ndarray) -> np.ndarray:
-    """Uniform floats in [0, 1) on the 2^-53 grid, one per key."""
-    bits = _mix64(keys, rounds=2)
-    bits >>= np.uint64(11)
-    return bits.astype(np.float64) * (2.0 ** -53)
+def uniforms(indices: np.ndarray, seed: int, purpose: int, frame: int = 0) -> np.ndarray:
+    """Uniform floats in [0, 1) on the 2^-53 grid, one per pixel index of
+    `frame` in the (seed, purpose) stream: the top 53 bits of
+    splitmix64(base + (frame << 32 | index) * _GAMMA)."""
+    if not 0 <= frame < 1 << 32:
+        raise DomainError(f"frame {frame} lies outside [0, 2**32)")
+    x = np.asarray(indices, dtype=np.uint64) | np.uint64(frame) << np.uint64(32)
+    x *= _GAMMA
+    x += _seeds(seed, purpose).generate_state(1, np.uint64)[0]
+    _mix64(x)
+    x >>= np.uint64(11)
+    return x.astype(np.float64) * 2.0 ** -53
 
 
-def _normal_quantiles(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:
-    """Phi^-1(u + step) for uniforms u on the 2^-53 grid of [0, 1).
+def standard_normals(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:
+    """Phi^-1(u + step), one standard normal per uniform u on the 2^-53 grid
+    of [0, 1) (inversion).
 
     The default half step keeps every argument inside (0, 1). Above 1/2
     the offset uniform has no float64 value, so it is taken from the upper
@@ -141,11 +147,6 @@ def _normal_quantiles(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:
     upper = u >= 0.5
     z = ndtri(np.where(upper, (1.0 - u) - step, u + step))
     return np.where(upper, -z, z)
-
-
-def standard_normals(keys: np.ndarray) -> np.ndarray:
-    """One standard normal per key, by inversion of the key's uniform."""
-    return _normal_quantiles(uniforms(keys))
 
 
 # Poisson counts (Giles 2016, ACM TOMS 42(1), Alg. 955, "poissinv"). Below
@@ -275,10 +276,9 @@ def _search(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     return k
 
 
-def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Poisson draws, one per pixel: the smallest k with u < F(k; theta)
-    for the uniform u of the pixel's substream (inversion). theta = 0
-    draws 0.
+def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Poisson draws, one per uniform u on the 2^-53 grid: the smallest k
+    with u < F(k; theta) (inversion). theta = 0 draws 0.
 
     Rates below _SEARCH_BELOW sum the pmf from k = 0. Above, the count is
     floor(x) for the quantile x of Giles's asymptotic inversion, taken from
@@ -286,12 +286,11 @@ def poissons(theta: np.ndarray, keys: np.ndarray) -> np.ndarray:
     m by one CDF evaluation, and those with x below _SEARCH_BELOW are summed.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.uint64)
     th = theta.ravel()
-    u = uniforms(keys.ravel())
+    u = np.asarray(u, dtype=np.float64).ravel()
     big = np.flatnonzero(th >= _SEARCH_BELOW)
     tb = th[big]
-    x = _count_quantiles(tb, _normal_quantiles(u[big], 0.0))
+    x = _count_quantiles(tb, standard_normals(u[big], 0.0))
     m = np.rint(x)
     margin = _MARGIN / tb
     margin += 1e-15 * x

@@ -209,7 +209,7 @@ def sample_frame(emap: ExposureMap, cfg: SensorConfig, frame: int = 0) -> Binary
     bits = np.empty(theta.size, dtype=bool)
 
     def draw(t, idx):
-        u = rng.uniforms(rng.substream_keys(cfg.seed, idx, rng.PHOTON, frame))
+        u = rng.uniforms(idx, cfg.seed, rng.PHOTON, frame)
         np.greater_equal(u, _complement(theta[t], cfg.q, cfg.sigma_r), out=bits[t])
 
     rng.each_tile(theta.size, draw)

@@ -35,7 +35,8 @@ COMMANDS = [
     ["simulate", "--theta-const", "1.5", "--size", f"{WIDTH}x{HEIGHT}", "--seed", "7",
      "--out", "const.qbf"],
     ["simulate", "--in", "scene.qex", "--seed", str(2 ** 64 - 1), "--out", "scene.qbf"],
-    # At this seed pixel 0 draws u = 0, the tie with 1 - p(1000) = 0: it must fire.
+    # The tie with 1 - p(1000) = 0 fires at any u. Up to 0.6.x this seed drew
+    # u = 0 there; test_rng.py now finds a u = 0 pixel by inverting the mixer.
     ["simulate", "--theta-const", "1000", "--size", "1x1", "--sigma-r", "0",
      "--seed", "15485907386658061715", "--out", "tie.qbf"],
     ["bracket", "--in", "scene.qex", "--seed", "3", "--out", "burst.qbb"],

@@ -19,13 +19,7 @@ EDGES = np.arange(1, 32) / 32  # 32 cells of [0, 1)
 
 def _uniforms(indices, seed, purpose, frame=0):
     """The raw uniforms of pixel `indices` of `frame` in the (seed, purpose) stream."""
-    indices = np.asarray(indices, dtype=np.uint64)
-    return rng.uniforms(rng.substream_keys(seed, indices, purpose, frame))
-
-
-def _chi_square_p(observed, expected):
-    stat = np.sum((np.asarray(observed, dtype=np.float64) - expected) ** 2 / expected)
-    return stats.chi2.sf(stat, np.size(observed) - 1)
+    return rng.uniforms(np.asarray(indices, dtype=np.uint64), seed, purpose, frame)
 
 
 def _masses(edges):
@@ -38,7 +32,7 @@ def _pair_p(a, pa, b, pb):
     observed = np.bincount(a * pb.size + b, minlength=pa.size * pb.size)
     expected = a.size * np.outer(pa, pb).ravel()
     assert expected.min() >= 5
-    return _chi_square_p(observed, expected)
+    return stats.chisquare(observed, expected).pvalue
 
 
 def _threshold_cells(frames_at):
@@ -54,7 +48,7 @@ def test_uniforms_chi_square():
     # 2**20 uniforms over 1024 equal cells: 1024 expected in each.
     u = _uniforms(np.arange(2 ** 20), 2024, rng.PHOTON)
     observed = np.bincount((u * 1024).astype(np.int64), minlength=1024)
-    assert _chi_square_p(observed, np.full(1024, 1024.0)) > ALPHA
+    assert stats.chisquare(observed).pvalue > ALPHA
 
 
 def test_adjacent_pixels_chi_square():
@@ -71,6 +65,14 @@ def test_photon_and_qis_photon_streams_chi_square():
     b = (_uniforms(idx, 31337, rng.QIS_PHOTON) * 32).astype(np.int64)
     mass = _masses(EDGES)
     assert _pair_p(a, mass, b, mass) > ALPHA
+
+
+def test_purposes_do_not_alias_across_seeds():
+    # Up to 0.6.x a stream's base was seed ^ purpose * P, so these two streams
+    # drew the same uniforms, pixel for pixel.
+    idx = np.arange(4096)
+    a = _uniforms(idx, 7, rng.PHOTON)
+    assert not np.any(a == _uniforms(idx, 16927359002936088773, rng.QIS_PHOTON))
 
 
 def test_frames_zero_and_one_chi_square():
@@ -140,7 +142,7 @@ def test_qis_forward_levels_chi_square(rate, params):
     levels, mass = _levels(rate, params)
     assert np.all(np.isin(out, levels))
     observed = np.bincount(np.searchsorted(levels, out), minlength=levels.size)
-    assert _chi_square_p(*_pooled(observed, N_QIS * mass)) > ALPHA
+    assert stats.chisquare(*_pooled(observed, N_QIS * mass)).pvalue > ALPHA
 
 
 @pytest.mark.parametrize("rate, params", [

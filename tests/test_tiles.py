@@ -22,8 +22,8 @@ SPLITS = [((19, 23), 1), ((19, 23), 7), ((H, W), 4097), ((H, W), H * W + 1)]
 def _whole_frame(emap, cfg):
     """Bits of `sample_frame` as drawn over the whole frame at once (0.5.0)."""
     theta = emap.theta.ravel()
-    keys = rng.substream_keys(cfg.seed, np.arange(theta.size, dtype=np.uint64), rng.PHOTON)
-    bits = rng.uniforms(keys) >= _complement(theta, cfg.q, cfg.sigma_r)
+    u = rng.uniforms(np.arange(theta.size, dtype=np.uint64), cfg.seed, rng.PHOTON)
+    bits = u >= _complement(theta, cfg.q, cfg.sigma_r)
     return np.packbits(bits.reshape(emap.theta.shape), axis=1)
 
 
@@ -179,9 +179,17 @@ def _splitmix64(x):
 def test_in_place_mixer_is_splitmix64():
     values = [0, 1, 2 ** 63, 2 ** 64 - 1, 0x123456789ABCDEF]
     x = np.array(values, dtype=np.uint64)
-    assert rng._mix64(x).tolist() == [_splitmix64(v) for v in values]
-    assert rng._mix64(x, rounds=2).tolist() == [_splitmix64(_splitmix64(v)) for v in values]
-    assert x.tolist() == values  # the input is left as it was
+    assert rng._mix64(x) is x
+    assert x.tolist() == [_splitmix64(v) for v in values]
+    # uniforms: the top 53 bits of splitmix64(base + (frame << 32 | pixel) * gamma),
+    # base the first word of the stream's SeedSequence
+    seed, frame, pixels = 2 ** 64 - 1, 5, [0, 1, 2 ** 31 - 1]
+    base = int(np.random.SeedSequence([seed % 2 ** 32, seed >> 32, rng.QIS_NOISE])
+               .generate_state(1, np.uint64)[0])
+    words = [_splitmix64((base + (frame << 32 | i) * 0x9E3779B97F4A7C15) % 2 ** 64)
+             for i in pixels]
+    u = rng.uniforms(np.array(pixels, dtype=np.uint64), seed, rng.QIS_NOISE, frame)
+    assert u.tolist() == [(w >> 11) * 2.0 ** -53 for w in words]
 
 
 def _peak_mib(fn):
