@@ -11,13 +11,6 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ShapeError
 
-#: Largest per-pixel Poisson rate `qis_forward` accepts. A draw takes the
-#: same time at any rate, but its count is floor(x) for a float64 quantile x
-#: near the rate: at the cap the rounding margin kept around integers is
-#: 1e-3, and from 2**52 on, where ulp(x) = 1, x keeps no fraction to floor.
-#: The sampler's counts are checked against mpmath up to the cap.
-RATE_CAP = 1e12
-
 #: Largest ADC bit depth, already more than a float32 QEX1 map resolves (24
 #: significant bits). Uncapped, the step clip_max / (2 ** adc_bits - 1)
 #: fails to convert to a float from 1024 bits on.
@@ -88,10 +81,10 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
 
     Per pixel: Poisson(ET * QE * (CRF * X + dark)), scaled by the gain,
     clipped, quantized (uniform over [0, clip_max], round half up), then
-    Gaussian noise added last, matching the printed model order. A first,
-    serial pass over `rng.tiles` checks the largest rate against RATE_CAP;
-    then `rng.each_tile` draws each tile from its rates, so no frame-sized
-    rate map is held.
+    Gaussian noise added last, matching the printed model order.
+    `rng.each_tile` draws each tile from its rates, computed once there, so
+    no frame-sized rate map is held; `rng.poissons` refuses a rate above
+    `rng.RATE_CAP`, and with it the map.
     """
     x = np.asarray(photons, dtype=np.float64)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
@@ -103,19 +96,13 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     xs = x.reshape(-1)
     gains = np.broadcast_to(crf, x.shape).reshape(-1)  # a view, also of a scalar
     scale = p.exposure_time * p.quantum_efficiency
-
-    def rates(t):
-        return scale * (gains[t] * xs[t] + p.dark_signal)
-
-    with np.errstate(over="ignore"):  # an overflow to inf fails the cap below
-        top = max((rates(t).max() for t, _ in rng.tiles(xs.size)), default=0.0)
-    if top > RATE_CAP:
-        raise DomainError(f"Poisson rate {top:g} exceeds the cap {RATE_CAP:g}")
     out = np.empty(xs.size)
     step = p.clip_max / (2 ** p.adc_bits - 1)
 
     def draw(t, idx):
-        counts = rng.poissons(rates(t), rng.uniforms(idx, seed, rng.QIS_PHOTON))
+        with np.errstate(over="ignore"):  # per thread: an overflow to inf fails the cap
+            rates = scale * (gains[t] * xs[t] + p.dark_signal)
+        counts = rng.poissons(rates, rng.uniforms(idx, seed, rng.QIS_PHOTON))
         v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
         out[t] = np.floor(v / step + 0.5) * step
         if p.sigma_real_noise > 0:

@@ -4,7 +4,9 @@
     PHOTON      1  sample_frame's uniforms   DENSITY     4  verifier density frames
     LAYER       2  layer-bound instances     QIS_PHOTON 11, QIS_NOISE 12  qis_forward
 
-Every stream is seeded by the words (seed mod 2**32, seed >> 32, purpose).
+Every stream is seeded by the words (seed mod 2**32, seed >> 32, purpose),
+which name each stream once only for a seed in [0, 2**64): `_seeds` refuses
+any other seed with a DomainError, so no caller checks it.
 Array draws use `generator`, the NumPy Generator of their SeedSequence, which
 ignores trailing zero words, so FIELD is `default_rng(seed)`. Pixel draws are
 counter-based (Salmon et al., SC 2011): `uniforms` is SplitMix64 (Steele, Lea
@@ -13,7 +15,7 @@ first uint64 of the SeedSequence and c = frame << 32 | pixel, injective as a
 frame holds at most formats.MAX_PIXELS = 2**31 pixels. Two streams share draws
 only if their bases differ by _GAMMA times a difference of counters in use:
 such pairs exist by counting, but as the base is a hash only a search finds
-one. `tiles` of TILE pixels draw the bits of any split with memory bounded by
+one. Tiles of TILE pixels draw the bits of any split with memory bounded by
 the tile, and `each_tile` is the one tile pass: it draws the tiles on W
 workers, W being the CPUs of the process's affinity but at most MAX_WORKERS,
 the caller being worker 0 and tile i going to worker i mod W, beside which
@@ -22,6 +24,7 @@ slice of the output, so no byte depends on W or TILE. The samplers are pure
 functions of their uniforms and import SciPy inside, so importing this module
 loads NumPy alone: `ndtri` for both quantiles, and `pdtr`, `pdtrc` and `ndtr`
 for the tail CDF of the few Poisson pixels whose quantile lies near an integer.
+`poissons` refuses a rate that is not at most RATE_CAP, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -39,8 +42,15 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's Weyl increment, 2**64 / g
 FIELD, PHOTON, LAYER, CONTINUITY, DENSITY, QIS_PHOTON, QIS_NOISE = 0, 1, 2, 3, 4, 11, 12
 TILE = 1 << 16  # pixels per tile: a tile's temporaries stay in cache
 
+#: Largest Poisson rate `poissons` accepts. A draw takes the same time at
+#: any rate, but its count is floor(x) for a float64 quantile x near the
+#: rate: at the cap the rounding margin kept around integers is 1e-3, and
+#: from 2**52 on, where ulp(x) = 1, x keeps no fraction to floor. The
+#: sampler's counts are checked against mpmath up to the cap.
+RATE_CAP = 1e12
 
-def tiles(n: int, first: int = 0, step: int = 1):
+
+def _tiles(n: int, first: int = 0, step: int = 1):
     """(slice, uint64 pixel indices) of the runs of TILE pixels in range(n):
     runs first, first + step, first + 2 step, ..."""
     for s in range(first * TILE, n, step * TILE):
@@ -63,7 +73,7 @@ _pool = None  # the threads beside the caller, started by the first pass that ne
 
 
 def each_tile(n: int, draw) -> None:
-    """draw(t, idx) for each (t, idx) of `tiles(n)`, tile i on worker i mod W
+    """draw(t, idx) for each (t, idx) of `_tiles(n)`, tile i on worker i mod W
     of W = the CPUs of the process's affinity, but no more than MAX_WORKERS
     or the tiles; the caller is worker 0. A worker whose draw raises stops,
     and the others stop before their next tile. Once every worker has
@@ -76,7 +86,7 @@ def each_tile(n: int, draw) -> None:
 
     def share(w):
         try:
-            for t, idx in tiles(n, w, workers):
+            for t, idx in _tiles(n, w, workers):
                 if failed:
                     return
                 draw(t, idx)
@@ -112,6 +122,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _seeds(seed: int, purpose: int) -> np.random.SeedSequence:
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed {seed} lies outside [0, 2**64)")
     return np.random.SeedSequence([seed & 0xFFFFFFFF, seed >> 32, purpose])
 
 
@@ -278,7 +290,8 @@ def _search(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Poisson draws, one per uniform u on the 2^-53 grid: the smallest k
-    with u < F(k; theta) (inversion). theta = 0 draws 0.
+    with u < F(k; theta) (inversion). theta = 0 draws 0, and a rate that
+    is not at most RATE_CAP (inf and NaN included) is refused.
 
     Rates below _SEARCH_BELOW sum the pmf from k = 0. Above, the count is
     floor(x) for the quantile x of Giles's asymptotic inversion, taken from
@@ -286,6 +299,8 @@ def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     m by one CDF evaluation, and those with x below _SEARCH_BELOW are summed.
     """
     theta = np.asarray(theta, dtype=np.float64)
+    if not np.all(theta <= RATE_CAP):
+        raise DomainError(f"a Poisson rate exceeds the cap {RATE_CAP:g} or is NaN")
     th = theta.ravel()
     u = np.asarray(u, dtype=np.float64).ravel()
     big = np.flatnonzero(th >= _SEARCH_BELOW)

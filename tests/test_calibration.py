@@ -5,7 +5,8 @@ import pytest
 
 from quantaflow import (CmosParams, DomainError, QisParams,
                         cmos_gray_to_photons, qis_forward)
-from quantaflow.calibration import ADC_BITS_MAX, RATE_CAP
+from quantaflow.calibration import ADC_BITS_MAX
+from quantaflow.rng import RATE_CAP
 
 
 class TestCmos:

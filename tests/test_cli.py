@@ -581,6 +581,9 @@ DOMAIN_ERRORS = {
     "atoms-no-field": ["atoms", "--out", "out"],
     "verify-seed-2**64": ["verify", "--instances", "1", "--seed", str(2 ** 64),
                           "--report", "out"],
+    # Instance seed 2**64 is refused where it keys its streams, not aliased.
+    "verify-instances-past-2**64": ["verify", "--instances", "2", "--seed", str(2 ** 64 - 1),
+                                    "--report", "out"],
     "cmos-truncated-in": ["calibrate", "cmos", "--in", "trunc.qex", "--out", "out"],
     "qis-forward-bad-json": ["calibrate", "qis-forward", "--in", "scene.qex",
                              "--params", "bad.json", "--seed", "1", "--out", "out"],

@@ -7,9 +7,9 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from quantaflow import (BracketSpec, DomainError, ExposureMap, SensorConfig, generate_burst,
-                        rng, sample_frame, verifier)
-from quantaflow.calibration import RATE_CAP
+from quantaflow import (AtomVectorField, BracketSpec, DomainError, ExposureMap, QisParams,
+                        SensorConfig, generate_burst, qis_forward, rng, sample_frame, verifier)
+from quantaflow.rng import RATE_CAP
 from quantaflow.verifier import continuity_instance, run_density_suite
 
 
@@ -128,6 +128,27 @@ def test_a_frame_outside_32_bits_is_a_domain_error(frame):
     assert rng.uniforms(np.arange(4), 1, rng.PHOTON, 2 ** 32 - 1).shape == (4,)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("draw", [
+    lambda s: rng.generator(s, rng.FIELD),
+    lambda s: rng.uniforms(np.arange(4), s, rng.PHOTON),
+    lambda s: sample_frame(ExposureMap.constant(4, 4, 1.0), SensorConfig(seed=s)),
+    lambda s: qis_forward(np.full((2, 3), 2.0), QisParams(), seed=s),
+    lambda s: AtomVectorField.seeded(2, 3, s)],
+    ids=["generator", "uniforms", "sample_frame", "qis_forward", "field"])
+def test_a_seed_outside_64_bits_is_a_domain_error(draw, seed):
+    with pytest.raises(DomainError, match="seed"):
+        draw(seed)
+
+
+def test_the_first_seed_past_64_bits_is_refused_not_aliased():
+    # Its words (0, 2**32, FIELD) enter SeedSequence as the words of (0, PHOTON).
+    assert (np.random.SeedSequence([0, 2 ** 32, rng.FIELD]).generate_state(4).tolist()
+            == np.random.SeedSequence([0, 0, rng.PHOTON]).generate_state(4).tolist())
+    with pytest.raises(DomainError, match="seed"):
+        rng.generator(2 ** 64, rng.FIELD)
+
+
 def _unshift(y, s):
     """The x with x ^ (x >> s) = y, for s >= 22."""
     x = y
@@ -208,7 +229,7 @@ def test_density_row_redraws_from_its_instance_seed(monkeypatch, seed):
         return block(bits, nb)
 
     monkeypatch.setattr(verifier, "_density_block", recording)
-    start = max(seed - 20, 0)
+    start = min(max(seed - 20, 0), 2 ** 64 - 40)  # the 40 instance seeds stay below 2**64
     rows = run_density_suite(40, start)
     frame = seen[seed - start]
     seen.clear()
@@ -417,3 +438,9 @@ CAP_COUNTS = {256425812: 999994571845, 557446329: 999994712177,
 def test_poisson_counts_at_the_rate_cap():
     _, k = _draw(list(CAP_COUNTS), RATE_CAP)
     assert dict(zip(CAP_COUNTS, k.tolist())) == CAP_COUNTS
+
+
+@pytest.mark.parametrize("theta", [np.nextafter(RATE_CAP, np.inf), np.inf, np.nan])
+def test_a_rate_above_the_cap_is_refused(theta):
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        rng.poissons(np.array([1.0, theta]), np.array([0.5, 0.5]))

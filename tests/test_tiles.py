@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quantaflow import (BracketSpec, ExposureMap, QisParams, SensorConfig,
+from quantaflow import (BracketSpec, DomainError, ExposureMap, QisParams, SensorConfig,
                         generate_burst, qis_forward, rng, sample_frame)
 from quantaflow.sensor import _complement
 
@@ -162,10 +162,32 @@ def test_the_error_of_the_lowest_failing_worker_is_raised(workers, monkeypatch, 
 
 def test_tiles_cover_range_in_order(monkeypatch):
     monkeypatch.setattr(rng, "TILE", 4)
-    runs = list(rng.tiles(10))
+    runs = list(rng._tiles(10))
     assert [idx.tolist() for _, idx in runs] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     assert all(np.arange(10)[t].tolist() == idx.tolist() for t, idx in runs)
-    assert list(rng.tiles(0)) == []
+    assert list(rng._tiles(0)) == []
+
+
+def test_an_overflow_in_a_pool_thread_tile_fails_the_cap(workers, monkeypatch):
+    monkeypatch.setattr(rng, "TILE", 4)
+    workers(2)
+    x = np.ones(12)
+    x[5] = 1e308  # in tile 1, drawn by worker 1: its rate 10 * 1e308 overflows to inf
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        qis_forward(x, QisParams(crf=np.full(12, 10.0)), seed=3)
+
+
+def test_an_over_cap_pixel_in_the_last_tile_is_refused(workers, monkeypatch):
+    monkeypatch.setattr(rng, "TILE", 4)
+    workers(2)
+    p = QisParams(exposure_time=1.0, quantum_efficiency=1.0, clip_max=1e13)
+    x = np.full(10, 3.0)
+    drawn = qis_forward(x, p, seed=4)
+    x[9] = np.nextafter(rng.RATE_CAP, np.inf)
+    with pytest.raises(DomainError, match="exceeds the cap"):
+        qis_forward(x, p, seed=4)
+    x[9] = 3.0
+    assert np.array_equal(qis_forward(x, p, seed=4), drawn)  # the pool still serves
 
 
 def _splitmix64(x):
