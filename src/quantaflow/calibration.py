@@ -42,7 +42,10 @@ def cmos_gray_to_photons(gray, p: CmosParams = CmosParams()):
     arr = np.asarray(gray, dtype=np.float64)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise DomainError("gray levels must be finite and >= 0")
-    out = p.gain_ratio * arr / p.quantum_efficiency
+    with np.errstate(over="ignore"):
+        out = p.gain_ratio * arr / p.quantum_efficiency
+    if not np.isfinite(np.max(out, initial=0.0)):  # out >= 0: finite iff its max is
+        raise DomainError("photon counts overflow a float64")
     return float(out) if np.isscalar(gray) else out
 
 
@@ -70,10 +73,19 @@ class QisParams:
             raise DomainError("quantum efficiency must lie in (0, 1]")
         if self.dark_signal < 0 or self.sigma_real_noise < 0:
             raise DomainError("dark signal and noise sigma must be >= 0")
-        if not (1 <= self.adc_bits <= ADC_BITS_MAX):
+        if isinstance(self.adc_bits, bool) or not isinstance(self.adc_bits, (int, np.integer)):
+            raise DomainError(f"adc_bits {self.adc_bits!r} is not an integer")
+        if not 1 <= self.adc_bits <= ADC_BITS_MAX:
             raise DomainError(f"adc_bits must lie in [1, {ADC_BITS_MAX}]")
+        if not self.step > 0:
+            raise DomainError("the quantizer step clip_max / (2**adc_bits - 1) underflows to 0")
         if np.any(np.asarray(crf) <= 0):
             raise DomainError("response gain entries must be > 0")
+
+    @property
+    def step(self) -> float:
+        """The quantizer step clip_max / (2**adc_bits - 1)."""
+        return self.clip_max / (2 ** self.adc_bits - 1)
 
 
 def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
@@ -83,8 +95,11 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     clipped, quantized (uniform over [0, clip_max], round half up), then
     Gaussian noise added last, matching the printed model order.
     `rng.each_tile` draws each tile from its rates, computed once there, so
-    no frame-sized rate map is held; `rng.poissons` refuses a rate above
-    `rng.RATE_CAP`, and with it the map.
+    no frame-sized rate map is held. A tile is drawn under its own
+    `np.errstate`, so a value that overflows becomes inf without a warning:
+    `rng.poissons` refuses a rate above `rng.RATE_CAP`, and with it the map;
+    a scaled count clips to clip_max; an inf noise is returned as it is,
+    and a QEX1 writer refuses it.
     """
     x = np.asarray(photons, dtype=np.float64)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
@@ -97,17 +112,17 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     gains = np.broadcast_to(crf, x.shape).reshape(-1)  # a view, also of a scalar
     scale = p.exposure_time * p.quantum_efficiency
     out = np.empty(xs.size)
-    step = p.clip_max / (2 ** p.adc_bits - 1)
+    step = p.step
 
     def draw(t, idx):
-        with np.errstate(over="ignore"):  # per thread: an overflow to inf fails the cap
+        with np.errstate(over="ignore"):  # per thread, as it does not reach the pool
             rates = scale * (gains[t] * xs[t] + p.dark_signal)
-        counts = rng.poissons(rates, rng.uniforms(idx, seed, rng.QIS_PHOTON))
-        v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
-        out[t] = np.floor(v / step + 0.5) * step
-        if p.sigma_real_noise > 0:
-            z = rng.standard_normals(rng.uniforms(idx, seed, rng.QIS_NOISE))
-            out[t] += p.sigma_real_noise * z
+            counts = rng.poissons(rates, rng.uniforms(idx, seed, rng.QIS_PHOTON))
+            v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
+            out[t] = np.floor(v / step + 0.5) * step
+            if p.sigma_real_noise > 0:
+                z = rng.standard_normals(rng.uniforms(idx, seed, rng.QIS_NOISE))
+                out[t] += p.sigma_real_noise * z
 
     rng.each_tile(xs.size, draw)
     return out.reshape(x.shape)

@@ -120,10 +120,6 @@ def _cmd_bracket(args):
 
 def _cmd_density(args):
     frame = formats.read_frame(args.infile)
-    pad = 2 * max(args.radius, 0)
-    if (frame.width + pad) * (frame.height + pad) > formats.MAX_PIXELS:
-        raise DomainError(f"--radius {args.radius} pads the {frame.width}x{frame.height} "
-                          f"frame past {formats.MAX_PIXELS} pixels")
     nb = NeighborhoodSpec(radius=args.radius, boundary=args.boundary)
     print(f"mean bit density: {mean_bit_density(frame):.9f}")
     if args.out:

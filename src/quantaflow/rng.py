@@ -5,14 +5,14 @@
     LAYER       2  layer-bound instances     QIS_PHOTON 11, QIS_NOISE 12  qis_forward
 
 Every stream is seeded by the words (seed mod 2**32, seed >> 32, purpose),
-which name each stream once only for a seed in [0, 2**64): `_seeds` refuses
-any other seed with a DomainError, so no caller checks it.
+which name each stream once only for an integer seed in [0, 2**64): `_seeds`
+refuses any other seed with a DomainError, so no caller checks it.
 Array draws use `generator`, the NumPy Generator of their SeedSequence, which
 ignores trailing zero words, so FIELD is `default_rng(seed)`. Pixel draws are
 counter-based (Salmon et al., SC 2011): `uniforms` is SplitMix64 (Steele, Lea
 and Flood, OOPSLA 2014), one finalizer over base + c * _GAMMA, base being the
-first uint64 of the SeedSequence and c = frame << 32 | pixel, injective as a
-frame holds at most formats.MAX_PIXELS = 2**31 pixels. Two streams share draws
+first uint64 of the SeedSequence and c = frame << 32 | pixel, injective as
+`uniforms` refuses either half outside [0, 2**32). Two streams share draws
 only if their bases differ by _GAMMA times a difference of counters in use:
 such pairs exist by counting, but as the base is a hash only a search finds
 one. Tiles of TILE pixels draw the bits of any split with memory bounded by
@@ -122,6 +122,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _seeds(seed: int, purpose: int) -> np.random.SeedSequence:
+    if not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed {seed!r} is not an integer")
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed} lies outside [0, 2**64)")
     return np.random.SeedSequence([seed & 0xFFFFFFFF, seed >> 32, purpose])
@@ -138,6 +140,9 @@ def uniforms(indices: np.ndarray, seed: int, purpose: int, frame: int = 0) -> np
     splitmix64(base + (frame << 32 | index) * _GAMMA)."""
     if not 0 <= frame < 1 << 32:
         raise DomainError(f"frame {frame} lies outside [0, 2**32)")
+    indices = np.asarray(indices)  # checked before the cast, which wraps -1
+    if indices.size and not (0 <= indices.min() and indices.max() < 1 << 32):
+        raise DomainError("a pixel index lies outside [0, 2**32)")
     x = np.asarray(indices, dtype=np.uint64) | np.uint64(frame) << np.uint64(32)
     x *= _GAMMA
     x += _seeds(seed, purpose).generate_state(1, np.uint64)[0]

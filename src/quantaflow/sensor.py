@@ -43,7 +43,9 @@ class ExposureMap:
         return cls(np.full((height, width), value, dtype=np.float64))
 
     def scaled(self, factor: float) -> "ExposureMap":
-        return ExposureMap(self.theta * factor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = self.theta * factor
+        return ExposureMap(theta)  # which refuses an inf or NaN product
 
 
 @dataclass(frozen=True)

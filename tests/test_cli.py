@@ -1,5 +1,6 @@
 """End-to-end tests for the `qflow` command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 import quantaflow
-from quantaflow import cli, formats
+from quantaflow import QisParams, cli, formats
 from quantaflow.cli import main
 from quantaflow.ode import AtomVectorField
-from quantaflow.sensor import BinaryFrame, mean_bit_density
+from quantaflow.rng import TILE
+from quantaflow.sensor import (BinaryFrame, NeighborhoodSpec, local_bit_density,
+                               mean_bit_density)
 
 
 def run(argv):
@@ -289,19 +292,33 @@ class TestBracketAndDensity:
         assert rc == 1
         assert one_error_line(capsys)
 
-    @pytest.mark.parametrize("argv", [["--radius", "3000000000", "--out", "d.qex"],
-                                      ["--radius", "23170"]])
-    def test_radius_past_pixel_cap_is_domain_error(self, tmp_path, capsys, monkeypatch,
-                                                   argv):
-        # A 2x2 frame padded by r on each side has (2 + 2r)^2 pixels; r = 23170
-        # is the first radius past formats.MAX_PIXELS.
+    def test_radius_overflowing_an_int64_count_is_domain_error(self, tmp_path, capsys,
+                                                               monkeypatch):
         monkeypatch.chdir(tmp_path)
         formats.write_frame("tiny.qbf", BinaryFrame.from_array(np.eye(2)))
-        assert run(["density", "--in", "tiny.qbf", *argv]) == 1
+        assert run(["density", "--in", "tiny.qbf", "--radius", "3000000000",
+                    "--out", "d.qex"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --radius") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: radius") and captured.err.count("\n") == 1
         assert not Path("d.qex").exists()
+
+    def test_radius_padding_past_pixel_cap_is_clipped(self, tmp_path, monkeypatch):
+        # A 2x2 frame padded by r = 23170 on each side would pass
+        # formats.MAX_PIXELS; neighborhood_ones clips r to the frame.
+        monkeypatch.chdir(tmp_path)
+        frame = BinaryFrame.from_array(np.eye(2))
+        formats.write_frame("tiny.qbf", frame)
+        assert run(["density", "--in", "tiny.qbf", "--radius", "23170", "--out", "d.qex"]) == 0
+        expected = local_bit_density(frame, NeighborhoodSpec(23170)).mu.astype(np.float32)
+        assert np.array_equal(formats.read_float_map("d.qex").astype(np.float32), expected)
+
+    def test_pixel_cap_does_not_bound_the_padding(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_PIXELS", 64)
+        monkeypatch.chdir(tmp_path)
+        formats.write_frame("f.qbf", BinaryFrame.from_array(np.eye(8)))
+        assert run(["density", "--in", "f.qbf", "--radius", "1", "--out", "d.qex"]) == 0
+        assert formats.read_float_map("d.qex").shape == (8, 8)
 
     def test_radius_at_pixel_cap_is_accepted_without_out(self, tmp_path, capsys):
         frame_path = tmp_path / "tiny.qbf"
@@ -445,6 +462,18 @@ class TestCalibrate:
         assert rc == 0
         assert np.allclose(formats.read_float_map(str(out)), 100.0)
 
+    def test_overflowing_gain_clips_without_a_warning(self, tmp_path, capsys):
+        # Two tiles, so a pool thread draws one where the process has two CPUs.
+        src = tmp_path / "photons.qex"
+        formats.write_float_map(str(src), np.tile([0.0, 50.0], TILE).reshape(2, TILE))
+        params = tmp_path / "p.json"
+        params.write_text('{"gain_ratio": 1e308, "exposure_time": 1.0}')
+        out = tmp_path / "pixels.qex"
+        assert run(["calibrate", "qis-forward", "--in", str(src), "--params", str(params),
+                    "--seed", "17", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.unique(formats.read_float_map(str(out))).tolist() == [0.0, 2 ** 14 - 1]
+
     def test_qis_forward(self, tmp_path):
         src = tmp_path / "photons.qex"
         formats.write_float_map(str(src), np.full((32, 32), 50.0))
@@ -479,7 +508,10 @@ class TestCalibrate:
                                       '{"dark_signal": NaN}',
                                       '{"exposure_time": Infinity}',
                                       '{"exposure_time": 1e300}',
-                                      '{"adc_bits": 2000}'])
+                                      '{"adc_bits": 2000}',
+                                      '{"adc_bits": 3.5}',
+                                      '{"adc_bits": true}',
+                                      '{"clip_max": 1e-320}'])
     def test_bad_params_is_domain_error(self, tmp_path, capsys, text):
         src = tmp_path / "photons.qex"
         formats.write_float_map(str(src), np.full((4, 4), 50.0))
@@ -584,9 +616,22 @@ DOMAIN_ERRORS = {
     # Instance seed 2**64 is refused where it keys its streams, not aliased.
     "verify-instances-past-2**64": ["verify", "--instances", "2", "--seed", str(2 ** 64 - 1),
                                     "--report", "out"],
+    # edge.qex holds 0 and 3e38: theta * (1 / alpha) is NaN, then inf.
+    "bracket-alphas-1e-320": ["bracket", "--in", "edge.qex", "--alphas", "1e-320",
+                              "--seed", "1", "--out", "out"],
+    "bracket-alphas-1e-300": ["bracket", "--in", "edge.qex", "--alphas", "1e-300",
+                              "--seed", "1", "--out", "out"],
     "cmos-truncated-in": ["calibrate", "cmos", "--in", "trunc.qex", "--out", "out"],
+    "cmos-qe-1e-320": ["calibrate", "cmos", "--in", "scene.qex", "--qe", "1e-320",
+                       "--out", "out"],
+    "cmos-gain-1e308": ["calibrate", "cmos", "--in", "scene.qex", "--gain", "1e308",
+                        "--out", "out"],
     "qis-forward-bad-json": ["calibrate", "qis-forward", "--in", "scene.qex",
                              "--params", "bad.json", "--seed", "1", "--out", "out"],
+    "qis-forward-noise-1e308": ["calibrate", "qis-forward", "--in", "scene.qex",
+                                "--params", "noise.json", "--seed", "1", "--out", "out"],
+    "qis-forward-clip-max-1e-320": ["calibrate", "qis-forward", "--in", "scene.qex",
+                                    "--params", "clip.json", "--seed", "1", "--out", "out"],
     "export-pgm-truncated-in": ["export-pgm", "--in", "trunc.qbf", "--out", "out"],
 }
 
@@ -606,6 +651,9 @@ class TestErrorContract:
         Path("trunc.qex").write_bytes(Path("scene.qex").read_bytes()[:-3])
         Path("trunc.qbf").write_bytes(Path("f.qbf").read_bytes()[:-1])
         Path("bad.json").write_text('{"gain_ratio": 1.0,')
+        formats.write_float_map("edge.qex", np.array([[0.0, 3e38]]))
+        Path("noise.json").write_text('{"sigma_real_noise": 1e308}')
+        Path("clip.json").write_text('{"clip_max": 1e-320}')
         inputs = sorted(os.listdir())
         try:
             rc = run(argv)
@@ -616,6 +664,54 @@ class TestErrorContract:
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
         assert captured.out == ""
         assert sorted(os.listdir()) == inputs
+
+
+EXTREMES = ("0", "-0.0", "1e-320", "1e308", "-1e308", "inf", "nan", "-1")
+JSON_EXTREMES = {"inf": "Infinity", "nan": "NaN"}
+# Each command with its numeric flags, over the inputs TestExtremeNumbers makes.
+NUMERIC_FLAGS = {
+    "simulate": (["simulate", "--theta-const", "1", "--size", "2x2", "--seed", "1",
+                  "--out", "out"], ("--q", "--sigma-r", "--theta-const", "--seed")),
+    "bracket": (["bracket", "--in", "edge.qex", "--alphas", "1,2", "--seed", "1",
+                 "--out", "out"], ("--q", "--sigma-r", "--alphas", "--seed")),
+    "estimate": (["estimate", "--in", "f.qbf"], ("--q", "--sigma-r")),
+    "cmos": (["calibrate", "cmos", "--in", "small.qex", "--out", "out"], ("--gain", "--qe")),
+}
+QIS_ARGV = ["calibrate", "qis-forward", "--in", "small.qex", "--params", "p.json",
+            "--seed", "1", "--out", "out"]
+EXTREME_RUNS = {
+    **{f"{name}{flag}={v}": ([*argv, f"{flag}={v}"], "{}")
+       for name, (argv, flags) in NUMERIC_FLAGS.items() for flag in flags for v in EXTREMES},
+    **{f"qis-forward-{f.name}={v}":
+       (QIS_ARGV, f'{{"exposure_time": 1.0, "{f.name}": {JSON_EXTREMES.get(v, v)}}}')
+       for f in dataclasses.fields(QisParams) for v in EXTREMES},
+}
+
+
+class TestExtremeNumbers:
+    """Every numeric flag, and every QisParams field, at 0, the signed and
+    the subnormal zeros, the extremes of float64, inf, NaN and -1: a run
+    succeeds with nothing on stderr or fails with one line and no file."""
+
+    @pytest.mark.parametrize("argv, params", EXTREME_RUNS.values(), ids=EXTREME_RUNS)
+    def test_one_line_or_silent_success(self, tmp_path, capsys, monkeypatch, argv, params):
+        monkeypatch.chdir(tmp_path)
+        formats.write_float_map("edge.qex", np.array([[0.0, 1.0], [2.0, 3e38]]))
+        formats.write_float_map("small.qex", np.array([[0.0, 1.0], [2.0, 50.0]]))
+        formats.write_frame("f.qbf", BinaryFrame.from_array(np.eye(2)))
+        Path("p.json").write_text(params)
+        inputs = sorted(os.listdir())
+        try:
+            rc = run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert err == ""
+        else:
+            assert err.endswith("\n") and err.count("\n") == 1
+            assert sorted(os.listdir()) == inputs
 
 
 class TestMissingFile:

@@ -128,7 +128,22 @@ def test_a_frame_outside_32_bits_is_a_domain_error(frame):
     assert rng.uniforms(np.arange(4), 1, rng.PHOTON, 2 ** 32 - 1).shape == (4,)
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("index", [-1, 2 ** 32])
+def test_a_pixel_index_outside_32_bits_is_a_domain_error(index):
+    with pytest.raises(DomainError, match="pixel index"):
+        rng.uniforms([0, index], 1, rng.PHOTON)
+    assert rng.uniforms([0, 2 ** 32 - 1], 1, rng.PHOTON).shape == (2,)
+
+
+def test_the_first_pixel_past_32_bits_is_refused_not_aliased():
+    # Cast to uint64, its counter 0 << 32 | 2**32 is that of pixel 0 of frame 1.
+    assert np.uint64(2 ** 32) | np.uint64(0) << np.uint64(32) == np.uint64(1) << np.uint64(32)
+    assert rng.uniforms([0], 5, rng.PHOTON, frame=1).tolist() == [pytest.approx(0.56299956)]
+    with pytest.raises(DomainError, match="pixel index"):
+        rng.uniforms([2 ** 32], 5, rng.PHOTON, frame=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
 @pytest.mark.parametrize("draw", [
     lambda s: rng.generator(s, rng.FIELD),
     lambda s: rng.uniforms(np.arange(4), s, rng.PHOTON),
@@ -139,6 +154,13 @@ def test_a_frame_outside_32_bits_is_a_domain_error(frame):
 def test_a_seed_outside_64_bits_is_a_domain_error(draw, seed):
     with pytest.raises(DomainError, match="seed"):
         draw(seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2 ** 64 - 1)])
+def test_a_numpy_integer_seed_draws_as_its_int(seed):
+    emap = ExposureMap.constant(4, 4, 1.0)
+    assert (sample_frame(emap, SensorConfig(seed=seed)).bits.tobytes()
+            == sample_frame(emap, SensorConfig(seed=int(seed))).bits.tobytes())
 
 
 def test_the_first_seed_past_64_bits_is_refused_not_aliased():
