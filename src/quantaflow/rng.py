@@ -12,15 +12,16 @@ ignores trailing zero words, so FIELD is `default_rng(seed)`. Pixel draws are
 counter-based (Salmon et al., SC 2011): `uniforms` is SplitMix64 (Steele, Lea
 and Flood, OOPSLA 2014), one finalizer over base + c * _GAMMA, base being the
 first uint64 of the SeedSequence and c = frame << 32 | pixel, injective as
-`uniforms` refuses either half outside [0, 2**32). Two streams share draws
+`uniforms` takes a pixel range and frame in [0, 2**32). Two streams share draws
 only if their bases differ by _GAMMA times a difference of counters in use:
 such pairs exist by counting, but as the base is a hash only a search finds
 one. Tiles of TILE pixels draw the bits of any split with memory bounded by
 the tile, and `each_tile` is the one tile pass: it draws the tiles on W
 workers, W being the CPUs of the process's affinity but at most MAX_WORKERS,
 the caller being worker 0 and tile i going to worker i mod W, beside which
-W - 1 pool threads are started on first use. A draw writes only its tile's
-slice of the output, so no byte depends on W or TILE. The samplers are pure
+W - 1 pool threads are started on first use. A draw is handed its tile's
+slice and pixel range and writes only that slice of the output, so no byte
+depends on W or TILE. The samplers are pure
 functions of their uniforms and import SciPy inside, so importing this module
 loads NumPy alone: `ndtri` for both quantiles, and `pdtr`, `pdtrc` and `ndtr`
 for the tail CDF of the few Poisson pixels whose quantile lies near an integer.
@@ -50,13 +51,6 @@ TILE = 1 << 16  # pixels per tile: a tile's temporaries stay in cache
 RATE_CAP = 1e12
 
 
-def _tiles(n: int, first: int = 0, step: int = 1):
-    """(slice, uint64 pixel indices) of the runs of TILE pixels in range(n):
-    runs first, first + step, first + 2 step, ..."""
-    for s in range(first * TILE, n, step * TILE):
-        yield slice(s, s + TILE), np.arange(s, min(s + TILE, n), dtype=np.uint64)
-
-
 def _cpus() -> int:
     """The CPUs this process may run on: its affinity where the OS keeps one."""
     if hasattr(os, "sched_getaffinity"):
@@ -73,9 +67,10 @@ _pool = None  # the threads beside the caller, started by the first pass that ne
 
 
 def each_tile(n: int, draw) -> None:
-    """draw(t, idx) for each (t, idx) of `_tiles(n)`, tile i on worker i mod W
-    of W = the CPUs of the process's affinity, but no more than MAX_WORKERS
-    or the tiles; the caller is worker 0. A worker whose draw raises stops,
+    """draw(t, pixels) for each tile of TILE pixels in range(n), in order:
+    t its slice and pixels its range. Tile i goes to worker i mod W of W =
+    the CPUs of the process's affinity, but no more than MAX_WORKERS or the
+    tiles; the caller is worker 0. A worker whose draw raises stops,
     and the others stop before their next tile. Once every worker has
     stopped, the caller's error is raised, else the error of the
     lowest-numbered failing worker. A draw must not call each_tile itself:
@@ -86,10 +81,10 @@ def each_tile(n: int, draw) -> None:
 
     def share(w):
         try:
-            for t, idx in _tiles(n, w, workers):
+            for s in range(w * TILE, n, workers * TILE):
                 if failed:
                     return
-                draw(t, idx)
+                draw(slice(s, s + TILE), range(s, min(s + TILE, n)))
         except BaseException:
             failed.append(w)
             raise
@@ -122,7 +117,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _seeds(seed: int, purpose: int) -> np.random.SeedSequence:
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise DomainError(f"seed {seed!r} is not an integer")
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed {seed} lies outside [0, 2**64)")
@@ -134,16 +129,18 @@ def generator(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(_seeds(seed, purpose))
 
 
-def uniforms(indices: np.ndarray, seed: int, purpose: int, frame: int = 0) -> np.ndarray:
-    """Uniform floats in [0, 1) on the 2^-53 grid, one per pixel index of
-    `frame` in the (seed, purpose) stream: the top 53 bits of
-    splitmix64(base + (frame << 32 | index) * _GAMMA)."""
+def uniforms(pixels: range, seed: int, purpose: int, frame: int = 0) -> np.ndarray:
+    """Uniform floats in [0, 1) on the 2^-53 grid, one per pixel of `frame`
+    in the (seed, purpose) stream: the top 53 bits of
+    splitmix64(base + (frame << 32 | pixel) * _GAMMA). `pixels` must be a
+    step-1 range inside [0, 2**32)."""
     if not 0 <= frame < 1 << 32:
         raise DomainError(f"frame {frame} lies outside [0, 2**32)")
-    indices = np.asarray(indices)  # checked before the cast, which wraps -1
-    if indices.size and not (0 <= indices.min() and indices.max() < 1 << 32):
-        raise DomainError("a pixel index lies outside [0, 2**32)")
-    x = np.asarray(indices, dtype=np.uint64) | np.uint64(frame) << np.uint64(32)
+    if not (isinstance(pixels, range) and pixels.step == 1
+            and 0 <= pixels.start and pixels.stop <= 1 << 32):
+        raise DomainError(f"pixels {pixels!r} are not a step-1 range inside [0, 2**32)")
+    x = np.arange(pixels.start, pixels.stop, dtype=np.uint64)
+    x |= np.uint64(frame) << np.uint64(32)
     x *= _GAMMA
     x += _seeds(seed, purpose).generate_state(1, np.uint64)[0]
     _mix64(x)
@@ -157,13 +154,15 @@ def standard_normals(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:
 
     The default half step keeps every argument inside (0, 1). Above 1/2
     the offset uniform has no float64 value, so it is taken from the upper
-    tail as -Phi^-1((1 - u) - step); both forms are exact.
+    tail as -Phi^-1((1 - u) - step); both forms are exact. On the grid the
+    smaller argument is always the one of u's side of 1/2, so the minimum
+    selects it, and the sign flips by a multiply by -1.
     """
     from scipy.special import ndtri
 
-    upper = u >= 0.5
-    z = ndtri(np.where(upper, (1.0 - u) - step, u + step))
-    return np.where(upper, -z, z)
+    z = ndtri(np.minimum((1.0 - u) - step, u + step))
+    z *= 1.0 - 2.0 * (u >= 0.5)
+    return z
 
 
 # Poisson counts (Giles 2016, ACM TOMS 42(1), Alg. 955, "poissinv"). Below

@@ -119,7 +119,7 @@ class NeighborhoodSpec:
     def __post_init__(self):
         if self.radius < 0:
             raise DomainError("radius must be >= 0")
-        if self.size > np.iinfo(np.int64).max:  # neighborhood_ones counts in int64
+        if self.size > np.iinfo(np.int64).max:  # neighborhood_ones counts below 2**64
             raise DomainError(f"radius {self.radius}: (2r+1)^2 overflows an int64 count")
         if self.boundary not in ("zero-pad", "clamp"):
             raise DomainError(f"unknown boundary rule {self.boundary!r}")
@@ -232,25 +232,31 @@ def neighborhood_ones(bits, nb: NeighborhoodSpec) -> np.ndarray:
 
     A radius r past a frame length n is clipped to n on that axis, so memory
     stays O(h * w): beyond n, zero-pad adds nothing and clamp adds r - n more
-    copies of the first and of the last line."""
+    copies of the first and of the last line.
+
+    The sums wrap in the narrowest unsigned dtype whose modulus exceeds
+    nb.size (uint16 up to r = 127), which is also the dtype returned: a
+    count is at most nb.size, so its wrapped differences give it exactly."""
     if isinstance(bits, BinaryFrame):
         bits = bits.to_array()
     r, (h, w) = nb.radius, bits.shape[-2:]
     rh, rw = min(r, h), min(r, w)
     clamp = nb.boundary == "clamp"
+    k = next(k for k in (16, 32, 64) if nb.size < 1 << k)  # the sums wrap modulo 2**k
+    dt, mod = np.dtype(f"uint{k}"), 1 << k  # NumPy refuses a Python int factor of 2**k or more
     padded = np.pad(bits, [(0, 0)] * (bits.ndim - 2) + [(rh, rh), (rw, rw)], mode=nb.pad_mode)
-    c = np.cumsum(padded, axis=-2, dtype=np.int64)
+    c = np.cumsum(padded, axis=-2, dtype=dt)
     c[..., 2 * rh + 1:, :] -= c[..., :-2 * rh - 1, :]
     c = c[..., 2 * rh:, :]
     if clamp and r > h:
         rows = padded[..., [rh, rh + h - 1], :]        # first and last row
-        c += (r - h) * rows.sum(axis=-2, dtype=np.int64, keepdims=True)
-    edges = c[..., [rw, rw + w - 1]].sum(axis=-1, keepdims=True)  # before c is replaced
-    c = np.cumsum(c, axis=-1)
+        c += (r - h) % mod * rows.sum(axis=-2, dtype=dt, keepdims=True)
+    edges = c[..., [rw, rw + w - 1]].sum(axis=-1, dtype=dt, keepdims=True)  # before c is replaced
+    c = np.cumsum(c, axis=-1, dtype=dt)
     c[..., 2 * rw + 1:] -= c[..., :-2 * rw - 1]
     c = c[..., 2 * rw:]
     if clamp and r > w:
-        c += (r - w) * edges
+        c += (r - w) % mod * edges
     return c
 
 

@@ -37,14 +37,14 @@ def _chi_square_p(observed, expected):
 
 
 def test_uniforms_deterministic_and_in_range():
-    u1 = rng.uniforms(np.arange(1000), 42, 1)
-    u2 = rng.uniforms(np.arange(1000), 42, 1)
+    u1 = rng.uniforms(range(1000), 42, 1)
+    u2 = rng.uniforms(range(1000), 42, 1)
     assert np.array_equal(u1, u2)
     assert np.all((u1 >= 0) & (u1 < 1))
 
 
 def test_substreams_differ_by_seed_tag_and_index():
-    idx = np.arange(100)
+    idx = range(100)
     a = rng.uniforms(idx, 1, 1)
     b = rng.uniforms(idx, 2, 1)
     c = rng.uniforms(idx, 1, 2)
@@ -53,14 +53,14 @@ def test_substreams_differ_by_seed_tag_and_index():
 
 
 def test_uniform_moments():
-    u = rng.uniforms(np.arange(200_000), 7, 3)
+    u = rng.uniforms(range(200_000), 7, 3)
     # mean 1/2, var 1/12; 5 sigma bands
     assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / u.size)
     assert abs(u.var() - 1 / 12) < 5e-3
 
 
 def test_standard_normals_moments():
-    z = rng.standard_normals(rng.uniforms(np.arange(200_000), 11, 4))
+    z = rng.standard_normals(rng.uniforms(range(200_000), 11, 4))
     n = z.size
     assert abs(z.mean()) < 5 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / n)
@@ -70,26 +70,26 @@ def test_standard_normals_moments():
 @pytest.mark.parametrize("theta", [0.25, 1.0, 4.0, 50.0, 200.0])
 def test_poisson_moments(theta):
     n = 100_000
-    k = rng.poissons(np.full(n, theta), rng.uniforms(np.arange(n), 5, 1))
+    k = rng.poissons(np.full(n, theta), rng.uniforms(range(n), 5, 1))
     assert np.all(k >= 0)
     assert abs(k.mean() - theta) < 5 * np.sqrt(theta / n)
     assert abs(k.var() - theta) < 5 * theta * np.sqrt(3 / n) + 0.05 * theta
 
 
 def test_poisson_zero_theta():
-    assert np.all(rng.poissons(np.zeros(100), rng.uniforms(np.arange(100), 9, 1)) == 0)
+    assert np.all(rng.poissons(np.zeros(100), rng.uniforms(range(100), 9, 1)) == 0)
 
 
 def test_poisson_mixed_regimes_deterministic():
     theta = np.array([0.5, 10.0, 100.0, 1000.0])
-    u = rng.uniforms(np.arange(4), 3, 1)
+    u = rng.uniforms(range(4), 3, 1)
     assert np.array_equal(rng.poissons(theta, u), rng.poissons(theta, u))
 
 
 def test_result_independent_of_batch_split():
     # Per-pixel substreams: drawing pixels in two halves must match one batch.
     theta = np.linspace(0.1, 5.0, 64)
-    u = rng.uniforms(np.arange(64), 21, 1)
+    u = rng.uniforms(range(64), 21, 1)
     whole = rng.poissons(theta, u)
     halves = np.concatenate([rng.poissons(theta[:32], u[:32]),
                              rng.poissons(theta[32:], u[32:])])
@@ -104,7 +104,7 @@ PURPOSES = (rng.FIELD, rng.PHOTON, rng.LAYER, rng.CONTINUITY, rng.DENSITY,
 def test_frame_counter_does_not_alias_the_seed(seed):
     # Up to 0.5.0 burst frame tau drew the uniforms of frame 0 at seed
     # seed ^ (tau << 32).
-    idx = np.arange(4096)
+    idx = range(4096)
     for tau in range(1, 16):
         frame = rng.uniforms(idx, seed, rng.PHOTON, frame=tau)
         moved = rng.uniforms(idx, seed ^ (tau << 32), rng.PHOTON)
@@ -112,41 +112,51 @@ def test_frame_counter_does_not_alias_the_seed(seed):
 
 
 def test_frame_zero_is_the_plain_counter():
-    idx = np.arange(1000, dtype=np.uint64)
+    idx = range(1000)
     u = rng.uniforms(idx, 77, rng.PHOTON)
     assert np.array_equal(u, rng.uniforms(idx, 77, rng.PHOTON, frame=0))
     assert not np.any(u == rng.uniforms(idx, 77, rng.PHOTON, frame=1))
-    assert idx.tolist() == list(range(1000))  # the indices are left as they were
 
 
 @pytest.mark.parametrize("frame", [-1, 2 ** 32])
 def test_a_frame_outside_32_bits_is_a_domain_error(frame):
     with pytest.raises(DomainError, match="frame"):
-        rng.uniforms(np.arange(4), 1, rng.PHOTON, frame)
+        rng.uniforms(range(4), 1, rng.PHOTON, frame)
     with pytest.raises(DomainError, match="frame"):
         sample_frame(ExposureMap.constant(4, 4, 1.0), SensorConfig(0.5, 0.0, 1), frame=frame)
-    assert rng.uniforms(np.arange(4), 1, rng.PHOTON, 2 ** 32 - 1).shape == (4,)
+    assert rng.uniforms(range(4), 1, rng.PHOTON, 2 ** 32 - 1).shape == (4,)
 
 
 @pytest.mark.parametrize("index", [-1, 2 ** 32])
 def test_a_pixel_index_outside_32_bits_is_a_domain_error(index):
-    with pytest.raises(DomainError, match="pixel index"):
-        rng.uniforms([0, index], 1, rng.PHOTON)
-    assert rng.uniforms([0, 2 ** 32 - 1], 1, rng.PHOTON).shape == (2,)
+    with pytest.raises(DomainError, match="pixels"):
+        rng.uniforms(range(index, index + 1), 1, rng.PHOTON)
+    assert rng.uniforms(range(2 ** 32 - 1, 2 ** 32), 1, rng.PHOTON).shape == (1,)
+    assert rng.uniforms(range(5, 3), 1, rng.PHOTON).shape == (0,)  # empty, as range(5, 3) is
 
 
 def test_the_first_pixel_past_32_bits_is_refused_not_aliased():
     # Cast to uint64, its counter 0 << 32 | 2**32 is that of pixel 0 of frame 1.
     assert np.uint64(2 ** 32) | np.uint64(0) << np.uint64(32) == np.uint64(1) << np.uint64(32)
-    assert rng.uniforms([0], 5, rng.PHOTON, frame=1).tolist() == [pytest.approx(0.56299956)]
-    with pytest.raises(DomainError, match="pixel index"):
-        rng.uniforms([2 ** 32], 5, rng.PHOTON, frame=0)
+    assert rng.uniforms(range(1), 5, rng.PHOTON, frame=1).tolist() == [pytest.approx(0.56299956)]
+    with pytest.raises(DomainError, match="pixels"):
+        rng.uniforms(range(2 ** 32, 2 ** 32 + 1), 5, rng.PHOTON, frame=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+@pytest.mark.parametrize("pixels", [[1], [1.5], [True], np.arange(4), np.arange(4, dtype=np.uint64),
+                                    range(0, 4, 2), range(-1, 2), range(0, 2 ** 32 + 1)],
+                         ids=["list", "float", "bool", "ndarray", "uint64", "step 2",
+                              "from -1", "to 2**32 + 1"])
+def test_pixels_other_than_a_step_1_range_in_32_bits_are_a_domain_error(pixels):
+    # Up to 0.7.0 an array was cast to uint64: [1.5], [True] and [1] all drew pixel 1.
+    with pytest.raises(DomainError, match="pixels"):
+        rng.uniforms(pixels, 5, rng.PHOTON)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
 @pytest.mark.parametrize("draw", [
     lambda s: rng.generator(s, rng.FIELD),
-    lambda s: rng.uniforms(np.arange(4), s, rng.PHOTON),
+    lambda s: rng.uniforms(range(4), s, rng.PHOTON),
     lambda s: sample_frame(ExposureMap.constant(4, 4, 1.0), SensorConfig(seed=s)),
     lambda s: qis_forward(np.full((2, 3), 2.0), QisParams(), seed=s),
     lambda s: AtomVectorField.seeded(2, 3, s)],
@@ -196,7 +206,7 @@ def test_a_zero_uniform_fires_at_complement_zero():
     # the complement exp(-1000) = 0, and the pixel fires on u >= 0.
     frame, pixel = _frame_and_pixel(516, rng.PHOTON, 1177)
     assert (frame, pixel) == (2572678244, 897)
-    assert rng.uniforms([pixel], 516, rng.PHOTON, frame).tolist() == [0.0]
+    assert rng.uniforms(range(pixel, pixel + 1), 516, rng.PHOTON, frame).tolist() == [0.0]
     theta = np.zeros(32 * 32)  # complement 1 elsewhere: no other pixel fires
     theta[pixel] = 1000.0
     bits = sample_frame(ExposureMap(theta.reshape(32, 32)), SensorConfig(1.0, 0.0, 516), frame)
@@ -305,7 +315,7 @@ def test_only_rng_keys_a_draw():
 @pytest.mark.parametrize("theta", [0.25, 4.0, 9.9, 10.1, 29.5, 30.0, 40.0, 100.0])
 def test_poisson_chi_square(theta):
     n = 400_000
-    k = rng.poissons(np.full(n, theta), rng.uniforms(np.arange(n), 31, 1))
+    k = rng.poissons(np.full(n, theta), rng.uniforms(range(n), 31, 1))
     # Cells lo..hi; the two end cells hold the tails, each of mass at
     # least 20/n, and every cell expects more than 10 counts.
     dist = stats.poisson(theta)
@@ -321,7 +331,7 @@ def test_poisson_chi_square_at_a_large_rate():
     # At theta = 1e6 one count holds at most 4e-4 of the mass, so cells cut
     # at the 0.1% quantiles each expect about 400 of the n draws.
     n, theta = 400_000, 1e6
-    k = rng.poissons(np.full(n, theta), rng.uniforms(np.arange(n), 31, 1))
+    k = rng.poissons(np.full(n, theta), rng.uniforms(range(n), 31, 1))
     dist = stats.poisson(theta)
     edges = np.unique(dist.ppf(np.arange(1, 1000) / 1000))
     expected = n * np.diff(np.concatenate([[0.0], dist.cdf(edges), [1.0]]))
@@ -332,10 +342,25 @@ def test_poisson_chi_square_at_a_large_rate():
 
 def test_standard_normals_chi_square():
     n, bins = 400_000, 100
-    z = rng.standard_normals(rng.uniforms(np.arange(n), 37, 4))
+    z = rng.standard_normals(rng.uniforms(range(n), 37, 4))
     edges = ndtri(np.arange(1, bins) / bins)
     observed = np.bincount(np.searchsorted(edges, z), minlength=bins)
     assert _chi_square_p(observed, np.full(bins, n / bins)) > 1e-4
+
+
+EDGE_UNIFORMS = [0.0, 2.0 ** -53, 0.25, 0.5 - 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53, 0.75,
+                 1.0 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("step", [2.0 ** -54, 0.0])
+def test_standard_normals_select_as_np_where_bit_for_bit(step):
+    # Up to 0.7.0 the argument and the sign were picked by np.where on u >= 1/2.
+    u = np.concatenate([EDGE_UNIFORMS, rng.uniforms(range(1 << 16), 43, rng.QIS_NOISE)])
+    upper = u >= 0.5
+    z = ndtri(np.where(upper, (1.0 - u) - step, u + step))
+    expected = np.where(upper, -z, z)
+    assert rng.standard_normals(u, step).view(np.uint64).tolist() == \
+        expected.view(np.uint64).tolist()  # signed zeros and infinities included
 
 
 def test_normal_quantiles_finite_and_symmetric():
@@ -349,14 +374,14 @@ def test_normal_quantiles_finite_and_symmetric():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_poisson_matches_search_below_30(seed):
     theta = np.linspace(0.0, 29.99, 150_000)
-    u = rng.uniforms(np.arange(theta.size), seed, 1)
+    u = rng.uniforms(range(theta.size), seed, 1)
     assert np.array_equal(rng.poissons(theta, u), _poisson_search(theta, u))
 
 
 def test_poisson_matches_search_in_the_tails():
     # Pixels whose uniform lies in an outer 1e-3 tail, at small rates where
     # the starting guess is furthest off, so both step loops walk far.
-    u = rng.uniforms(np.arange(2_000_000), 3, 1)
+    u = rng.uniforms(range(2_000_000), 3, 1)
     u = u[(u < 1e-3) | (u > 1.0 - 1e-3)]
     theta = np.geomspace(1e-4, 29.0, u.size)
     assert np.array_equal(rng.poissons(theta, u), _poisson_search(theta, u))
@@ -365,7 +390,7 @@ def test_poisson_matches_search_in_the_tails():
 @pytest.mark.parametrize("theta", [0.0, 1e-300, 745.0, 800.0, 1e6])
 def test_poisson_extreme_theta(theta):
     n = 100_000
-    k = rng.poissons(np.full(n, theta), rng.uniforms(np.arange(n), 41, 1))
+    k = rng.poissons(np.full(n, theta), rng.uniforms(range(n), 41, 1))
     assert np.all(k >= 0)
     assert abs(k.mean() - theta) <= 5 * np.sqrt(theta / n)
 

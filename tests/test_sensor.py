@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
@@ -13,6 +14,27 @@ from quantaflow import (BinaryFrame, DomainError, ExposureMap, NeighborhoodSpec,
                         sample_frame)
 from quantaflow.sensor import (SERIES_CAP, THETA_CAP, _series_terms, neighborhood_ones,
                                noise_floor)
+
+
+def _brute_force_counts(bits, r, boundary):
+    """Window counts in int64 as L_h @ bits @ L_w.T, where L_n[i, y] counts the
+    offsets d in [-r, r] whose row i + d lands on row y under the boundary rule:
+    clamped into [0, n), or dropped outside it."""
+    def landings(n):
+        m = np.zeros((n, n), dtype=np.int64)
+        i = np.arange(n)
+        for d in range(-r, r + 1):
+            j = i + d
+            if boundary == "clamp":
+                m[i, np.clip(j, 0, n - 1)] += 1
+            else:
+                inside = (j >= 0) & (j < n)
+                m[i[inside], j[inside]] += 1
+        return m
+
+    h, w = bits.shape[-2:]
+    return landings(h) @ bits.astype(np.int64) @ landings(w).T
+
 
 # Frozen 50-digit-arithmetic reference values (mpmath: ncdf, and the
 # probability series summed to k = 60).
@@ -260,6 +282,32 @@ class TestDensity:
         assert eye.tolist() == [[same, cross], [cross, same]]
         with pytest.raises(DomainError, match="int64"):
             NeighborhoodSpec(r + 1, "clamp")
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(r=st.one_of(st.integers(0, 12), st.integers(0, 300)),
+           boundary=st.sampled_from(["zero-pad", "clamp"]),
+           shape=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_box_sum_equals_brute_force_int64_counts(self, r, boundary, shape, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8)
+        counts = neighborhood_ones(bits, NeighborhoodSpec(r, boundary))
+        assert np.array_equal(counts, _brute_force_counts(bits, r, boundary))
+
+    @pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
+    @pytest.mark.parametrize("r", [1, 100, 127, 128])
+    def test_box_sum_is_exact_where_its_cumulative_sums_wrap(self, boundary, r):
+        # A 300 x 300 frame of ones carries its row sums past 2**16 at r = 127.
+        bits = np.ones((300, 300), dtype=np.uint8)
+        bits[::7, ::3] = 0
+        counts = neighborhood_ones(bits, NeighborhoodSpec(r, boundary))
+        assert np.array_equal(counts, _brute_force_counts(bits, r, boundary))
+
+    @pytest.mark.parametrize("r, dtype", [(0, np.uint16), (127, np.uint16), (128, np.uint32),
+                                          (32767, np.uint32), (32768, np.uint64)])
+    def test_counts_take_the_narrowest_dtype_whose_modulus_exceeds_the_window(self, r, dtype):
+        counts = neighborhood_ones(np.ones((2, 3), dtype=np.uint8), NeighborhoodSpec(r, "clamp"))
+        assert counts.dtype == dtype
+        assert counts.tolist() == [[(2 * r + 1) ** 2] * 3] * 2
 
 
 class TestInversion:

@@ -17,11 +17,6 @@ ALPHA = 1e-4  # the false-alarm rate of every test in this module
 EDGES = np.arange(1, 32) / 32  # 32 cells of [0, 1)
 
 
-def _uniforms(indices, seed, purpose, frame=0):
-    """The raw uniforms of pixel `indices` of `frame` in the (seed, purpose) stream."""
-    return rng.uniforms(np.asarray(indices, dtype=np.uint64), seed, purpose, frame)
-
-
 def _masses(edges):
     return np.diff(np.concatenate([[0.0], edges, [1.0]]))
 
@@ -46,23 +41,23 @@ def _threshold_cells(frames_at):
 
 def test_uniforms_chi_square():
     # 2**20 uniforms over 1024 equal cells: 1024 expected in each.
-    u = _uniforms(np.arange(2 ** 20), 2024, rng.PHOTON)
+    u = rng.uniforms(range(2 ** 20), 2024, rng.PHOTON)
     observed = np.bincount((u * 1024).astype(np.int64), minlength=1024)
     assert stats.chisquare(observed).pvalue > ALPHA
 
 
 def test_adjacent_pixels_chi_square():
     # Pixels 2i and 2i + 1 of one frame, 2**16 pairs: 64 expected per cell.
-    cells = (_uniforms(np.arange(2 ** 17), 99, rng.PHOTON) * 32).astype(np.int64)
+    cells = (rng.uniforms(range(2 ** 17), 99, rng.PHOTON) * 32).astype(np.int64)
     mass = _masses(EDGES)
     assert _pair_p(cells[0::2], mass, cells[1::2], mass) > ALPHA
 
 
 def test_photon_and_qis_photon_streams_chi_square():
     # The same pixel under two purposes at one seed, 2**16 pixels.
-    idx = np.arange(2 ** 16)
-    a = (_uniforms(idx, 31337, rng.PHOTON) * 32).astype(np.int64)
-    b = (_uniforms(idx, 31337, rng.QIS_PHOTON) * 32).astype(np.int64)
+    idx = range(2 ** 16)
+    a = (rng.uniforms(idx, 31337, rng.PHOTON) * 32).astype(np.int64)
+    b = (rng.uniforms(idx, 31337, rng.QIS_PHOTON) * 32).astype(np.int64)
     mass = _masses(EDGES)
     assert _pair_p(a, mass, b, mass) > ALPHA
 
@@ -70,9 +65,9 @@ def test_photon_and_qis_photon_streams_chi_square():
 def test_purposes_do_not_alias_across_seeds():
     # Up to 0.6.x a stream's base was seed ^ purpose * P, so these two streams
     # drew the same uniforms, pixel for pixel.
-    idx = np.arange(4096)
-    a = _uniforms(idx, 7, rng.PHOTON)
-    assert not np.any(a == _uniforms(idx, 16927359002936088773, rng.QIS_PHOTON))
+    idx = range(4096)
+    a = rng.uniforms(idx, 7, rng.PHOTON)
+    assert not np.any(a == rng.uniforms(idx, 16927359002936088773, rng.QIS_PHOTON))
 
 
 def test_frames_zero_and_one_chi_square():

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantaflow import (BracketSpec, DomainError, ExposureMap, QisParams, SensorConfig,
                         generate_burst, qis_forward, rng, sample_frame)
@@ -22,7 +23,7 @@ SPLITS = [((19, 23), 1), ((19, 23), 7), ((H, W), 4097), ((H, W), H * W + 1)]
 def _whole_frame(emap, cfg):
     """Bits of `sample_frame` as drawn over the whole frame at once (0.5.0)."""
     theta = emap.theta.ravel()
-    u = rng.uniforms(np.arange(theta.size, dtype=np.uint64), cfg.seed, rng.PHOTON)
+    u = rng.uniforms(range(theta.size), cfg.seed, rng.PHOTON)
     bits = u >= _complement(theta, cfg.q, cfg.sigma_r)
     return np.packbits(bits.reshape(emap.theta.shape), axis=1)
 
@@ -139,7 +140,7 @@ def test_a_failing_draw_stops_every_worker_before_it_raises(workers, monkeypatch
     assert not [i for i in drawn if i % 3 == failing]
     assert len(drawn) < 10
     out = np.zeros(40, dtype=np.uint64)
-    rng.each_tile(40, lambda t, idx: out.__setitem__(t, idx))  # the pool still serves
+    rng.each_tile(40, lambda t, pixels: out.__setitem__(t, pixels))  # the pool still serves
     assert out.tolist() == list(range(40))
 
 
@@ -160,12 +161,16 @@ def test_the_error_of_the_lowest_failing_worker_is_raised(workers, monkeypatch, 
         rng.each_tile(12, draw)
 
 
-def test_tiles_cover_range_in_order(monkeypatch):
+def test_tiles_cover_range_in_order(workers, monkeypatch):
     monkeypatch.setattr(rng, "TILE", 4)
-    runs = list(rng._tiles(10))
-    assert [idx.tolist() for _, idx in runs] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert all(np.arange(10)[t].tolist() == idx.tolist() for t, idx in runs)
-    assert list(rng._tiles(0)) == []
+    workers(1)
+    runs = []
+    rng.each_tile(10, lambda t, pixels: runs.append((t, pixels)))
+    assert [pixels for _, pixels in runs] == [range(0, 4), range(4, 8), range(8, 10)]
+    assert all(list(range(10)[t]) == list(pixels) for t, pixels in runs)
+    runs.clear()
+    rng.each_tile(0, lambda t, pixels: runs.append((t, pixels)))
+    assert runs == []
 
 
 def test_an_overflow_in_a_pool_thread_tile_fails_the_cap(workers, monkeypatch):
@@ -210,7 +215,22 @@ def test_in_place_mixer_is_splitmix64():
                .generate_state(1, np.uint64)[0])
     words = [_splitmix64((base + (frame << 32 | i) * 0x9E3779B97F4A7C15) % 2 ** 64)
              for i in pixels]
-    u = rng.uniforms(np.array(pixels, dtype=np.uint64), seed, rng.QIS_NOISE, frame)
+    u = [rng.uniforms(range(i, i + 1), seed, rng.QIS_NOISE, frame)[0] for i in pixels]
+    assert u == [(w >> 11) * 2.0 ** -53 for w in words]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), purpose=st.integers(0, 15),
+       frame=st.one_of(st.just(0), st.just(2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)),
+       start=st.one_of(st.integers(0, 2 ** 32), st.integers(2 ** 32 - 64, 2 ** 32)),
+       length=st.integers(0, 64))
+def test_uniforms_of_a_range_are_the_splitmix64_formula(seed, purpose, frame, start, length):
+    stop = min(start + length, 2 ** 32)  # the second start draws ranges that end at 2**32
+    base = int(np.random.SeedSequence([seed % 2 ** 32, seed >> 32, purpose])
+               .generate_state(1, np.uint64)[0])
+    words = [_splitmix64((base + (frame << 32 | i) * 0x9E3779B97F4A7C15) % 2 ** 64)
+             for i in range(start, stop)]
+    u = rng.uniforms(range(start, stop), seed, purpose, frame)
     assert u.tolist() == [(w >> 11) * 2.0 ** -53 for w in words]
 
 
