@@ -31,6 +31,11 @@ class BracketSpec:
     def __len__(self):
         return len(self.alphas)
 
+    @property
+    def scales(self) -> tuple:
+        """The one scale rule of a bracket: theta * (1 / alpha)."""
+        return tuple(1.0 / a for a in self.alphas)
+
 
 @dataclass(frozen=True)
 class ExposureBurst:
@@ -88,23 +93,18 @@ def extract_exposure(gray: np.ndarray, theta_max: float = 25.0,
     return ExposureMap(theta_max * img ** gamma)
 
 
-def _bracketed(emap: ExposureMap, alpha: float) -> ExposureMap:
-    """The one scale rule of a bracket: theta * (1 / alpha)."""
-    return emap.scaled(1.0 / alpha)
-
-
 def bracket(emap: ExposureMap, spec: BracketSpec) -> list:
     """Scale the exposure map by 1/alpha for each divisor, in divisor order."""
-    return [_bracketed(emap, a) for a in spec.alphas]
+    return [emap.scaled(s) for s in spec.scales]
 
 
 def generate_burst(emap: ExposureMap, spec: BracketSpec,
                    cfg: SensorConfig) -> ExposureBurst:
-    """Sample one frame per bracket, each map scaled just before its frame is
-    drawn: bracket tau is frame tau + 1 of the cfg.seed photon stream, and
-    `sample_frame` at that seed is frame 0, so no two frames share a draw."""
-    frames = [sample_frame(_bracketed(emap, a), cfg, frame=tau + 1)
-              for tau, a in enumerate(spec.alphas)]
+    """Sample one frame per bracket, each tile scaled as it is drawn, so no
+    scaled map is built: bracket tau is frame tau + 1 of the cfg.seed photon
+    stream, and `sample_frame` at that seed is frame 0, so no two frames
+    share a draw."""
+    frames = [sample_frame(emap, cfg, tau + 1, s) for tau, s in enumerate(spec.scales)]
     return ExposureBurst(tuple(frames), spec.alphas, default_labels(len(spec)))
 
 

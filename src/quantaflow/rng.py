@@ -31,6 +31,7 @@ for the tail CDF of the few Poisson pixels whose quantile lies near an integer.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,6 +130,13 @@ def generator(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(_seeds(seed, purpose))
 
 
+@lru_cache(maxsize=8, typed=True)  # typed: True is refused, not seed 1's entry
+def _base(seed: int, purpose: int) -> int:
+    """The first uint64 of the (seed, purpose) SeedSequence: hashed once per
+    stream, not once per tile, as a command draws from one or two streams."""
+    return int(_seeds(seed, purpose).generate_state(1, np.uint64)[0])
+
+
 def uniforms(pixels: range, seed: int, purpose: int, frame: int = 0) -> np.ndarray:
     """Uniform floats in [0, 1) on the 2^-53 grid, one per pixel of `frame`
     in the (seed, purpose) stream: the top 53 bits of
@@ -139,13 +147,14 @@ def uniforms(pixels: range, seed: int, purpose: int, frame: int = 0) -> np.ndarr
     if not (isinstance(pixels, range) and pixels.step == 1
             and 0 <= pixels.start and pixels.stop <= 1 << 32):
         raise DomainError(f"pixels {pixels!r} are not a step-1 range inside [0, 2**32)")
-    x = np.arange(pixels.start, pixels.stop, dtype=np.uint64)
-    x |= np.uint64(frame) << np.uint64(32)
+    # The counter of pixel start + i is that of start plus i: no carry reaches the frame.
+    first = (_base(seed, purpose) + (int(frame) << 32 | pixels.start) * int(_GAMMA)) % (1 << 64)
+    x = np.arange(len(pixels), dtype=np.uint64)
     x *= _GAMMA
-    x += _seeds(seed, purpose).generate_state(1, np.uint64)[0]
+    x += np.uint64(first)
     _mix64(x)
     x >>= np.uint64(11)
-    return x.astype(np.float64) * 2.0 ** -53
+    return np.multiply(x, 2.0 ** -53, dtype=np.float64)
 
 
 def standard_normals(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:

@@ -20,10 +20,25 @@ from .errors import DomainError, ShapeError, UnidentifiableError, frozen_array
 # Exposure cap for bracketing during inversion; far above anything a
 # bit density below 1 can demand in this application.
 THETA_CAP = 64.0
-# Most terms of the complement series `_series_terms`, one exp pass over the
-# frame each: at the cap, 1.5 s per Mpx on one worker, 0.8 s on the two of a
-# 2-core Xeon.
+# Most terms of the complement series `_series_terms`, one exp pass each over
+# the pixels that the squeeze of `_fires` leaves undecided: at most about
+# 1/BINS of them, as a bracket spans the complement's fall over one bin and
+# the complement falls at a rate below 1. At the cap, a 1 Mpx frame of 256
+# levels in [0, 500] takes 25 ms on one worker of a 2-core Xeon (0.56 s when
+# every pixel summed the series), and its table 14 ms, once per (q, sigma_r).
 SERIES_CAP = 256
+# Bins per unit theta of the squeeze table `_brackets`: a power of two, so
+# theta * BINS and its floor, the bin index, are exact.
+BINS = 64
+# Relative widening of each table value into a bracket: far above the
+# series' rounding error, which stays below 1e-12 up to SERIES_CAP terms.
+SLACK = 2.0 ** -20
+# `_fires` sums the series on the undecided pixels of a tile in whole blocks
+# of this many, repeating them to fill the last, so its arrays take a few
+# sizes only. Freed arrays of each small size stay cached by NumPy (below
+# 1 KiB) and by malloc, scattered over the heap: with a size per undecided
+# count, the heap grew by 1 MiB a `sim` benchmark round for five rounds.
+UNSURE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -179,6 +194,47 @@ def _complement(theta: np.ndarray, q: float, sigma_r: float) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=64)
+def _brackets(q: float, sigma_r: float) -> tuple:
+    """(lo, hi), the squeeze table of `_fires`: lo[j] <= _complement(theta)
+    <= hi[j] for every theta of bin j, [j, j + 1) / BINS, the last bin
+    [top / BINS, inf) having lo = 0.
+
+    The values are `_complement` at the edges j / BINS, widened by SLACK:
+    as the true complement falls strictly in theta, the edges of a bin
+    bracket it there to the series' rounding error. With k the last term
+    of the series, the complement is at most P(Poisson(theta) <= k), which
+    at top / BINS = ceil(k + 10 sqrt(k) + 40) is below 2**-54 for every k
+    up to SERIES_CAP: past the top only u = 0 is left undecided.
+    """
+    k = _series_terms(q, sigma_r)[-1][0]
+    top = math.ceil(k + 10.0 * math.sqrt(k) + 40.0) * BINS
+    c = _complement(np.arange(top + 1) / BINS, q, sigma_r)
+    table = np.append(c[1:] * (1.0 - SLACK), 0.0), c * (1.0 + SLACK)
+    for a in table:
+        a.setflags(write=False)  # one table serves every caller and worker
+    return table
+
+
+def _fires(u: np.ndarray, theta: np.ndarray, q: float, sigma_r: float,
+           scale: float = 1.0) -> np.ndarray:
+    """u >= _complement(theta * scale, q, sigma_r), elementwise, by the
+    squeeze test (Devroye 1986, II.5): a pixel fires where u >= hi of its
+    bin and stays 0 where u < lo, and the series is summed only on the
+    pixels in between."""
+    lo, hi = _brackets(q, sigma_r)
+    bound = np.multiply(theta, scale)
+    np.minimum(bound, (hi.size - 1) / BINS, out=bound)
+    bound *= BINS  # exact, as BINS is a power of two
+    j = bound.astype(np.intp)  # the bin, whose ends then take the buffer in turn
+    fires = u >= np.take(hi, j, out=bound, mode="clip")
+    unsure = np.flatnonzero((u >= np.take(lo, j, out=bound, mode="clip")) ^ fires)
+    if unsure.size:
+        block = np.resize(unsure, -(-unsure.size // UNSURE_BLOCK) * UNSURE_BLOCK)
+        fires[unsure] = (u[block] >= _complement(theta[block] * scale, q, sigma_r))[:unsure.size]
+    return fires
+
+
 def bit_probability(theta: float, q: float, sigma_r: float) -> float:
     """P(Y = 1) for a pixel with quanta exposure theta: the sum over k of
     exp(-theta) theta^k / k! * Phi((k - q) / sigma_r), taken as one minus
@@ -196,23 +252,32 @@ def noise_floor(q: float, sigma_r: float) -> float:
     return bit_probability(0.0, q, sigma_r)
 
 
-def sample_frame(emap: ExposureMap, cfg: SensorConfig, frame: int = 0) -> BinaryFrame:
-    """Draw one binary frame: each pixel is Bernoulli(bit_probability(theta)).
+def sample_frame(emap: ExposureMap, cfg: SensorConfig, frame: int = 0,
+                 scale: float = 1.0) -> BinaryFrame:
+    """Draw one binary frame of the exposure theta * scale: each pixel is
+    Bernoulli(bit_probability(theta * scale)).
 
     That is the law of Poisson(theta) photons plus Gaussian read noise
     against the threshold q. Each pixel draws the uniform u of its counter
     (frame, pixel index) in the PHOTON stream and fires iff u >= 1 - p(theta),
     so a bit depends only on (cfg.seed, frame, pixel index, theta there),
-    never on execution order or on the other pixels. The pixels are drawn
-    by `rng.each_tile`, so memory beyond the bits is bounded by the tiles
-    in flight.
+    never on execution order or on the other pixels. The comparison is the
+    squeeze of `_fires`: a table of brackets per (q, sigma_r) decides almost
+    every pixel, and 1 - p is summed only where u falls inside its bracket.
+    The pixels are drawn by `rng.each_tile`, each tile scaled on its own, so
+    memory beyond the bits is bounded by the tiles in flight.
     """
     theta = emap.theta.ravel()
+    if not scale >= 0:
+        raise DomainError(f"exposure scale {scale} must be >= 0")
+    if not math.isfinite(scale * float(theta.max(initial=0.0))):
+        raise DomainError("exposure entries must be finite")
+    _brackets(cfg.q, cfg.sigma_r)  # built once here, not by each worker in its first tile
     bits = np.empty(theta.size, dtype=bool)
 
     def draw(t, idx):
         u = rng.uniforms(idx, cfg.seed, rng.PHOTON, frame)
-        np.greater_equal(u, _complement(theta[t], cfg.q, cfg.sigma_r), out=bits[t])
+        bits[t] = _fires(u, theta[t], cfg.q, cfg.sigma_r, scale)
 
     rng.each_tile(theta.size, draw)
     return BinaryFrame.from_array(bits.reshape(emap.theta.shape))

@@ -40,6 +40,14 @@ COMMANDS = [
     ["simulate", "--theta-const", "1000", "--size", "1x1", "--sigma-r", "0",
      "--seed", "15485907386658061715", "--out", "tie.qbf"],
     ["bracket", "--in", "scene.qex", "--seed", "3", "--out", "burst.qbb"],
+    # Sensor settings off the default q and sigma_r, each with its own series.
+    ["simulate", "--in", "scene.qex", "--q", "3", "--sigma-r", "1", "--seed", "11",
+     "--out", "q3.qbf"],
+    ["bracket", "--in", "scene.qex", "--q", "1", "--sigma-r", "0", "--seed", "13",
+     "--out", "q1.qbb"],
+    # q + 9 sigma_r = 245: 246 series terms, near SERIES_CAP.
+    ["simulate", "--theta-const", "230", "--size", "64x64", "--q", "200", "--sigma-r", "5",
+     "--seed", "17", "--out", "q200.qbf"],
     ["estimate", "--in", "const.qbf", "--sigma-r", "0"],
     ["estimate", "--in", "const.qbf", "--q", "1.0"],
     ["density", "--in", "scene.qbf", "--radius", "2", "--out", "zero.qex"],

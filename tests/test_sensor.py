@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -12,8 +13,8 @@ from quantaflow import (BinaryFrame, DomainError, ExposureMap, NeighborhoodSpec,
                         SensorConfig, UnidentifiableError, bit_probability,
                         invert_bit_density, local_bit_density, mean_bit_density,
                         sample_frame)
-from quantaflow.sensor import (SERIES_CAP, THETA_CAP, _series_terms, neighborhood_ones,
-                               noise_floor)
+from quantaflow.sensor import (BINS, SERIES_CAP, THETA_CAP, _brackets, _complement, _fires,
+                               _series_terms, neighborhood_ones, noise_floor)
 
 
 def _brute_force_counts(bits, r, boundary):
@@ -199,6 +200,102 @@ class TestSampleFrame:
             tracemalloc.stop()
         assert peak <= 64 * 2 ** 20
         assert frame.width == frame.height == 4096
+
+
+# (q, sigma_r) of the squeeze tests: the defaults, no read noise at a
+# fractional, an integer and a subnormal q, and q + 9 sigma_r = 255, the
+# longest series, with and without read noise.
+SQUEEZE_SETTINGS = [(0.5, 0.25), (0.5, 0.0), (1.0, 0.0), (5e-324, 0.0), (3.0, 1.0),
+                    (200.0, 5.0), (111.0, 16.0), (255.0, 0.0)]
+GRID = 2.0 ** -53  # the spacing of the uniforms
+
+
+def _top(q, sigma_r):
+    """theta of the last table edge: the last bin is [top, inf)."""
+    return (_brackets(q, sigma_r)[1].size - 1) / BINS
+
+
+def _squeeze_thetas(q, sigma_r):
+    top = _top(q, sigma_r)
+    edge = st.integers(0, int(top * BINS)).map(lambda j: j / BINS)
+    return st.one_of(
+        st.just(0.0), st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
+        edge, edge.map(lambda t: math.nextafter(t, math.inf)),
+        edge.map(lambda t: math.nextafter(t, 0.0)),
+        st.just(top), st.just(1e308), st.floats(0.0, top + 1.0), st.floats(0.0, 1e308))
+
+
+def _grid_around(v):
+    """The 2^-53 grid points next to each v: below, at or below, and above."""
+    g = np.floor(v / GRID) * GRID
+    return np.clip(np.stack([g - GRID, g, g + GRID]), 0.0, 1.0 - GRID)
+
+
+class TestSqueeze:
+    """`_fires` decides u >= _complement(theta) by the table of `_brackets`."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(setting=st.sampled_from(SQUEEZE_SETTINGS), data=st.data())
+    def test_decision_is_the_series_comparison(self, setting, data):
+        q, sigma_r = setting
+        theta = np.array(data.draw(st.lists(_squeeze_thetas(q, sigma_r), min_size=1,
+                                            max_size=8)))
+        lo, hi = _brackets(q, sigma_r)
+        j = (np.minimum(theta, _top(q, sigma_r)) * BINS).astype(np.intp)
+        c = _complement(theta, q, sigma_r)
+        # u at 0 and next to the complement and to each end of its bracket
+        u = np.concatenate([np.zeros((1, theta.size)), _grid_around(c),
+                            _grid_around(lo[j]), _grid_around(hi[j])])
+        theta = np.broadcast_to(theta, u.shape).ravel()
+        u = u.ravel()
+        assert np.array_equal(_fires(u, theta, q, sigma_r),
+                              u >= _complement(theta, q, sigma_r))
+
+    @pytest.mark.parametrize("q, sigma_r", SQUEEZE_SETTINGS)
+    def test_each_bracket_holds_the_complement_in_its_bin(self, q, sigma_r):
+        lo, hi = _brackets(q, sigma_r)
+        top, gen = hi.size - 1, np.random.default_rng(11)
+        edge = np.arange(top) / BINS
+        # In each bin: its edge and the float above it, the float below the
+        # next edge, and two random points.
+        theta = np.concatenate([edge, np.nextafter(edge, np.inf),
+                                np.nextafter(edge + 1.0 / BINS, 0.0),
+                                edge + gen.random(top) / BINS, edge + gen.random(top) / BINS])
+        j = np.tile(np.arange(top), 5)
+        c = _complement(theta, q, sigma_r)
+        assert np.all(lo[j] <= c) and np.all(c <= hi[j])
+        # The last bin: lo = 0, and hi is above the complement at any theta past the top.
+        far = np.concatenate([[top / BINS, math.nextafter(top / BINS, math.inf), 1e308],
+                              top / BINS * np.exp(gen.uniform(0.0, 700.0, 1000))])
+        assert lo[top] == 0.0 and np.all(_complement(far, q, sigma_r) <= hi[top])
+
+    @pytest.mark.parametrize("q, sigma_r", SQUEEZE_SETTINGS)
+    def test_past_the_top_only_a_zero_uniform_is_undecided(self, q, sigma_r):
+        assert _brackets(q, sigma_r)[1][-1] < GRID
+
+    @pytest.mark.parametrize("q, sigma_r", [(111.0, 16.0), (255.0, 0.0)])
+    def test_table_at_the_series_cap_is_small_and_quick(self, q, sigma_r):
+        _brackets.cache_clear()
+        start = time.perf_counter()
+        lo, hi = _brackets(q, sigma_r)
+        assert time.perf_counter() - start < 1.0  # about 20 ms on a 2-core Xeon
+        assert lo.nbytes + hi.nbytes <= 2 ** 20  # 29121 edges: 0.45 MiB
+
+    def test_scaled_frame_is_the_frame_of_the_scaled_map(self):
+        emap = ExposureMap(np.random.default_rng(6).uniform(0.0, 9.0, size=(48, 80)))
+        cfg = SensorConfig(0.5, 0.25, 21)
+        for scale in (0.4, 1.0 / 3.0, 5e-324, 7.0):
+            assert np.array_equal(sample_frame(emap, cfg, 3, scale).bits,
+                                  sample_frame(emap.scaled(scale), cfg, 3).bits)
+
+    @pytest.mark.parametrize("scale, match", [(1e300, "exposure entries must be finite"),
+                                              (math.inf, "exposure entries must be finite"),
+                                              (math.nan, "exposure scale"),
+                                              (-1.0, "exposure scale")])
+    def test_a_scale_out_of_range_is_refused(self, scale, match):
+        emap = ExposureMap(np.array([[0.0, 3e38]]))
+        with pytest.raises(DomainError, match=match):
+            sample_frame(emap, SensorConfig(), 1, scale)
 
 
 class TestDensity:

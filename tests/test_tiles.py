@@ -248,8 +248,10 @@ def test_sample_frame_memory_is_bounded_by_the_tile():
     assert _peak_mib(lambda: sample_frame(emap, SensorConfig(0.5, 0.25, 1))) <= 8
 
 
-def test_burst_holds_one_scaled_map_at_a_time():
-    emap = ExposureMap(np.random.default_rng(2).uniform(0.0, 25.0, size=(512, 512)))
+def test_burst_memory_is_bounded_by_the_tiles():
+    # 15 brackets, each tile scaled as it is drawn: the bound of one frame,
+    # which a scaled 1024 x 1024 map (8 MiB) alone would reach.
+    emap = ExposureMap(np.random.default_rng(2).uniform(0.0, 25.0, size=(1024, 1024)))
     assert _peak_mib(lambda: generate_burst(emap, BracketSpec(), SensorConfig(0.5, 0.25, 1))) <= 8
 
 
@@ -259,9 +261,18 @@ def test_qis_forward_memory_is_bounded():
     assert _peak_mib(lambda: qis_forward(photons, params, 1)) <= 48
 
 
-@pytest.mark.parametrize("bounded", [test_sample_frame_memory_is_bounded_by_the_tile,
-                                     test_burst_holds_one_scaled_map_at_a_time,
-                                     test_qis_forward_memory_is_bounded])
+MEMORY_BOUNDS = [test_sample_frame_memory_is_bounded_by_the_tile,
+                 test_burst_memory_is_bounded_by_the_tiles,
+                 test_qis_forward_memory_is_bounded]
+
+
+@pytest.mark.parametrize("bounded", MEMORY_BOUNDS)
 def test_memory_bounds_hold_with_max_workers_tiles_in_flight(workers, bounded):
     workers(64, cap=rng.MAX_WORKERS)  # W = MAX_WORKERS, whatever CPUs this machine has
+    bounded()
+
+
+@pytest.mark.parametrize("bounded", MEMORY_BOUNDS)
+def test_memory_bounds_hold_with_one_worker(workers, bounded):
+    workers(1)
     bounded()
