@@ -167,8 +167,7 @@ def _cmd_verify(args):
         print(f"suite {suite}: {'PASS' if ok else 'FAIL'} ({len(reports)} checks)")
     payload["all_hold"] = all_hold
     with open(args.report, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(payload, indent=2) + "\n")
     return 0 if all_hold else 1
 
 

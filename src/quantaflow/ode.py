@@ -77,12 +77,9 @@ class AtomVectorField:
 
     @classmethod
     def seeded(cls, m: int, k: int, seed: int) -> "AtomVectorField":
-        """Deterministic random field: uniform(-s, s) with s = 1/sqrt(fan_in)."""
-        n = _state_size(m, k)
-        gen = rng.generator(seed, rng.FIELD)
-        s = 1.0 / np.sqrt(n + 1)
-        weights = tuple(gen.uniform(-s, s, size=(n, n + 1)) for _ in range(STAGE_COUNT))
-        return cls(weights, FilterAtoms(gen.standard_normal((m, k, k))))
+        """Deterministic random field: the one draw of `FieldStack.seeded`."""
+        stack, init = FieldStack.seeded(m, k, [seed])
+        return cls(tuple(w[0, 0] for w in stack.stage_weights), FilterAtoms(init[0]))
 
     @classmethod
     def zero(cls, m: int, k: int, lambda_init: FilterAtoms | None = None) -> "AtomVectorField":
@@ -121,6 +118,23 @@ class FieldStack:
     def of(cls, fields) -> "FieldStack":
         return cls(tuple(np.stack([f.stage_weights[s] for f in fields])[:, None]
                          for s in range(STAGE_COUNT)))
+
+    @classmethod
+    def seeded(cls, m: int, k: int, seeds) -> tuple:
+        """The seeded fields of `seeds` and their initial atoms (B, m, k, k).
+        Each field draws its stage weights uniform(-s, s), s = 1/sqrt(fan_in),
+        then its atoms standard normal, straight into the stacked arrays: no
+        field is built, so no weight is held twice."""
+        n = _state_size(m, k)
+        weights = np.empty((STAGE_COUNT, len(seeds), 1, n, n + 1))
+        init = np.empty((len(seeds), m, k, k))
+        s = 1.0 / np.sqrt(n + 1)
+        for b, seed in enumerate(seeds):
+            gen = rng.generator(seed, rng.FIELD)
+            for w in weights[:, b, 0]:
+                w[...] = gen.uniform(-s, s, size=w.shape)
+            init[b] = gen.standard_normal((m, k, k))
+        return cls(tuple(weights)), init
 
     def derivative(self, theta_tilde, state: np.ndarray) -> np.ndarray:
         return _field_rhs(self.stage_weights, theta_tilde, state)

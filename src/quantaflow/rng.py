@@ -60,9 +60,11 @@ def _cpus() -> int:
 
 
 # The most workers of a pass: each holds one tile's temporaries (4.5 MiB for
-# `poissons`), so memory grows with W. Two is the count whose speed-up and
-# peak RSS were measured (2-core Xeon, CHANGES.md); raise it only with paired
-# runs from a machine with more cores.
+# `poissons`), so memory grows with W. Two against one worker on a 2-core
+# Xeon, medians of 6 alternations in process: a 15 x 512^2 `generate_burst`
+# 63 -> 43 ms, a 1 Mpx `qis_forward` 171-189 -> 112-116 ms, and a 1 Mpx
+# `sample_frame` 17 -> 11 ms, inside the spread of its runs. Raise it only
+# with paired runs from a machine with more cores.
 MAX_WORKERS = 2
 _pool = None  # the threads beside the caller, started by the first pass that needs them
 

@@ -12,7 +12,9 @@ inside all checks.
 
 Each certificate has one shape: a `_X_block` that evaluates a block of
 instances as the rows of one array, a one-instance check that is its block
-of one, and a seeded `run_X_suite` over the seed blocks of `_seed_blocks`.
+of one, and a seeded `run_X_suite` over the seed blocks of `_seed_blocks`,
+in blocks of the suite's own size. The continuity block takes the atoms of
+one batched solve of its fields.
 Every check and suite returns the report rows that `qflow verify` writes:
 plain dicts of floats, bools and lists, one per instance (and activation
 or radius), each with its own `holds`. The layer-bound block serves all
@@ -41,8 +43,17 @@ SLACK = 1e-9
 #: Activations admissible in bound checks (non-expansive with unit constant).
 BOUND_ACTIVATIONS = ("relu", "tanh", "identity")
 
-#: Instances evaluated together by a suite; it bounds the suites' memory.
-BLOCK = 16
+#: Instances that each suite evaluates together, chosen by timing. A block
+#: bounds its suite's memory: each comment bounds the tracemalloc peak of a
+#: 100-instance suite. Layer-bound blocks are memory-bound, so larger ones
+#: are slower. A density block of 100 is no faster than 50 and doubles the
+#: peak. An adaptive continuity solve makes about 25 right-hand-side calls
+#: whatever the block size; one block of 100 would save one solve, but its
+#: atom responses raise a `verify` round's peak RSS 2.4 MiB above blocks
+#: of 50.
+LAYER_BOUND_BLOCK = 16   # 3.5 MiB
+DENSITY_BLOCK = 50       # 2 MiB
+CONTINUITY_BLOCK = 50    # 3.5 MiB
 
 
 def _neighborhood_sq_norms(x: np.ndarray, k: int) -> np.ndarray:
@@ -150,15 +161,12 @@ def verify_density_identity(frame: BinaryFrame, nb: NeighborhoodSpec) -> bool:
     return _density_block(frame.to_array()[None], nb)[0]
 
 
-def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfig) -> list:
-    """Report rows for (field, phi, input, seed) tuples that share their
-    shapes: the output distances D(delta) and atom distances A(delta) at
-    each offset. All atoms at all offsets come from one batched solve along
-    the tuples' fields stacked."""
-    fields, phis, inps, seeds = zip(*instances)
-    base = _stack(f.lambda_init for f in fields)       # (B, m, k, k)
-    moved = integrate_stack(FieldStack.of(fields), base, theta0,
-                            [theta0 + d for d in deltas], solver)  # (B, D, m, k, k)
+def _continuity_block(base: np.ndarray, moved: np.ndarray, instances, act) -> list:
+    """Report rows for (phi, input, seed) tuples that share their shapes:
+    the output distances D(delta) and atom distances A(delta) at each
+    offset, from each tuple's field's initial atoms base (B, m, k, k) and
+    its atoms at each offset moved (B, D, m, k, k)."""
+    phis, inps, seeds = zip(*instances)
     x = _stack(inps)                                   # (B, c_in, h, w)
     atoms = np.concatenate([base[:, None], moved], axis=1)  # (B, 1 + D, m, k, k)
     # Outputs at the base atoms and at each offset: (B, 1 + D, c_out, h, w).
@@ -166,10 +174,10 @@ def _continuity_block(instances, theta0: float, deltas, act, solver: SolverConfi
     consts = _bound_constants(phis, _neighborhood_sq_norms(x, base.shape[-1]))
 
     rows = []
-    for n, (field_n, const, seed) in enumerate(zip(fields, consts, seeds)):
+    for n, (const, seed) in enumerate(zip(consts, seeds)):
         d_vals = [float(np.linalg.norm((y[n, 1 + i] - y[n, 0]).ravel()))
-                  for i in range(len(deltas))]
-        a_vals = [field_n.lambda_init.distance(FilterAtoms(a)) for a in moved[n]]
+                  for i in range(moved.shape[1])]
+        a_vals = [float(np.linalg.norm((base[n] - a).ravel())) for a in moved[n]]
         ok = [bool(d <= const * a + SLACK) for d, a in zip(d_vals, a_vals)]
         decreasing = all(b < a or (a == 0.0 and b == 0.0)
                          for a, b in zip(d_vals, d_vals[1:]))
@@ -190,15 +198,18 @@ def verify_exposure_continuity(field_, phi: Coefficients, inp: FeatureMap,
             any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise DomainError("deltas must be non-empty, positive and strictly decreasing")
     _check_layer_shapes(inp, phi, field_.lambda_init)
-    return _continuity_block([(field_, phi, inp, 0)], theta0, deltas,
-                             _bound_activation(cfg.activation), solver)[0]
+    act = _bound_activation(cfg.activation)
+    base = field_.lambda_init.data[None]
+    moved = integrate_stack(FieldStack.of([field_]), base, theta0,
+                            [theta0 + d for d in deltas], solver)
+    return _continuity_block(base, moved, [(phi, inp, 0)], act)[0]
 
 
-def _seed_blocks(instances: int, seed: int):
+def _seed_blocks(instances: int, seed: int, block: int):
     """The seeds of each block of a suite: `instances` seeds from `seed` on,
-    in ranges of at most `BLOCK`."""
-    for start in range(seed, seed + instances, BLOCK):
-        yield range(start, min(start + BLOCK, seed + instances))
+    in ranges of at most `block`."""
+    for start in range(seed, seed + instances, block):
+        yield range(start, min(start + block, seed + instances))
 
 
 def random_layer_instance(seed: int, activation: str = "relu"):
@@ -216,7 +227,7 @@ def run_layer_bound_suite(instances: int, seed: int) -> list:
     """Report rows, by activation in BOUND_ACTIVATIONS order and then by
     seed, for `instances` seeded random layer instances, each drawn and
     evaluated once."""
-    rows = [row for seeds in _seed_blocks(instances, seed)
+    rows = [row for seeds in _seed_blocks(instances, seed, LAYER_BOUND_BLOCK)
             for row in _layer_bound_block([(*random_layer_instance(s)[:4], s) for s in seeds],
                                           BOUND_ACTIVATIONS)]
     # sorted is stable: each activation's rows stay in seed order.
@@ -228,22 +239,32 @@ CONTINUITY_DELTAS = (1e-1, 1e-2, 1e-3)
 CONTINUITY_THETA0 = 0.3
 
 
+def _continuity_layer(seed: int):
+    """The seeded random (phi, input) of a continuity instance, from CONTINUITY."""
+    gen = rng.generator(seed, rng.CONTINUITY)
+    inp = FeatureMap(gen.uniform(0, 1, size=(1, 16, 16)))
+    return Coefficients(gen.standard_normal((1, 1, 3))), inp
+
+
 def continuity_instance(seed: int):
     """Seeded random (field, phi, input, cfg): the field from FIELD, the rest from CONTINUITY."""
-    gen = rng.generator(seed, rng.CONTINUITY)
-    field_ = AtomVectorField.seeded(3, 3, seed)
-    inp = FeatureMap(gen.uniform(0, 1, size=(1, 16, 16)))
-    phi = Coefficients(gen.standard_normal((1, 1, 3)))
     cfg = EaclConfig(bias=np.zeros(1), activation="relu")
-    return field_, phi, inp, cfg
+    return AtomVectorField.seeded(3, 3, seed), *_continuity_layer(seed), cfg
 
 
 def run_continuity_suite(instances: int, seed: int) -> list:
-    """Report rows for `instances` seeded random fields and layers."""
-    return [row for seeds in _seed_blocks(instances, seed)
-            for row in _continuity_block([(*continuity_instance(s)[:3], s) for s in seeds],
-                                         CONTINUITY_THETA0, CONTINUITY_DELTAS,
-                                         _bound_activation("relu"), SolverConfig())]
+    """Report rows for `instances` seeded random fields and layers: the
+    fields of a block are drawn as one stack, and all its atoms at all
+    offsets come from one batched solve."""
+    targets = [CONTINUITY_THETA0 + d for d in CONTINUITY_DELTAS]
+    rows = []
+    for seeds in _seed_blocks(instances, seed, CONTINUITY_BLOCK):
+        stack, base = FieldStack.seeded(3, 3, seeds)
+        moved = integrate_stack(stack, base, CONTINUITY_THETA0, targets, SolverConfig())
+        del stack  # the stage weights, the block's largest arrays, are done with
+        rows += _continuity_block(base, moved, [(*_continuity_layer(s), s) for s in seeds],
+                                  _bound_activation("relu"))
+    return rows
 
 
 #: Frame side and neighborhood radii of the density suite.
@@ -255,7 +276,7 @@ def run_density_suite(instances: int, seed: int) -> list:
     """Report rows, one per frame and radius, for `instances` random frames,
     each drawn from the DENSITY stream of its own instance seed."""
     rows = []
-    for seeds in _seed_blocks(instances, seed):
+    for seeds in _seed_blocks(instances, seed, DENSITY_BLOCK):
         bits = np.stack([rng.generator(s, rng.DENSITY).integers(0, 2, (DENSITY_SIDE,) * 2)
                          for s in seeds])
         holds = [_density_block(bits, NeighborhoodSpec(r)) for r in DENSITY_RADII]

@@ -6,7 +6,7 @@ import pytest
 from quantaflow import (AtomVectorField, DomainError, FilterAtoms,
                         IntegrationError, ShapeError, SolverConfig, compose_filters,
                         integrate_atoms)
-from quantaflow import ode
+from quantaflow import ode, rng
 from quantaflow.filters import Coefficients
 from quantaflow.ode import (_DP_A, _DP_B4, _DP_B5, _DP_C, FieldStack,
                             _dopri45, _rk4_fixed, integrate_stack)
@@ -42,6 +42,8 @@ class TestFieldSize:
     def test_bad_or_oversized_rejected_before_drawing(self, m, k):
         with pytest.raises(DomainError):
             AtomVectorField.seeded(m, k, seed=1)
+        with pytest.raises(DomainError):
+            FieldStack.seeded(m, k, [1])
         with pytest.raises(DomainError):
             AtomVectorField.zero(m, k)
 
@@ -364,6 +366,23 @@ class TestBatchedSolver:
                     for a, b, y in zip(t0, t1, y0)]
         for row, ref in zip(batch, refs):
             assert row.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m, k", [(1, 2), (3, 3), (2, 4)])
+    def test_seeded_stack_is_the_stack_of_seeded_fields(self, m, k):
+        # Each field's draw: six uniform(-s, s) stages, then normal atoms.
+        seeds, n = [0, 7, 2 ** 64 - 1], m * k * k
+        gens = [rng.generator(seed, rng.FIELD) for seed in seeds]
+        s = 1.0 / np.sqrt(n + 1)
+        stages = [[g.uniform(-s, s, size=(n, n + 1)) for _ in range(6)] for g in gens]
+        ref = [np.stack([w[i] for w in stages])[:, None] for i in range(6)]
+        ref_init = np.stack([g.standard_normal((m, k, k)) for g in gens])
+        fields = [AtomVectorField.seeded(m, k, seed) for seed in seeds]
+        stack, init = FieldStack.seeded(m, k, seeds)
+        for stacked in (stack.stage_weights, FieldStack.of(fields).stage_weights):
+            assert [w.shape for w in stacked] == [w.shape for w in ref]
+            assert [w.tobytes() for w in stacked] == [w.tobytes() for w in ref]
+        for atoms in (init, np.stack([f.lambda_init.data for f in fields])):
+            assert atoms.shape == ref_init.shape and atoms.tobytes() == ref_init.tobytes()
 
     @pytest.mark.parametrize("method", ["dopri45", "rk4-fixed"])
     def test_stack_equals_integrate_atoms(self, method):

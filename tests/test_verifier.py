@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from quantaflow import (AtomVectorField, BinaryFrame, Coefficients, DomainError,
                         ShapeError, SolverConfig, integrate_atoms, verify_density_identity,
                         verify_exposure_continuity, verify_layer_bound)
 from quantaflow import rng, verifier
-from quantaflow.verifier import (BLOCK, BOUND_ACTIVATIONS, CONTINUITY_DELTAS,
-                                 CONTINUITY_THETA0, DENSITY_RADII, DENSITY_SIDE, SLACK,
+from quantaflow.verifier import (BOUND_ACTIVATIONS, CONTINUITY_BLOCK, CONTINUITY_DELTAS,
+                                 CONTINUITY_THETA0, DENSITY_BLOCK, DENSITY_RADII,
+                                 DENSITY_SIDE, LAYER_BOUND_BLOCK, SLACK,
                                  continuity_instance, random_layer_instance,
                                  run_continuity_suite, run_density_suite,
                                  run_layer_bound_suite)
@@ -92,7 +94,13 @@ class TestLayerBound:
         assert first == second
 
 
-@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+#: Instance counts one under and one over each suite's block: every suite
+#: runs at each, so each suite's rows are seen cut at every block size.
+AROUND_BLOCKS = sorted({block + d for block in (LAYER_BOUND_BLOCK, DENSITY_BLOCK,
+                                                CONTINUITY_BLOCK) for d in (-1, 1)})
+
+
+@pytest.mark.parametrize("instances", AROUND_BLOCKS)
 def test_layer_bound_suite_equals_single_calls(instances):
     rows = verifier.SUITES["layer-bound"](instances, 40)
     single = [verify_layer_bound(*random_layer_instance(s, activation=a), instance_seed=s)
@@ -110,12 +118,12 @@ def test_layer_bound_suite_draws_each_instance_once(monkeypatch):
         return draw(seed, *args, **kwargs)
 
     monkeypatch.setattr(verifier, "random_layer_instance", recording)
-    rows = verifier.SUITES["layer-bound"](BLOCK + 3, 5)
-    assert seeds == list(range(5, 5 + BLOCK + 3))
-    assert len(rows) == len(BOUND_ACTIVATIONS) * (BLOCK + 3)
+    rows = verifier.SUITES["layer-bound"](LAYER_BOUND_BLOCK + 3, 5)
+    assert seeds == list(range(5, 5 + LAYER_BOUND_BLOCK + 3))
+    assert len(rows) == len(BOUND_ACTIVATIONS) * (LAYER_BOUND_BLOCK + 3)
 
 
-@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+@pytest.mark.parametrize("instances", AROUND_BLOCKS)
 def test_continuity_suite_equals_single_calls(instances):
     suite = run_continuity_suite(instances, seed=60)
     single = [verify_exposure_continuity(field, phi, inp, CONTINUITY_THETA0,
@@ -131,7 +139,7 @@ def _density_frames(instances, seed):
             for s in range(seed, seed + instances)]
 
 
-@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+@pytest.mark.parametrize("instances", AROUND_BLOCKS)
 def test_density_suite_equals_single_calls(instances):
     suite = run_density_suite(instances, seed=80)
     single = [{"instance_seed": 80 + i, "radius": r,
@@ -143,7 +151,7 @@ def test_density_suite_equals_single_calls(instances):
     assert all(row["holds"] is True for row in suite)
 
 
-@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+@pytest.mark.parametrize("instances", AROUND_BLOCKS)
 @pytest.mark.parametrize("radius", DENSITY_RADII)
 def test_clamped_density_block_equals_single_calls(instances, radius):
     frames = _density_frames(instances, 81)
@@ -166,8 +174,8 @@ def test_density_suite_draws_per_frame_frames(monkeypatch, seed):
         return block(bits, nb)
 
     monkeypatch.setattr(verifier, "_density_block", recording)
-    run_density_suite(2 * BLOCK + 3, seed)
-    assert np.array_equal(seen, _density_frames(2 * BLOCK + 3, seed))
+    run_density_suite(2 * DENSITY_BLOCK + 3, seed)
+    assert np.array_equal(seen, _density_frames(2 * DENSITY_BLOCK + 3, seed))
 
 
 def test_density_suite_fails_only_the_broken_frame(monkeypatch):
@@ -176,12 +184,12 @@ def test_density_suite_fails_only_the_broken_frame(monkeypatch):
 
     def off_by_one(bits, nb):
         counts = box_sum(bits, nb)
-        if nb.radius == 1 and len(counts) == BLOCK:
+        if nb.radius == 1 and len(counts) == DENSITY_BLOCK:
             counts[5, 3, 17] += 1
         return counts
 
     monkeypatch.setattr(verifier, "neighborhood_ones", off_by_one)
-    rows = run_density_suite(BLOCK + 3, seed=3)
+    rows = run_density_suite(DENSITY_BLOCK + 3, seed=3)
     failed = [(row["instance_seed"], row["radius"]) for row in rows if not row["holds"]]
     assert failed == [(3 + 5, 1)]
 
@@ -213,7 +221,7 @@ def _dicts(value):
             yield from _dicts(item)
 
 
-@pytest.mark.parametrize("instances", [BLOCK - 1, BLOCK + 1])
+@pytest.mark.parametrize("instances", AROUND_BLOCKS)
 @pytest.mark.parametrize("name", list(verifier.SUITES))
 def test_suite_rows_are_plain_json_and_single_check_rows(name, instances):
     rows = verifier.SUITES[name](instances, 30)
@@ -222,6 +230,35 @@ def test_suite_rows_are_plain_json_and_single_check_rows(name, instances):
     assert all(type(d["holds"]) is bool for d in dicts if "holds" in d)
     assert len({id(d) for d in dicts}) == len(dicts)
     assert rows == _single_rows(name, instances, 30)
+
+
+SUITE_BLOCKS = {"layer-bound": "LAYER_BOUND_BLOCK", "density": "DENSITY_BLOCK",
+                "continuity": "CONTINUITY_BLOCK"}
+
+
+@pytest.mark.parametrize("name", list(SUITE_BLOCKS))
+def test_suite_rows_do_not_depend_on_the_block_size(monkeypatch, name):
+    # Rows never mix: a block of one, blocks that leave a remainder and one
+    # block for all instances give the same rows.
+    instances = 20
+    rows = []
+    for block in (1, 7, instances):
+        monkeypatch.setattr(verifier, SUITE_BLOCKS[name], block)
+        rows.append(verifier.SUITES[name](instances, 90))
+    assert rows[0] == rows[1] == rows[2]
+
+
+@pytest.mark.parametrize("name, mib", [("layer-bound", 3.5), ("density", 2),
+                                       ("continuity", 3.5)])
+def test_suite_memory_is_bounded_by_its_block(name, mib):
+    # The bound in the comment of the suite's block constant.
+    tracemalloc.start()
+    try:
+        verifier.SUITES[name](100, 7)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib
 
 
 def test_suites_call_the_module_run_functions(monkeypatch):
