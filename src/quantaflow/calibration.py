@@ -113,6 +113,7 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     scale = p.exposure_time * p.quantum_efficiency
     out = np.empty(xs.size)
     step = p.step
+    rng._count_table()  # built once here, not by each worker in its first tile
 
     def draw(t, idx):
         with np.errstate(over="ignore"):  # per thread, as it does not reach the pool

@@ -21,15 +21,19 @@ workers, W being the CPUs of the process's affinity but at most MAX_WORKERS,
 the caller being worker 0 and tile i going to worker i mod W, beside which
 W - 1 pool threads are started on first use. A draw is handed its tile's
 slice and pixel range and writes only that slice of the output, so no byte
-depends on W or TILE. The samplers are pure
-functions of their uniforms and import SciPy inside, so importing this module
-loads NumPy alone: `ndtri` for both quantiles, and `pdtr`, `pdtrc` and `ndtr`
-for the tail CDF of the few Poisson pixels whose quantile lies near an integer.
+depends on W or TILE. `poissons` is a squeeze: below rate 64 a count table,
+built once per process from `math.lgamma`, gives the count of every pixel
+whose (rate bin, uniform cell) decides it, about 91% of a `calib` frame, and
+the exact inversion draws the rest. The samplers are pure functions of their
+uniforms and import SciPy inside, so importing this module loads NumPy alone:
+`ndtri` for both quantiles, and `pdtr`, `pdtrc` and `ndtr` for the tail CDF
+of the few unsure Poisson pixels whose quantile lies near an integer.
 `poissons` refuses a rate that is not at most RATE_CAP, inf and NaN included.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 
@@ -59,12 +63,14 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The most workers of a pass: each holds one tile's temporaries (4.5 MiB for
-# `poissons`), so memory grows with W. Two against one worker on a 2-core
-# Xeon, medians of 6 alternations in process: a 15 x 512^2 `generate_burst`
-# 63 -> 43 ms, a 1 Mpx `qis_forward` 171-189 -> 112-116 ms, and a 1 Mpx
-# `sample_frame` 17 -> 11 ms, inside the spread of its runs. Raise it only
-# with paired runs from a machine with more cores.
+# The most workers of a pass: each holds one tile's temporaries (for
+# `poissons`, 2.0 MiB at `calib` rates and 4.8 MiB where most rates are
+# past the count table), so memory grows with W. Two against one worker on
+# a 2-core Xeon, medians of 6 alternations in process: a 15 x 512^2
+# `generate_burst` 63 -> 43 ms, a 1 Mpx `qis_forward` (rates 0-51)
+# 95-111 -> 62-71 ms in five runs of six (one read 91 -> 107 ms), and a
+# 1 Mpx `sample_frame` 17 -> 11 ms, inside the spread of its runs. Raise it
+# only with paired runs from a machine with more cores.
 MAX_WORKERS = 2
 _pool = None  # the threads beside the caller, started by the first pass that needs them
 
@@ -303,21 +309,15 @@ def _search(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     return k
 
 
-def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Poisson draws, one per uniform u on the 2^-53 grid: the smallest k
-    with u < F(k; theta) (inversion). theta = 0 draws 0, and a rate that
-    is not at most RATE_CAP (inf and NaN included) is refused.
+def _inverted(th: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The smallest k with u < F(k; th) of each flat pair, computed in
+    full: the path of every pixel that the count table leaves unsure.
 
     Rates below _SEARCH_BELOW sum the pmf from k = 0. Above, the count is
     floor(x) for the quantile x of Giles's asymptotic inversion, taken from
     Phi^-1(u) itself; the few pixels with x near an integer m take m - 1 or
     m by one CDF evaluation, and those with x below _SEARCH_BELOW are summed.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if not np.all(theta <= RATE_CAP):
-        raise DomainError(f"a Poisson rate exceeds the cap {RATE_CAP:g} or is NaN")
-    th = theta.ravel()
-    u = np.asarray(u, dtype=np.float64).ravel()
     big = np.flatnonzero(th >= _SEARCH_BELOW)
     tb = th[big]
     x = _count_quantiles(tb, standard_normals(u[big], 0.0))
@@ -332,4 +332,125 @@ def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     small = np.flatnonzero(th < _SEARCH_BELOW)
     small = np.concatenate([small, big[x < _SEARCH_BELOW]])
     out[small] = _search(th[small], u[small])
+    return out
+
+
+# The count table of `poissons` (a squeeze, Devroye 1986, II.5, indexed as
+# a guide table, III.2.4): row j holds the rates [j, j + 1) / _RATE_BINS,
+# column i the uniforms [i, i + 1) / _CELLS, both powers of two, so the
+# scaled rate and uniform and their floors are exact. A row leaves unsure
+# the uniforms that the F(k) sweep across its bin, 1 / _RATE_BINS of them
+# in all as the pmf sums to 1, and about one cell per count of the pmf's
+# bulk: 9.2% of a `calib` frame (rates 0-51). The table takes 1 MiB; 32
+# bins would leave 6.1% unsure, 2048 cells 7.8%, each for 2 MiB.
+_RATE_BINS = 16
+_CELLS = 1024
+# Rates from here on skip the table: every `calib` rate lies below it.
+_TABLE_TOP = 64
+# Margin kept between a sure cell and the F(k) around it: far above the
+# error of the table's F, below 3e-14 against mpmath, and of the exact
+# path's decisions, which are those of F to within its rounding. No
+# F(k; j / _RATE_BINS) lies within 1.4e-8 of a cell edge, so the margin
+# moves no entry of this table.
+_TABLE_SLACK = 1e-9
+# Counts held: k has a sure cell only if F(k - 1; a) <= 1 - 2 / _CELLS,
+# which below _TABLE_TOP fails from k = 89 on.
+_TABLE_COUNTS = 96
+_UNSURE = 255  # a table entry with no count: the exact path decides
+# Rows built at once. On a 2-core Xeon a build takes 6.6 ms and a
+# tracemalloc peak of 1.46 MiB, the table's 1 MiB included; 128 rows take
+# 6.2 ms and 1.85 MiB, 32 rows 8.1 ms and 1.27 MiB.
+_BUILD_ROWS = 64
+# `poissons` and `sensor._fires` take the exact path on the unsure pixels
+# of a tile in whole blocks of this many, repeating them to fill the last,
+# so its arrays take a few sizes only. Freed arrays of each small size stay cached by NumPy (below 1 KiB)
+# and by malloc, scattered over the heap: with a size per unsure count,
+# the heap grew by 1 MiB a `sim` benchmark round for five rounds.
+UNSURE_BLOCK = 1024
+
+
+def _whole_blocks(idx: np.ndarray) -> np.ndarray:
+    """idx, repeated to fill whole blocks of UNSURE_BLOCK."""
+    return np.resize(idx, -(-idx.size // UNSURE_BLOCK) * UNSURE_BLOCK)
+
+
+def _cdfs(rates: np.ndarray) -> np.ndarray:
+    """F(k; rate) for each k below _TABLE_COUNTS, a row per rate: the
+    cumulative sums of exp(k ln rate - rate - ln k!), ln k! by math.lgamma."""
+    k = np.arange(_TABLE_COUNTS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = np.multiply.outer(np.log(rates), k)  # NaN at rate 0 and k = 0
+    log_pmf[:, 0] = 0.0
+    log_pmf -= rates[:, None]
+    log_pmf -= [math.lgamma(j + 1.0) for j in range(_TABLE_COUNTS)]
+    return np.cumsum(np.exp(log_pmf, out=log_pmf), axis=1)
+
+
+@lru_cache(maxsize=1)
+def _count_table() -> np.ndarray:
+    """The read-only (rows + 1, _CELLS) uint8 count table of `poissons`.
+
+    Entry (j, i) holds k when the whole cell [i, i + 1) / _CELLS lies in
+    [F(k - 1; a) + S, F(k; b) - S), a = j / _RATE_BINS and b = (j + 1) /
+    _RATE_BINS, S = _TABLE_SLACK and F(-1) = -inf: as F falls in the rate,
+    k is then the count of every rate of the row and uniform of the cell.
+    Every other entry, and the last row, which serves the rates from
+    _TABLE_TOP on, is _UNSURE. Each row is a run of cells per count, with
+    unsure runs between them, written by one `np.repeat` per band of rows.
+    """
+    rows = _TABLE_TOP * _RATE_BINS
+    table = np.full((rows + 1, _CELLS), _UNSURE, dtype=np.uint8)
+    runs = np.full(2 * _TABLE_COUNTS + 1, _UNSURE, dtype=np.uint8)
+    runs[1::2] = np.arange(_TABLE_COUNTS)  # unsure, 0, unsure, 1, ..., unsure
+    for r in range(0, rows, _BUILD_ROWS):
+        cdf = _cdfs(np.arange(r, r + _BUILD_ROWS + 1) / _RATE_BINS)
+        ends = np.empty((_BUILD_ROWS, 2 * _TABLE_COUNTS + 2))
+        ends[:, 0], ends[:, 1], ends[:, -1] = 0.0, 0.0, _CELLS
+        ends[:, 3:-1:2] = np.ceil((cdf[:-1, :-1] + _TABLE_SLACK) * _CELLS)  # first cell of k
+        ends[:, 2:-1:2] = np.floor((cdf[1:] - _TABLE_SLACK) * _CELLS)       # and past its last
+        np.clip(ends, 0.0, _CELLS, out=ends)
+        np.maximum.accumulate(ends, axis=1, out=ends)  # a count with no cell: an empty run
+        counts = np.diff(ends, axis=1).astype(np.intp).ravel()
+        table[r:r + _BUILD_ROWS] = np.repeat(np.tile(runs, _BUILD_ROWS), counts).reshape(
+            _BUILD_ROWS, _CELLS)
+    table.setflags(write=False)  # one table serves every caller and worker
+    return table
+
+
+def _table_counts(th: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The `_count_table` entry of each flat pair: the row of the rate's bin,
+    the last from _TABLE_TOP on, and the uniform's cell. A negative rate
+    takes row 0, whose sure cells hold its count, 0. Its index arrays are
+    freed on return, before the exact path takes its own."""
+    row = np.multiply(th, _RATE_BINS)
+    np.clip(row, 0.0, _TABLE_TOP * _RATE_BINS, out=row)
+    entry = row.astype(np.intp)
+    entry *= _CELLS
+    entry += (u * _CELLS).astype(np.intp)
+    return np.take(_count_table(), entry)
+
+
+def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Poisson draws, one per uniform u on the 2^-53 grid: the smallest k
+    with u < F(k; theta) (inversion). theta = 0 draws 0, and a rate that
+    is not at most RATE_CAP (inf and NaN included) is refused.
+
+    A rate below _TABLE_TOP takes its count by squeeze from `_count_table`,
+    one gather at its (rate bin, uniform cell); the pixels the table leaves
+    unsure, and the rates from _TABLE_TOP on, are drawn by `_inverted`,
+    whose counts the table's sure cells equal. A draw with no rate below
+    _TABLE_TOP skips the table, which would cost it a fifth more time.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if not np.all(theta <= RATE_CAP):
+        raise DomainError(f"a Poisson rate exceeds the cap {RATE_CAP:g} or is NaN")
+    th = theta.ravel()
+    u = np.asarray(u, dtype=np.float64).ravel()
+    if th.min(initial=_TABLE_TOP) >= _TABLE_TOP:  # the table would serve no pixel
+        return _inverted(th, u).reshape(theta.shape)
+    out = _table_counts(th, u).astype(np.int64)
+    unsure = np.flatnonzero(out == _UNSURE)
+    if unsure.size:
+        block = _whole_blocks(unsure)
+        out[unsure] = _inverted(th[block], u[block])[:unsure.size]
     return out.reshape(theta.shape)

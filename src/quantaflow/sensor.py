@@ -33,12 +33,6 @@ BINS = 64
 # Relative widening of each table value into a bracket: far above the
 # series' rounding error, which stays below 1e-12 up to SERIES_CAP terms.
 SLACK = 2.0 ** -20
-# `_fires` sums the series on the undecided pixels of a tile in whole blocks
-# of this many, repeating them to fill the last, so its arrays take a few
-# sizes only. Freed arrays of each small size stay cached by NumPy (below
-# 1 KiB) and by malloc, scattered over the heap: with a size per undecided
-# count, the heap grew by 1 MiB a `sim` benchmark round for five rounds.
-UNSURE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -221,7 +215,7 @@ def _fires(u: np.ndarray, theta: np.ndarray, q: float, sigma_r: float,
     """u >= _complement(theta * scale, q, sigma_r), elementwise, by the
     squeeze test (Devroye 1986, II.5): a pixel fires where u >= hi of its
     bin and stays 0 where u < lo, and the series is summed only on the
-    pixels in between."""
+    pixels in between, in whole blocks of `rng.UNSURE_BLOCK`."""
     lo, hi = _brackets(q, sigma_r)
     bound = np.multiply(theta, scale)
     np.minimum(bound, (hi.size - 1) / BINS, out=bound)
@@ -230,7 +224,7 @@ def _fires(u: np.ndarray, theta: np.ndarray, q: float, sigma_r: float,
     fires = u >= np.take(hi, j, out=bound, mode="clip")
     unsure = np.flatnonzero((u >= np.take(lo, j, out=bound, mode="clip")) ^ fires)
     if unsure.size:
-        block = np.resize(unsure, -(-unsure.size // UNSURE_BLOCK) * UNSURE_BLOCK)
+        block = rng._whole_blocks(unsure)
         fires[unsure] = (u[block] >= _complement(theta[block] * scale, q, sigma_r))[:unsure.size]
     return fires
 

@@ -68,6 +68,9 @@ COMMANDS = [
     ["calibrate", "cmos", "--in", "gray.qex", "--out", "photons.qex"],
     ["calibrate", "qis-forward", "--in", "photons.qex", "--params", "qis.json",
      "--seed", "9", "--out", "pixels.qex"],
+    # Rates of about 0-190: counts from rng's count table and from past its top, 64.
+    ["calibrate", "qis-forward", "--in", "photons.qex", "--params", "qis3.json",
+     "--seed", "9", "--out", "pixels3.qex"],
     ["export-pgm", "--in", "scene.qbf", "--out", "frame.pgm"],
     ["export-pgm", "--in", "clamp.qex", "--out", "map.pgm"],
 ]
@@ -86,6 +89,8 @@ def write_inputs():
     formats.write_float_map("gray.qex", ((x + 3 * y) % 64).astype(np.float64))
     Path("qis.json").write_text(json.dumps({"gain_ratio": 0.5, "exposure_time": 1.0,
                                             "dark_signal": 0.3, "sigma_real_noise": 1.5}))
+    Path("qis3.json").write_text(json.dumps({"gain_ratio": 0.5, "exposure_time": 3.0,
+                                             "dark_signal": 0.3, "sigma_real_noise": 1.5}))
 
 
 def run_commands() -> list:

@@ -1,11 +1,15 @@
 import ast
+import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtri, pdtr
 
 from quantaflow import (AtomVectorField, BracketSpec, DomainError, ExposureMap, QisParams,
                         SensorConfig, generate_burst, qis_forward, rng, sample_frame, verifier)
@@ -491,3 +495,102 @@ def test_poisson_counts_at_the_rate_cap():
 def test_a_rate_above_the_cap_is_refused(theta):
     with pytest.raises(DomainError, match="exceeds the cap"):
         rng.poissons(np.array([1.0, theta]), np.array([0.5, 0.5]))
+
+
+# The squeeze of `poissons`: each count the table gives is the count of the
+# exact inversion `_inverted`, which draws every pixel the table leaves unsure.
+BINS, CELLS, TOP = rng._RATE_BINS, rng._CELLS, rng._TABLE_TOP
+GRID = 2.0 ** -53  # the spacing of the uniforms
+
+
+def _squeeze_rates():
+    edge = st.integers(0, TOP * BINS + 2).map(lambda j: j / BINS)
+    return st.one_of(
+        st.just(0.0), st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
+        edge, edge.map(lambda t: math.nextafter(t, math.inf)),
+        edge.map(lambda t: math.nextafter(t, -math.inf)),  # -5e-324 below 0: row 0, count 0
+        st.just(math.nextafter(TOP, 0.0)), st.just(float(TOP)), st.floats(TOP, 1e3),
+        st.floats(0.0, TOP), st.floats(-1.0, 0.0))
+
+
+def _grid_around(v):
+    """The 2^-53 grid points next to each v: below, at or below, and above."""
+    g = np.floor(np.asarray(v) / GRID) * GRID
+    return np.clip(np.stack([g - GRID, g, g + GRID]), 0.0, 1.0 - GRID).ravel()
+
+
+def _squeezed_and_exact(theta, u):
+    """Both draws of every (theta, u) pair."""
+    theta, u = (a.ravel() for a in np.meshgrid(theta, u))
+    return rng.poissons(theta, u), rng._inverted(theta, u)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_squeeze_is_the_exact_inversion(data):
+    theta = np.array(data.draw(st.lists(_squeeze_rates(), min_size=1, max_size=4)))
+    cells = np.array(data.draw(st.lists(st.integers(0, CELLS), min_size=1, max_size=4)))
+    counts = np.array(data.draw(st.lists(st.integers(0, 95), min_size=1, max_size=4)))
+    # The edges of each rate's bin, where the table's F(k) are taken.
+    edges = np.floor(np.clip(theta, 0.0, TOP) * BINS) / BINS
+    cdf = pdtr(counts[:, None], np.concatenate([edges, edges + 1.0 / BINS])[None, :])
+    u = np.concatenate([[0.0, 1.0 - GRID], _grid_around(cells / CELLS), _grid_around(cdf)])
+    squeezed, exact = _squeezed_and_exact(theta, u)
+    assert np.array_equal(squeezed, exact)
+
+
+def test_squeeze_is_the_exact_inversion_at_every_bin_edge():
+    edge = np.arange(TOP * BINS + 2) / BINS
+    theta = np.concatenate([edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)])
+    for seed in range(3):
+        u = rng.uniforms(range(64), seed, rng.QIS_PHOTON)
+        squeezed, exact = _squeezed_and_exact(theta, u)
+        assert np.array_equal(squeezed, exact)
+
+
+def test_sure_cells_hold_their_count_by_mpmath():
+    # Sampled sure cells, half of them at the ends of their runs, where the
+    # margin is least: the cell lies _TABLE_SLACK inside [F(k - 1; a),
+    # F(k; b)) at both edges of its bin, and the table's F is within a
+    # thousandth of that margin of mpmath's.
+    table, gen, slack = rng._count_table(), np.random.default_rng(29), rng._TABLE_SLACK
+    sure = table[:-1] != rng._UNSURE
+    ends = sure & (table[:-1] != np.roll(table[:-1], 1, axis=1))
+    ends |= sure & (table[:-1] != np.roll(table[:-1], -1, axis=1))
+    picks = [gen.choice(np.argwhere(ends), 30), gen.choice(np.argwhere(sure), 30)]
+    with mpmath.workdps(30):
+        def cdf(k, theta):
+            if k < 0:
+                return -mpmath.inf
+            return mpmath.gammainc(k + 1, theta, mpmath.inf, regularized=True) if theta else 1
+        for j, i in np.concatenate(picks).tolist():
+            k, a, b = int(table[j, i]), j / BINS, (j + 1) / BINS
+            assert cdf(k - 1, a) + slack <= mpmath.mpf(i) / CELLS
+            assert mpmath.mpf(i + 1) / CELLS <= cdf(k, b) - slack
+            built = rng._cdfs(np.array([a, b]))
+            assert abs(built[1, k] - cdf(k, b)) <= slack / 1000
+            if k:
+                assert abs(built[0, k - 1] - cdf(k - 1, a)) <= slack / 1000
+
+
+def test_count_table_is_read_only_small_and_quick():
+    table = rng._count_table()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    times = []
+    for _ in range(3):
+        rng._count_table.cache_clear()
+        start = time.perf_counter()
+        rng._count_table()
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.015  # 6.6 ms on a 2-core Xeon
+    rng._count_table.cache_clear()
+    tracemalloc.start()
+    try:
+        rebuilt = rng._count_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20  # the 1 MiB table included: 1.46 MiB
+    assert np.array_equal(rebuilt, table)

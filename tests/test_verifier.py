@@ -102,10 +102,8 @@ AROUND_BLOCKS = sorted({block + d for block in (LAYER_BOUND_BLOCK, DENSITY_BLOCK
 
 @pytest.mark.parametrize("instances", AROUND_BLOCKS)
 def test_layer_bound_suite_equals_single_calls(instances):
-    rows = verifier.SUITES["layer-bound"](instances, 40)
-    single = [verify_layer_bound(*random_layer_instance(s, activation=a), instance_seed=s)
-              for a in BOUND_ACTIVATIONS for s in range(40, 40 + instances)]
-    assert rows == single
+    assert verifier.SUITES["layer-bound"](instances, 40) == _single_rows("layer-bound",
+                                                                         instances, 40)
 
 
 def test_layer_bound_suite_draws_each_instance_once(monkeypatch):
@@ -125,12 +123,7 @@ def test_layer_bound_suite_draws_each_instance_once(monkeypatch):
 
 @pytest.mark.parametrize("instances", AROUND_BLOCKS)
 def test_continuity_suite_equals_single_calls(instances):
-    suite = run_continuity_suite(instances, seed=60)
-    single = [verify_exposure_continuity(field, phi, inp, CONTINUITY_THETA0,
-                                         CONTINUITY_DELTAS, cfg) | {"instance_seed": s}
-              for s in range(60, 60 + instances)
-              for field, phi, inp, cfg in [continuity_instance(s)]]
-    assert suite == single
+    assert run_continuity_suite(instances, seed=60) == _single_rows("continuity", instances, 60)
 
 
 def _density_frames(instances, seed):
@@ -142,12 +135,7 @@ def _density_frames(instances, seed):
 @pytest.mark.parametrize("instances", AROUND_BLOCKS)
 def test_density_suite_equals_single_calls(instances):
     suite = run_density_suite(instances, seed=80)
-    single = [{"instance_seed": 80 + i, "radius": r,
-               "holds": verify_density_identity(BinaryFrame.from_array(bits),
-                                                NeighborhoodSpec(r))}
-              for i, bits in enumerate(_density_frames(instances, 80))
-              for r in DENSITY_RADII]
-    assert suite == single
+    assert suite == _single_rows("density", instances, 80)
     assert all(row["holds"] is True for row in suite)
 
 
@@ -224,12 +212,14 @@ def _dicts(value):
 @pytest.mark.parametrize("instances", AROUND_BLOCKS)
 @pytest.mark.parametrize("name", list(verifier.SUITES))
 def test_suite_rows_are_plain_json_and_single_check_rows(name, instances):
+    # Each suite, cut at every block size, writes plain JSON rows, none shared.
+    # That they are the rows of its one-instance check is asserted once, in
+    # test_{layer_bound,continuity,density}_suite_equals_single_calls.
     rows = verifier.SUITES[name](instances, 30)
     assert json.loads(json.dumps(rows)) == rows
     dicts = list(_dicts(rows))
     assert all(type(d["holds"]) is bool for d in dicts if "holds" in d)
     assert len({id(d) for d in dicts}) == len(dicts)
-    assert rows == _single_rows(name, instances, 30)
 
 
 SUITE_BLOCKS = {"layer-bound": "LAYER_BOUND_BLOCK", "density": "DENSITY_BLOCK",
