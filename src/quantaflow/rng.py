@@ -24,11 +24,14 @@ slice and pixel range and writes only that slice of the output, so no byte
 depends on W or TILE. `poissons` is a squeeze: below rate 64 a count table,
 built once per process from `math.lgamma`, gives the count of every pixel
 whose (rate bin, uniform cell) decides it, about 91% of a `calib` frame, and
-the exact inversion draws the rest. The samplers are pure functions of their
-uniforms and import SciPy inside, so importing this module loads NumPy alone:
+`_settle`, the last step of this squeeze and of `sensor._fires`, has the
+exact inversion draw the rest, every rate from 64 on included. The samplers
+are pure functions of their uniforms and import SciPy inside, so importing
+this module loads NumPy alone:
 `ndtri` for both quantiles, and `pdtr`, `pdtrc` and `ndtr` for the tail CDF
 of the few unsure Poisson pixels whose quantile lies near an integer.
-`poissons` refuses a rate that is not at most RATE_CAP, inf and NaN included.
+`uniforms` refuses a frame that is not an integer, and `poissons` a negative
+rate and one that is not at most RATE_CAP, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _cpus() -> int:
 
 
 # The most workers of a pass: each holds one tile's temporaries (for
-# `poissons`, 2.0 MiB at `calib` rates and 4.8 MiB where most rates are
+# `poissons`, 2.0 MiB at `calib` rates and 7.0 MiB where every rate is
 # past the count table), so memory grows with W. Two against one worker on
 # a 2-core Xeon, medians of 6 alternations in process: a 15 x 512^2
 # `generate_burst` 63 -> 43 ms, a 1 Mpx `qis_forward` (rates 0-51)
@@ -125,11 +128,16 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _unsigned(name: str, value, bits: int) -> None:
+    """Refuses a bool, a non-integer and an integer outside [0, 2**bits)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} {value!r} is not an integer")
+    if not 0 <= value < 1 << bits:
+        raise DomainError(f"{name} {value} lies outside [0, 2**{bits})")
+
+
 def _seeds(seed: int, purpose: int) -> np.random.SeedSequence:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed {seed!r} is not an integer")
-    if not 0 <= seed < 1 << 64:
-        raise DomainError(f"seed {seed} lies outside [0, 2**64)")
+    _unsigned("seed", seed, 64)
     return np.random.SeedSequence([seed & 0xFFFFFFFF, seed >> 32, purpose])
 
 
@@ -148,10 +156,9 @@ def _base(seed: int, purpose: int) -> int:
 def uniforms(pixels: range, seed: int, purpose: int, frame: int = 0) -> np.ndarray:
     """Uniform floats in [0, 1) on the 2^-53 grid, one per pixel of `frame`
     in the (seed, purpose) stream: the top 53 bits of
-    splitmix64(base + (frame << 32 | pixel) * _GAMMA). `pixels` must be a
-    step-1 range inside [0, 2**32)."""
-    if not 0 <= frame < 1 << 32:
-        raise DomainError(f"frame {frame} lies outside [0, 2**32)")
+    splitmix64(base + (frame << 32 | pixel) * _GAMMA). `frame` must be an
+    integer and `pixels` a step-1 range, both inside [0, 2**32)."""
+    _unsigned("frame", frame, 32)
     if not (isinstance(pixels, range) and pixels.step == 1
             and 0 <= pixels.start and pixels.stop <= 1 << 32):
         raise DomainError(f"pixels {pixels!r} are not a step-1 range inside [0, 2**32)")
@@ -345,7 +352,7 @@ def _inverted(th: np.ndarray, u: np.ndarray) -> np.ndarray:
 # bins would leave 6.1% unsure, 2048 cells 7.8%, each for 2 MiB.
 _RATE_BINS = 16
 _CELLS = 1024
-# Rates from here on skip the table: every `calib` rate lies below it.
+# Rates from here on read the all-unsure last row: every `calib` rate lies below.
 _TABLE_TOP = 64
 # Margin kept between a sure cell and the F(k) around it: far above the
 # error of the table's F, below 3e-14 against mpmath, and of the exact
@@ -361,17 +368,20 @@ _UNSURE = 255  # a table entry with no count: the exact path decides
 # tracemalloc peak of 1.46 MiB, the table's 1 MiB included; 128 rows take
 # 6.2 ms and 1.85 MiB, 32 rows 8.1 ms and 1.27 MiB.
 _BUILD_ROWS = 64
-# `poissons` and `sensor._fires` take the exact path on the unsure pixels
-# of a tile in whole blocks of this many, repeating them to fill the last,
-# so its arrays take a few sizes only. Freed arrays of each small size stay cached by NumPy (below 1 KiB)
-# and by malloc, scattered over the heap: with a size per unsure count,
-# the heap grew by 1 MiB a `sim` benchmark round for five rounds.
-UNSURE_BLOCK = 1024
+# `_settle` runs the exact path of a squeeze on the unsure pixels of a tile in
+# whole blocks of this many, repeating them to fill the last, so its arrays
+# take a few sizes only. Freed arrays of each small size stay cached by NumPy
+# (below 1 KiB) and by malloc, scattered over the heap: with a size per unsure
+# count, the heap grew by 1 MiB a `sim` benchmark round for five rounds.
+_UNSURE_BLOCK = 1024
 
 
-def _whole_blocks(idx: np.ndarray) -> np.ndarray:
-    """idx, repeated to fill whole blocks of UNSURE_BLOCK."""
-    return np.resize(idx, -(-idx.size // UNSURE_BLOCK) * UNSURE_BLOCK)
+def _settle(out: np.ndarray, unsure: np.ndarray, exact, *inputs) -> np.ndarray:
+    """out, with out[unsure] = exact(*(a[unsure] for a in inputs)): the last
+    step of a squeeze, `exact` taking its unsure pixels in whole blocks."""
+    block = np.resize(unsure, -(-unsure.size // _UNSURE_BLOCK) * _UNSURE_BLOCK)
+    out[unsure] = exact(*(a[block] for a in inputs))[:unsure.size]
+    return out
 
 
 def _cdfs(rates: np.ndarray) -> np.ndarray:
@@ -419,11 +429,10 @@ def _count_table() -> np.ndarray:
 
 def _table_counts(th: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The `_count_table` entry of each flat pair: the row of the rate's bin,
-    the last from _TABLE_TOP on, and the uniform's cell. A negative rate
-    takes row 0, whose sure cells hold its count, 0. Its index arrays are
-    freed on return, before the exact path takes its own."""
+    the last from _TABLE_TOP on, and the uniform's cell. Its index arrays
+    are freed on return, before the exact path takes its own."""
     row = np.multiply(th, _RATE_BINS)
-    np.clip(row, 0.0, _TABLE_TOP * _RATE_BINS, out=row)
+    np.minimum(row, _TABLE_TOP * _RATE_BINS, out=row)
     entry = row.astype(np.intp)
     entry *= _CELLS
     entry += (u * _CELLS).astype(np.intp)
@@ -432,25 +441,19 @@ def _table_counts(th: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Poisson draws, one per uniform u on the 2^-53 grid: the smallest k
-    with u < F(k; theta) (inversion). theta = 0 draws 0, and a rate that
-    is not at most RATE_CAP (inf and NaN included) is refused.
+    with u < F(k; theta) (inversion). theta = 0 draws 0; a negative rate,
+    and one that is not at most RATE_CAP (inf and NaN included), is refused.
 
-    A rate below _TABLE_TOP takes its count by squeeze from `_count_table`,
-    one gather at its (rate bin, uniform cell); the pixels the table leaves
-    unsure, and the rates from _TABLE_TOP on, are drawn by `_inverted`,
-    whose counts the table's sure cells equal. A draw with no rate below
-    _TABLE_TOP skips the table, which would cost it a fifth more time.
+    Each count is one gather from `_count_table` at its (rate bin, uniform
+    cell), and `_settle` has `_inverted`, whose counts the sure cells equal,
+    draw those the table leaves unsure, every rate from _TABLE_TOP on too.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all(theta <= RATE_CAP):
         raise DomainError(f"a Poisson rate exceeds the cap {RATE_CAP:g} or is NaN")
+    if np.any(theta < 0):
+        raise DomainError("a Poisson rate is negative")
     th = theta.ravel()
     u = np.asarray(u, dtype=np.float64).ravel()
-    if th.min(initial=_TABLE_TOP) >= _TABLE_TOP:  # the table would serve no pixel
-        return _inverted(th, u).reshape(theta.shape)
     out = _table_counts(th, u).astype(np.int64)
-    unsure = np.flatnonzero(out == _UNSURE)
-    if unsure.size:
-        block = _whole_blocks(unsure)
-        out[unsure] = _inverted(th[block], u[block])[:unsure.size]
-    return out.reshape(theta.shape)
+    return _settle(out, np.flatnonzero(out == _UNSURE), _inverted, th, u).reshape(theta.shape)

@@ -214,8 +214,8 @@ def _fires(u: np.ndarray, theta: np.ndarray, q: float, sigma_r: float,
            scale: float = 1.0) -> np.ndarray:
     """u >= _complement(theta * scale, q, sigma_r), elementwise, by the
     squeeze test (Devroye 1986, II.5): a pixel fires where u >= hi of its
-    bin and stays 0 where u < lo, and the series is summed only on the
-    pixels in between, in whole blocks of `rng.UNSURE_BLOCK`."""
+    bin and stays 0 where u < lo, and `rng._settle` sums the series only on
+    the pixels in between."""
     lo, hi = _brackets(q, sigma_r)
     bound = np.multiply(theta, scale)
     np.minimum(bound, (hi.size - 1) / BINS, out=bound)
@@ -223,10 +223,8 @@ def _fires(u: np.ndarray, theta: np.ndarray, q: float, sigma_r: float,
     j = bound.astype(np.intp)  # the bin, whose ends then take the buffer in turn
     fires = u >= np.take(hi, j, out=bound, mode="clip")
     unsure = np.flatnonzero((u >= np.take(lo, j, out=bound, mode="clip")) ^ fires)
-    if unsure.size:
-        block = rng._whole_blocks(unsure)
-        fires[unsure] = (u[block] >= _complement(theta[block] * scale, q, sigma_r))[:unsure.size]
-    return fires
+    return rng._settle(fires, unsure, lambda u, theta: u >= _complement(theta * scale, q, sigma_r),
+                       u, theta)
 
 
 def bit_probability(theta: float, q: float, sigma_r: float) -> float:

@@ -131,6 +131,19 @@ def test_a_frame_outside_32_bits_is_a_domain_error(frame):
     assert rng.uniforms(range(4), 1, rng.PHOTON, 2 ** 32 - 1).shape == (4,)
 
 
+@pytest.mark.parametrize("frame", [1.5, True, 1.0, np.float64(1.0)],
+                         ids=["1.5", "True", "1.0", "float64"])
+def test_a_frame_that_is_not_an_integer_is_a_domain_error(frame):
+    # Each of these once drew the uniforms of frame 1.
+    with pytest.raises(DomainError, match="frame .* is not an integer"):
+        rng.uniforms(range(4), 5, rng.PHOTON, frame)
+    with pytest.raises(DomainError, match="frame .* is not an integer"):
+        sample_frame(ExposureMap.constant(4, 4, 1.0), SensorConfig(0.5, 0.0, 1), frame=frame)
+    one = rng.uniforms(range(4), 5, rng.PHOTON, 1)
+    for integer in (np.int64(1), np.uint32(1)):  # NumPy integers still draw
+        assert np.array_equal(rng.uniforms(range(4), 5, rng.PHOTON, integer), one)
+
+
 @pytest.mark.parametrize("index", [-1, 2 ** 32])
 def test_a_pixel_index_outside_32_bits_is_a_domain_error(index):
     with pytest.raises(DomainError, match="pixels"):
@@ -497,6 +510,32 @@ def test_a_rate_above_the_cap_is_refused(theta):
         rng.poissons(np.array([1.0, theta]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("theta", [-5e-324, -1.0, -np.inf])
+def test_a_negative_rate_is_refused(theta):
+    # A negative rate once drew 0, and -inf let an overflow warning out of `_search`.
+    with pytest.raises(DomainError, match="a Poisson rate is negative"):
+        rng.poissons(np.array([1.0, theta]), np.array([0.5, 0.5]))
+    assert rng.poissons(np.array([-0.0]), np.array([0.999])).tolist() == [0]
+
+
+@pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 3000])
+def test_settle_sets_the_unsure_pixels_in_whole_blocks(size):
+    gen = np.random.default_rng(size)
+    a, b = gen.uniform(size=5000), gen.uniform(size=5000)
+    unsure = np.sort(gen.choice(5000, size, replace=False))
+    out = np.full(5000, -1.0)
+    seen = []
+
+    def exact(x, y):
+        seen.append(x.size)
+        return x * y
+
+    assert rng._settle(out, unsure, exact, a, b) is out
+    assert all(n % rng._UNSURE_BLOCK == 0 for n in seen)
+    assert np.array_equal(out[unsure], a[unsure] * b[unsure])
+    assert np.all(np.delete(out, unsure) == -1.0)
+
+
 # The squeeze of `poissons`: each count the table gives is the count of the
 # exact inversion `_inverted`, which draws every pixel the table leaves unsure.
 BINS, CELLS, TOP = rng._RATE_BINS, rng._CELLS, rng._TABLE_TOP
@@ -508,9 +547,9 @@ def _squeeze_rates():
     return st.one_of(
         st.just(0.0), st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
         edge, edge.map(lambda t: math.nextafter(t, math.inf)),
-        edge.map(lambda t: math.nextafter(t, -math.inf)),  # -5e-324 below 0: row 0, count 0
+        edge.filter(bool).map(lambda t: math.nextafter(t, -math.inf)),  # not below 0: refused
         st.just(math.nextafter(TOP, 0.0)), st.just(float(TOP)), st.floats(TOP, 1e3),
-        st.floats(0.0, TOP), st.floats(-1.0, 0.0))
+        st.floats(0.0, TOP))
 
 
 def _grid_around(v):
@@ -541,7 +580,7 @@ def test_squeeze_is_the_exact_inversion(data):
 
 def test_squeeze_is_the_exact_inversion_at_every_bin_edge():
     edge = np.arange(TOP * BINS + 2) / BINS
-    theta = np.concatenate([edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)])
+    theta = np.concatenate([edge, np.nextafter(edge, np.inf), np.nextafter(edge[1:], -np.inf)])
     for seed in range(3):
         u = rng.uniforms(range(64), seed, rng.QIS_PHOTON)
         squeezed, exact = _squeezed_and_exact(theta, u)
