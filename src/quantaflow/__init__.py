@@ -8,13 +8,11 @@ from .errors import (DecodeError, DomainError, IntegrationError, QuantaError,
 from .sensor import (BinaryFrame, DensityMap, ExposureMap, NeighborhoodSpec,
                      SensorConfig, bit_probability, invert_bit_density,
                      local_bit_density, mean_bit_density, sample_frame)
-from .bracketing import (BracketSpec, ExposureBurst, DEFAULT_ALPHAS, bracket,
-                         burst_mse, extract_exposure, generate_burst)
+from .bracketing import BracketSpec, ExposureBurst, DEFAULT_ALPHAS, generate_burst
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms,
                       compose_filters, eacl_forward)
 from .ode import AtomVectorField, SolverConfig, integrate_atoms
-from .verifier import (verify_density_identity, verify_exposure_continuity,
-                       verify_layer_bound)
+from .verifier import verify_exposure_continuity, verify_layer_bound
 from .calibration import CmosParams, QisParams, cmos_gray_to_photons, qis_forward
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .sensor import BinaryFrame, ExposureMap, SensorConfig, sample_frame
+from .sensor import ExposureMap, SensorConfig, sample_frame
 
 #: Default 15-element divisor set, 1.0 through 8.0 in steps of 0.5.
 DEFAULT_ALPHAS = tuple(1.0 + 0.5 * i for i in range(15))
@@ -74,30 +74,6 @@ def default_labels(k: int) -> tuple:
     return tuple((tau + 1) / (k + 1) for tau in range(k))
 
 
-_LUMA = np.array([0.299, 0.587, 0.114])
-
-
-def extract_exposure(gray: np.ndarray, theta_max: float = 25.0,
-                     gamma: float = 1.0) -> ExposureMap:
-    """Map a [0,1] grayscale (or RGB, reduced to luma) image to exposure:
-    theta = theta_max * gray**gamma."""
-    if theta_max <= 0 or gamma <= 0:
-        raise DomainError("theta_max and gamma must be > 0")
-    img = np.asarray(gray, dtype=np.float64)
-    if img.ndim == 3 and img.shape[2] == 3:
-        img = img @ _LUMA
-    if img.ndim != 2:
-        raise ShapeError("expected a 2-D grayscale or HxWx3 RGB image")
-    if np.any(img < 0) or np.any(img > 1) or not np.all(np.isfinite(img)):
-        raise DomainError("pixel values must lie in [0, 1]")
-    return ExposureMap(theta_max * img ** gamma)
-
-
-def bracket(emap: ExposureMap, spec: BracketSpec) -> list:
-    """Scale the exposure map by 1/alpha for each divisor, in divisor order."""
-    return [emap.scaled(s) for s in spec.scales]
-
-
 def generate_burst(emap: ExposureMap, spec: BracketSpec,
                    cfg: SensorConfig) -> ExposureBurst:
     """Sample one frame per bracket, each tile scaled as it is drawn, so no
@@ -106,14 +82,3 @@ def generate_burst(emap: ExposureMap, spec: BracketSpec,
     share a draw."""
     frames = [sample_frame(emap, cfg, tau + 1, s) for tau, s in enumerate(spec.scales)]
     return ExposureBurst(tuple(frames), spec.alphas, default_labels(len(spec)))
-
-
-def burst_mse(a: ExposureBurst, b: ExposureBurst) -> float:
-    """Mean over frames of the per-pixel mean squared bit difference."""
-    if len(a) != len(b) or a.width != b.width or a.height != b.height:
-        raise ShapeError("bursts must share frame count and dimensions")
-    total = 0.0
-    for fa, fb in zip(a.frames, b.frames):
-        diff = fa.to_array().astype(np.float64) - fb.to_array()
-        total += float(np.mean(diff * diff))
-    return total / len(a)

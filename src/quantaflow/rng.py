@@ -30,8 +30,9 @@ are pure functions of their uniforms and import SciPy inside, so importing
 this module loads NumPy alone:
 `ndtri` for both quantiles, and `pdtr`, `pdtrc` and `ndtr` for the tail CDF
 of the few unsure Poisson pixels whose quantile lies near an integer.
-`uniforms` refuses a frame that is not an integer, and `poissons` a negative
-rate and one that is not at most RATE_CAP, inf and NaN included.
+`uniforms` refuses a frame that is not an integer, `poissons` a negative
+rate and one that is not at most RATE_CAP, inf and NaN included, and both
+samplers a uniform outside [0, 1), NaN included.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
@@ -172,9 +173,18 @@ def uniforms(pixels: range, seed: int, purpose: int, frame: int = 0) -> np.ndarr
     return np.multiply(x, 2.0 ** -53, dtype=np.float64)
 
 
+def _uniform01(u) -> np.ndarray:
+    """u as float64, refused unless every entry lies in [0, 1): NaN fails
+    both comparisons, and an empty u passes."""
+    u = np.asarray(u, dtype=np.float64)
+    if not (u.min(initial=0.0) >= 0.0 and u.max(initial=0.0) < 1.0):
+        raise DomainError("a uniform lies outside [0, 1) or is NaN")
+    return u
+
+
 def standard_normals(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:
     """Phi^-1(u + step), one standard normal per uniform u on the 2^-53 grid
-    of [0, 1) (inversion).
+    of [0, 1) (inversion); a u outside [0, 1), NaN included, is refused.
 
     The default half step keeps every argument inside (0, 1). Above 1/2
     the offset uniform has no float64 value, so it is taken from the upper
@@ -184,6 +194,7 @@ def standard_normals(u: np.ndarray, step: float = 2.0 ** -54) -> np.ndarray:
     """
     from scipy.special import ndtri
 
+    u = _uniform01(u)
     z = ndtri(np.minimum((1.0 - u) - step, u + step))
     z *= 1.0 - 2.0 * (u >= 0.5)
     return z
@@ -442,7 +453,8 @@ def _table_counts(th: np.ndarray, u: np.ndarray) -> np.ndarray:
 def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Poisson draws, one per uniform u on the 2^-53 grid: the smallest k
     with u < F(k; theta) (inversion). theta = 0 draws 0; a negative rate,
-    and one that is not at most RATE_CAP (inf and NaN included), is refused.
+    one that is not at most RATE_CAP (inf and NaN included), a u outside
+    [0, 1) and a u of another shape than theta are refused.
 
     Each count is one gather from `_count_table` at its (rate bin, uniform
     cell), and `_settle` has `_inverted`, whose counts the sure cells equal,
@@ -453,7 +465,9 @@ def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise DomainError(f"a Poisson rate exceeds the cap {RATE_CAP:g} or is NaN")
     if np.any(theta < 0):
         raise DomainError("a Poisson rate is negative")
-    th = theta.ravel()
-    u = np.asarray(u, dtype=np.float64).ravel()
+    u = _uniform01(u)
+    if u.shape != theta.shape:
+        raise ShapeError(f"uniforms of shape {u.shape} for rates of shape {theta.shape}")
+    th, u = theta.ravel(), u.ravel()
     out = _table_counts(th, u).astype(np.int64)
     return _settle(out, np.flatnonzero(out == _UNSURE), _inverted, th, u).reshape(theta.shape)

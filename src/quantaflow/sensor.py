@@ -51,11 +51,6 @@ class ExposureMap:
     def constant(cls, width: int, height: int, value: float) -> "ExposureMap":
         return cls(np.full((height, width), value, dtype=np.float64))
 
-    def scaled(self, factor: float) -> "ExposureMap":
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = self.theta * factor
-        return ExposureMap(theta)  # which refuses an inf or NaN product
-
 
 @dataclass(frozen=True)
 class SensorConfig:

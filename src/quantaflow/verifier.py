@@ -11,10 +11,10 @@ uniform constant that still dominates the per-pixel chain. Bias is zeroed
 inside all checks.
 
 Each certificate has one shape: a `_X_block` that evaluates a block of
-instances as the rows of one array, a one-instance check that is its block
-of one, and a seeded `run_X_suite` over the seed blocks of `_seed_blocks`,
-in blocks of the suite's own size. The continuity block takes the atoms of
-one batched solve of its fields.
+instances as the rows of one array and a seeded `run_X_suite` over the seed
+blocks of `_seed_blocks`, in blocks of the suite's own size. The layer bound
+and continuity also have a one-instance check that is their block of one.
+The continuity block takes the atoms of one batched solve of its fields.
 Every check and suite returns the report rows that `qflow verify` writes:
 plain dicts of floats, bools and lists, one per instance (and activation
 or radius), each with its own `holds`. The layer-bound block serves all
@@ -34,8 +34,8 @@ from . import rng
 from .errors import DomainError, ShapeError
 from .filters import (Coefficients, EaclConfig, FeatureMap, FilterAtoms, ACTIVATIONS,
                       _atom_responses, _check_layer_shapes, _correlate2d, _mix)
-from .ode import AtomVectorField, FieldStack, SolverConfig, integrate_stack
-from .sensor import BinaryFrame, NeighborhoodSpec, neighborhood_ones
+from .ode import FieldStack, SolverConfig, integrate_stack
+from .sensor import NeighborhoodSpec, neighborhood_ones
 
 #: Absolute slack absorbing floating-point accumulation in inequality checks.
 SLACK = 1e-9
@@ -156,11 +156,6 @@ def _density_block(bits: np.ndarray, nb: NeighborhoodSpec) -> list:
     return (neighborhood_ones(bits, nb) == sq).all(axis=(1, 2)).tolist()
 
 
-def verify_density_identity(frame: BinaryFrame, nb: NeighborhoodSpec) -> bool:
-    """Exact identity ||Y||^2_{2,N_u} = (ones in N_u)."""
-    return _density_block(frame.to_array()[None], nb)[0]
-
-
 def _continuity_block(base: np.ndarray, moved: np.ndarray, instances, act) -> list:
     """Report rows for (phi, input, seed) tuples that share their shapes:
     the output distances D(delta) and atom distances A(delta) at each
@@ -244,12 +239,6 @@ def _continuity_layer(seed: int):
     gen = rng.generator(seed, rng.CONTINUITY)
     inp = FeatureMap(gen.uniform(0, 1, size=(1, 16, 16)))
     return Coefficients(gen.standard_normal((1, 1, 3))), inp
-
-
-def continuity_instance(seed: int):
-    """Seeded random (field, phi, input, cfg): the field from FIELD, the rest from CONTINUITY."""
-    cfg = EaclConfig(bias=np.zeros(1), activation="relu")
-    return AtomVectorField.seeded(3, 3, seed), *_continuity_layer(seed), cfg
 
 
 def run_continuity_suite(instances: int, seed: int) -> list:

@@ -105,4 +105,3 @@ class TestRanges:
         emap = ExposureMap.constant(5, 3, 2.0)
         assert (emap.width, emap.height) == (5, 3)
         assert np.all(emap.theta == 2.0)
-        assert emap.scaled(0.5).theta.shape == (3, 5)

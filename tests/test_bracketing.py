@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from quantaflow import (BracketSpec, DEFAULT_ALPHAS, DomainError, ExposureBurst,
-                        ExposureMap, SensorConfig, ShapeError, bracket,
-                        burst_mse, extract_exposure, generate_burst,
+                        ExposureMap, SensorConfig, ShapeError, generate_burst,
                         mean_bit_density)
 from quantaflow.bracketing import default_labels
 from quantaflow.sensor import BinaryFrame
@@ -29,58 +28,6 @@ def test_default_labels_match_published_table():
 def test_bad_alpha_sets_rejected(alphas):
     with pytest.raises(DomainError):
         BracketSpec(alphas)
-
-
-class TestExtractExposure:
-    def test_all_zero(self):
-        emap = extract_exposure(np.zeros((4, 6)))
-        assert np.all(emap.theta == 0.0)
-
-    def test_constant_one_hits_theta_max(self):
-        emap = extract_exposure(np.ones((4, 4)), theta_max=25.0)
-        assert np.all(emap.theta == 25.0)
-
-    def test_gamma(self):
-        emap = extract_exposure(np.full((2, 2), 0.5), theta_max=25.0, gamma=2.0)
-        assert np.all(emap.theta == pytest.approx(6.25))
-
-    def test_rgb_reduced_by_luma(self):
-        rgb = np.zeros((2, 2, 3))
-        rgb[..., 1] = 1.0  # pure green
-        emap = extract_exposure(rgb, theta_max=1.0)
-        assert np.all(emap.theta == pytest.approx(0.587))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            extract_exposure(np.full((2, 2), 1.5))
-
-
-class TestBracket:
-    def test_divide_by_one_is_identity(self):
-        emap = ExposureMap.constant(3, 3, 7.0)
-        (out,) = bracket(emap, BracketSpec((1.0,)))
-        assert np.array_equal(out.theta, emap.theta)
-
-    def test_divide_by_two(self):
-        emap = ExposureMap.constant(3, 3, 8.0)
-        maps = bracket(emap, BracketSpec((1.0, 2.0)))
-        assert np.all(maps[1].theta == 4.0)
-
-    def test_default_divisor_endpoints(self):
-        emap = ExposureMap.constant(2, 2, 8.0)
-        maps = bracket(emap, BracketSpec())
-        assert len(maps) == 15
-        assert np.array_equal(maps[0].theta, emap.theta)
-        assert np.all(maps[-1].theta == 1.0)
-
-    def test_scaling_commutes(self):
-        gen = np.random.default_rng(4)
-        emap = ExposureMap(gen.uniform(0, 5, (8, 8)))
-        spec = BracketSpec((1.0, 2.5, 4.0))
-        direct = bracket(emap.scaled(3.0), spec)
-        scaled = [m.scaled(3.0) for m in bracket(emap, spec)]
-        for a, b in zip(direct, scaled):
-            assert np.allclose(a.theta, b.theta, rtol=1e-15)
 
 
 class TestGenerateBurst:
@@ -117,31 +64,6 @@ class TestGenerateBurst:
         burst = generate_burst(emap, BracketSpec((1.0, 1.0 + 1e-12)),
                                SensorConfig(0.5, 0.0, 3))
         assert not np.array_equal(burst.frames[0].bits, burst.frames[1].bits)
-
-
-class TestBurstMse:
-    def _single(self, bits):
-        frame = BinaryFrame.from_array(bits)
-        return ExposureBurst((frame,), (1.0,), (0.5,))
-
-    def test_identical_zero(self):
-        b = self._single(np.eye(4))
-        assert burst_mse(b, b) == 0.0
-
-    def test_opposite_one(self):
-        a = self._single(np.zeros((4, 4)))
-        b = self._single(np.ones((4, 4)))
-        assert burst_mse(a, b) == 1.0
-
-    def test_half_differ(self):
-        a = self._single(np.zeros((2, 4)))
-        bits = np.zeros((2, 4))
-        bits[0] = 1
-        assert burst_mse(a, self._single(bits)) == 0.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            burst_mse(self._single(np.zeros((2, 2))), self._single(np.zeros((3, 3))))
 
 
 def test_burst_invariants():

@@ -794,3 +794,24 @@ class TestStartup:
         *_, digest, optimize_loaded = fresh_python(QIS_SCRIPT, tmp_path)
         assert digest == "9c4dd35bd219f800adecb68262e994bd"
         assert optimize_loaded == "False"
+
+
+#: Every public name of the package but its modules. A name stays public
+#: only if a `qflow` command calls it or the README states a property of it
+#: that a test checks, so adding or removing one is an edit of this list.
+PUBLIC_NAMES = [
+    "AtomVectorField", "BinaryFrame", "BracketSpec", "CmosParams", "Coefficients",
+    "DEFAULT_ALPHAS", "DecodeError", "DensityMap", "DomainError", "EaclConfig",
+    "ExposureBurst", "ExposureMap", "FeatureMap", "FilterAtoms", "IntegrationError",
+    "NeighborhoodSpec", "QisParams", "QuantaError", "SensorConfig", "ShapeError",
+    "SolverConfig", "UnidentifiableError", "bit_probability", "cmos_gray_to_photons",
+    "compose_filters", "eacl_forward", "generate_burst", "integrate_atoms",
+    "invert_bit_density", "local_bit_density", "mean_bit_density", "qis_forward",
+    "sample_frame", "verify_exposure_continuity", "verify_layer_bound",
+]
+
+
+def test_public_surface_is_the_listed_names():
+    names = [name for name in quantaflow.__all__
+             if not isinstance(getattr(quantaflow, name), type(quantaflow))]
+    assert sorted(names) == PUBLIC_NAMES

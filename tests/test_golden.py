@@ -62,9 +62,11 @@ COMMANDS = [
     # Instance 3616: D(delta) ties at every offset under relu, so `decreasing` fails.
     ["verify", "--seed", "3600", "--instances", "100", "--report", "tie.json"],
     # Exit 1 on correct arithmetic (ROADMAP item 3): D(delta) ties at the
-    # first two offsets under relu, in instances 2022405251 and 1532985257.
+    # first two offsets under relu, in instances 2022405251, 1532985257 and
+    # 1468207811, and every bound holds.
     ["verify", "--seed", "2022405154", "--instances", "100", "--report", "tie2.json"],
     ["verify", "--seed", "1532985224", "--instances", "100", "--report", "tie3.json"],
+    ["verify", "--seed", "1468207716", "--instances", "100", "--report", "tie4.json"],
     ["calibrate", "cmos", "--in", "gray.qex", "--out", "photons.qex"],
     ["calibrate", "qis-forward", "--in", "photons.qex", "--params", "qis.json",
      "--seed", "9", "--out", "pixels.qex"],

@@ -12,9 +12,10 @@ from scipy import stats
 from scipy.special import ndtri, pdtr
 
 from quantaflow import (AtomVectorField, BracketSpec, DomainError, ExposureMap, QisParams,
-                        SensorConfig, generate_burst, qis_forward, rng, sample_frame, verifier)
+                        SensorConfig, ShapeError, generate_burst, qis_forward, rng,
+                        sample_frame, verifier)
 from quantaflow.rng import RATE_CAP
-from quantaflow.verifier import continuity_instance, run_density_suite
+from quantaflow.verifier import run_density_suite
 
 
 def _poisson_search(theta, u):
@@ -237,8 +238,8 @@ def test_burst_frames_are_not_the_simulated_frame():
     burst = generate_burst(emap, spec, cfg)
     frames = [sample_frame(emap, cfg).to_array()] + [f.to_array() for f in burst.frames]
     for tau, f in enumerate(burst.frames):
-        assert f.bits.tobytes() == sample_frame(emap.scaled(1 / spec.alphas[tau]), cfg,
-                                                frame=tau + 1).bits.tobytes()
+        scaled = ExposureMap(emap.theta * (1 / spec.alphas[tau]))
+        assert f.bits.tobytes() == sample_frame(scaled, cfg, frame=tau + 1).bits.tobytes()
     # Independent frames of p = 1/2 agree on about half their pixels.
     agree = [np.mean(a == b) for i, a in enumerate(frames) for b in frames[i + 1:]]
     assert max(agree) < 0.55
@@ -261,7 +262,8 @@ def test_seed_and_purpose_never_collide():
 @pytest.mark.parametrize("seed", [0, 12345, 2053297607])
 def test_continuity_input_is_not_the_field_weights(seed):
     # Up to 0.5.0 the input was an affine copy of the first stage weights.
-    field_, _, inp, _ = continuity_instance(seed)
+    field_ = AtomVectorField.seeded(3, 3, seed)
+    _, inp = verifier._continuity_layer(seed)
     x = inp.data.ravel()
     w = field_.stage_weights[0].ravel()[:x.size]
     assert abs(np.corrcoef(x, w)[0, 1]) < 0.2
@@ -516,6 +518,40 @@ def test_a_negative_rate_is_refused(theta):
     with pytest.raises(DomainError, match="a Poisson rate is negative"):
         rng.poissons(np.array([1.0, theta]), np.array([0.5, 0.5]))
     assert rng.poissons(np.array([-0.0]), np.array([0.999])).tolist() == [0]
+
+
+@pytest.mark.parametrize("u", [1.0, 2.0, -0.1, -5e-324, np.nan, np.inf])
+@pytest.mark.parametrize("theta", [0.5, 63.99, 100.0])
+def test_a_uniform_outside_the_unit_interval_is_refused(theta, u):
+    # u = 1.0 at rate 0.5 once read cell 0 of the next table row and drew 0,
+    # u = -0.1 drew 1, and NaN ended in an IndexError.
+    with pytest.raises(DomainError, match="uniform"):
+        rng.poissons(np.array([1.0, theta]), np.array([0.5, u]))
+    with pytest.raises(DomainError, match="uniform"):
+        rng.standard_normals(np.array([0.5, u]))
+
+
+@pytest.mark.parametrize("theta", [0.5, 63.99, 100.0])
+def test_the_uniform_check_ends_at_the_ends_of_the_grid(theta):
+    # The first and last uniforms of the grid draw as the exact paths; the
+    # floats just past them are refused.
+    u = np.array([0.0, 1.0 - 2.0 ** -53])
+    th = np.full(2, theta)
+    assert rng.poissons(th, u).tolist() == rng._inverted(th, u).tolist()
+    assert rng.standard_normals(u).tolist() == [ndtri(2.0 ** -54), -ndtri(2.0 ** -54)]
+    for past in (-5e-324, 1.0):
+        with pytest.raises(DomainError, match="uniform"):
+            rng.poissons(th[:1], np.array([past]))
+        with pytest.raises(DomainError, match="uniform"):
+            rng.standard_normals(np.array([past]))
+
+
+def test_uniforms_of_another_shape_than_the_rates_are_refused():
+    # One uniform once broadcast to all five rates.
+    with pytest.raises(ShapeError):
+        rng.poissons(np.full(5, 2.0), np.array([0.3]))
+    with pytest.raises(ShapeError):
+        rng.poissons(np.full((2, 3), 2.0), np.full(6, 0.3))
 
 
 @pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 3000])

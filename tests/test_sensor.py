@@ -286,7 +286,7 @@ class TestSqueeze:
         cfg = SensorConfig(0.5, 0.25, 21)
         for scale in (0.4, 1.0 / 3.0, 5e-324, 7.0):
             assert np.array_equal(sample_frame(emap, cfg, 3, scale).bits,
-                                  sample_frame(emap.scaled(scale), cfg, 3).bits)
+                                  sample_frame(ExposureMap(emap.theta * scale), cfg, 3).bits)
 
     @pytest.mark.parametrize("scale, match", [(1e300, "exposure entries must be finite"),
                                               (math.inf, "exposure entries must be finite"),

@@ -5,15 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quantaflow import (AtomVectorField, BinaryFrame, Coefficients, DomainError,
-                        EaclConfig, FeatureMap, FilterAtoms, NeighborhoodSpec,
-                        ShapeError, SolverConfig, integrate_atoms, verify_density_identity,
-                        verify_exposure_continuity, verify_layer_bound)
+from quantaflow import (AtomVectorField, Coefficients, DomainError, EaclConfig,
+                        FeatureMap, FilterAtoms, NeighborhoodSpec, ShapeError,
+                        SolverConfig, integrate_atoms, verify_exposure_continuity,
+                        verify_layer_bound)
 from quantaflow import rng, verifier
 from quantaflow.verifier import (BOUND_ACTIVATIONS, CONTINUITY_BLOCK, CONTINUITY_DELTAS,
                                  CONTINUITY_THETA0, DENSITY_BLOCK, DENSITY_RADII,
                                  DENSITY_SIDE, LAYER_BOUND_BLOCK, SLACK,
-                                 continuity_instance, random_layer_instance,
+                                 random_layer_instance,
                                  run_continuity_suite, run_density_suite,
                                  run_layer_bound_suite)
 
@@ -145,7 +145,7 @@ def test_clamped_density_block_equals_single_calls(instances, radius):
     frames = _density_frames(instances, 81)
     nb = NeighborhoodSpec(radius, "clamp")
     block = verifier._density_block(np.stack(frames), nb)
-    single = [verify_density_identity(BinaryFrame.from_array(bits), nb) for bits in frames]
+    single = [verifier._density_block(bits[None], nb)[0] for bits in frames]
     assert block == single == [True] * instances
 
 
@@ -189,14 +189,15 @@ def _single_rows(name, instances, seed):
                 for a in BOUND_ACTIVATIONS for s in range(seed, seed + instances)]
     if name == "density":
         return [{"instance_seed": seed + i, "radius": r,
-                 "holds": verify_density_identity(BinaryFrame.from_array(bits),
-                                                  NeighborhoodSpec(r))}
+                 "holds": verifier._density_block(bits[None], NeighborhoodSpec(r))[0]}
                 for i, bits in enumerate(_density_frames(instances, seed))
                 for r in DENSITY_RADII]
-    return [verify_exposure_continuity(field, phi, inp, CONTINUITY_THETA0,
-                                       CONTINUITY_DELTAS, cfg) | {"instance_seed": s}
+    cfg = EaclConfig(bias=np.zeros(1), activation="relu")
+    return [verify_exposure_continuity(AtomVectorField.seeded(3, 3, s), phi, inp,
+                                       CONTINUITY_THETA0, CONTINUITY_DELTAS, cfg)
+            | {"instance_seed": s}
             for s in range(seed, seed + instances)
-            for field, phi, inp, cfg in [continuity_instance(s)]]
+            for phi, inp in [verifier._continuity_layer(s)]]
 
 
 def _dicts(value):
@@ -274,12 +275,10 @@ def test_suites_table_rows():
 
 class TestDensityIdentity:
     def test_all_ones(self):
-        frame = BinaryFrame.from_array(np.ones((6, 6)))
-        assert verify_density_identity(frame, NeighborhoodSpec(1))
+        assert verifier._density_block(np.ones((1, 6, 6)), NeighborhoodSpec(1))[0]
 
     def test_all_zeros(self):
-        frame = BinaryFrame.from_array(np.zeros((6, 6)))
-        assert verify_density_identity(frame, NeighborhoodSpec(2))
+        assert verifier._density_block(np.zeros((1, 6, 6)), NeighborhoodSpec(2))[0]
 
     @pytest.mark.parametrize("radius", [0, 1, 2, 3, 5, 20])
     @pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
@@ -289,16 +288,16 @@ class TestDensityIdentity:
         # radius, where the window covers the whole frame and more.
         for shape in ((15, 21), (21, 15), (2, 3), (1, 4)):
             for _ in range(5):
-                frame = BinaryFrame.from_array(gen.integers(0, 2, size=shape))
-                assert verify_density_identity(frame, NeighborhoodSpec(radius, boundary))
+                bits = gen.integers(0, 2, size=shape)
+                assert verifier._density_block(bits[None], NeighborhoodSpec(radius, boundary))[0]
 
     @pytest.mark.parametrize("boundary", ["zero-pad", "clamp"])
     def test_wide_radius_costs_the_radius_per_pixel(self, boundary):
         # Radius 100 pads a 2 x 2 frame to 202 x 202; a k x k window norm
         # summed offset by offset took 2.5 s there.
-        frame = BinaryFrame.from_array(np.random.default_rng(5).integers(0, 2, size=(2, 2)))
+        bits = np.random.default_rng(5).integers(0, 2, size=(2, 2))
         start = time.perf_counter()
-        assert verify_density_identity(frame, NeighborhoodSpec(100, boundary))
+        assert verifier._density_block(bits[None], NeighborhoodSpec(100, boundary))[0]
         assert time.perf_counter() - start < 1.0
 
 
@@ -356,7 +355,9 @@ class TestContinuity:
 
     def test_input_channels_must_match_phi(self):
         # eacl_forward refuses this layer; so does the check.
-        field, phi, _, cfg = continuity_instance(3)
+        field = AtomVectorField.seeded(3, 3, 3)
+        phi, _ = verifier._continuity_layer(3)
+        cfg = EaclConfig(bias=np.zeros(1), activation="relu")
         inp = FeatureMap(np.random.default_rng(3).uniform(0, 1, size=(2, 16, 16)))
         with pytest.raises(ShapeError):
             verify_exposure_continuity(field, phi, inp, 0.3, [1e-1, 1e-2], cfg)
