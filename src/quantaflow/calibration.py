@@ -37,16 +37,29 @@ class CmosParams:
             raise DomainError("quantum efficiency must lie in (0, 1]")
 
 
+def _nonnegative_map(values, what: str) -> np.ndarray:
+    """`values` as a float32 map or else a float64 array: DomainError unless
+    every entry is finite and >= 0, checked without a copy (NaN propagates)."""
+    x = np.asarray(values)
+    if x.dtype != np.float32 or x.ndim == 0:
+        x = x.astype(np.float64, copy=False)
+    if not (x.min(initial=0.0) >= 0 and x.max(initial=0.0) < np.inf):
+        raise DomainError(f"{what} must be finite and >= 0")
+    return x
+
+
 def cmos_gray_to_photons(gray, p: CmosParams = CmosParams()):
-    """Photons per pixel from a gray level: X = G * I / QE."""
-    arr = np.asarray(gray, dtype=np.float64)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("gray levels must be finite and >= 0")
+    """Photons per pixel from a gray level: X = G * I / QE, in float64 per tile,
+    stored once in the input's float dtype (a float32 overflow is inf)."""
+    x = _nonnegative_map(gray, "gray levels")
+    xs, out = x.reshape(-1), np.empty(x.size, dtype=x.dtype)
     with np.errstate(over="ignore"):
-        out = p.gain_ratio * arr / p.quantum_efficiency
-    if not np.isfinite(np.max(out, initial=0.0)):  # out >= 0: finite iff its max is
-        raise DomainError("photon counts overflow a float64")
-    return float(out) if np.isscalar(gray) else out
+        for s in range(0, xs.size, rng.TILE):
+            v = p.gain_ratio * xs[s:s + rng.TILE].astype(np.float64) / p.quantum_efficiency
+            if not np.isfinite(np.max(v, initial=0.0)):  # v >= 0: finite iff its max is
+                raise DomainError("photon counts overflow a float64")
+            out[s:s + rng.TILE] = v
+    return float(out[0]) if np.isscalar(gray) else out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -95,15 +108,14 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     clipped, quantized (uniform over [0, clip_max], round half up), then
     Gaussian noise added last, matching the printed model order.
     `rng.each_tile` draws each tile from its rates, computed once there, so
-    no frame-sized rate map is held. A tile is drawn under its own
-    `np.errstate`, so a value that overflows becomes inf without a warning:
-    `rng.poissons` refuses a rate above `rng.RATE_CAP`, and with it the map;
-    a scaled count clips to clip_max; an inf noise is returned as it is,
-    and a QEX1 writer refuses it.
+    no frame-sized rate map is held; a tile is computed in float64 and
+    stored once in the input's dtype, as in `cmos_gray_to_photons`. A tile
+    is drawn under its own `np.errstate`, so a value that overflows becomes
+    inf without a warning: `rng.poissons` refuses a rate above
+    `rng.RATE_CAP`, and with it the map; a scaled count clips to clip_max;
+    an inf noise is returned as it is, and a QEX1 writer refuses it.
     """
-    x = np.asarray(photons, dtype=np.float64)
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise DomainError("photon counts must be finite and >= 0")
+    x = _nonnegative_map(photons, "photon counts")
     crf = p.crf
     if not np.isscalar(crf) and np.asarray(crf).shape != x.shape:
         raise ShapeError("response gain map shape must match the photon map")
@@ -111,19 +123,20 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     xs = x.reshape(-1)
     gains = np.broadcast_to(crf, x.shape).reshape(-1)  # a view, also of a scalar
     scale = p.exposure_time * p.quantum_efficiency
-    out = np.empty(xs.size)
+    out = np.empty(xs.size, dtype=x.dtype)
     step = p.step
     rng._count_table()  # built once here, not by each worker in its first tile
 
     def draw(t, idx):
         with np.errstate(over="ignore"):  # per thread, as it does not reach the pool
-            rates = scale * (gains[t] * xs[t] + p.dark_signal)
+            rates = scale * (gains[t] * xs[t].astype(np.float64) + p.dark_signal)
             counts = rng.poissons(rates, rng.uniforms(idx, seed, rng.QIS_PHOTON))
             v = np.clip(p.gain_ratio * counts.astype(np.float64), 0.0, p.clip_max)
-            out[t] = np.floor(v / step + 0.5) * step
+            v = np.floor(v / step + 0.5) * step
             if p.sigma_real_noise > 0:
                 z = rng.standard_normals(rng.uniforms(idx, seed, rng.QIS_NOISE))
-                out[t] += p.sigma_real_noise * z
+                v += p.sigma_real_noise * z
+            out[t] = v  # the one store: noise is added in float64
 
     rng.each_tile(xs.size, draw)
     return out.reshape(x.shape)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import json
 import sys
 import time
@@ -276,6 +277,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser per process; `build_parser` stays uncached, so a caller can time it.
+_parser = functools.cache(build_parser)
+
+
 def _run_seeded(args, argv, output):
     """Run a randomized command: digest its inputs, run it, and write
     `<output>.manifest.json` unless it raised (a seed `rng` refuses too)."""
@@ -291,7 +296,7 @@ def _run_seeded(args, argv, output):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     output = args.manifest and getattr(args, args.manifest)
     if output is not None and args.seed is None:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from . import rng
 from .bracketing import ExposureBurst
 from .errors import DecodeError, DomainError
 from .filters import FilterAtoms
@@ -29,10 +29,10 @@ MAX_PIXELS = 2 ** 31
 
 
 class _Reader:
-    """Reads a file's bytes in order; each `take` is a view, not a copy."""
+    """Reads a file's bytes in order; each `take` is a read-only view, not a copy."""
 
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
+    def __init__(self, path):
+        self.data = memoryview(np.fromfile(path, dtype=np.uint8)).toreadonly()
         self.pos = 0
 
     def take(self, n: int, what: str) -> memoryview:
@@ -54,14 +54,13 @@ class _Reader:
         return [self.u32(name) for name in fields]
 
     def f32(self, count: int, what: str) -> np.ndarray:
-        """Finite float32 values, as every writer writes them, cast to float64."""
+        """Finite float32 values, as every writer writes them: a read-only view."""
         start = self.pos
         data = np.frombuffer(self.take(4 * count, what), dtype="<f4")
-        finite = np.isfinite(data)
-        if not finite.all():
-            raise DecodeError(f"non-finite value in {what}",
-                              offset=start + 4 * int(np.argmin(finite)))
-        return data.astype(np.float64)
+        bad = _nonfinite(data)
+        if bad is not None:
+            raise DecodeError(f"non-finite value in {what}", offset=start + 4 * bad)
+        return data
 
     def done(self):
         if self.pos != len(self.data):
@@ -72,7 +71,7 @@ class _Reader:
 
 def _open(path, magic: bytes, *fields: str) -> list:
     """[reader, *header fields] of the file at `path`."""
-    r = _Reader(Path(path).read_bytes())
+    r = _Reader(path)
     return [r, *r.header(magic, *fields)]
 
 
@@ -80,11 +79,21 @@ def _header(magic: bytes, *fields: int) -> bytes:
     return magic + struct.pack(f"<{len(fields)}I", *fields)
 
 
+def _nonfinite(data: np.ndarray) -> int | None:
+    """Flat index of the first non-finite value of `data` (one tile at a time), or None."""
+    flat = data.reshape(-1)
+    for s in range(0, flat.size, rng.TILE):
+        finite = np.isfinite(flat[s:s + rng.TILE])
+        if not finite.all():
+            return s + int(np.argmin(finite))
+    return None
+
+
 def _f32(arr, what: str) -> np.ndarray:
-    """`arr` as little-endian float32: DomainError unless every value stays finite."""
+    """`arr` as little-endian float32 (no copy if it is one): DomainError unless all finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(arr).astype("<f4", order="C")
-    if not np.isfinite(out).all():
+        out = np.asarray(arr).astype("<f4", order="C", copy=False)
+    if _nonfinite(out) is not None:
         raise DomainError(f"{what} must be finite in float32")
     return out
 
@@ -197,10 +206,10 @@ def _decode_tensor(r: _Reader) -> np.ndarray:
 
 
 def read_tensor(path) -> np.ndarray:
-    r = _Reader(Path(path).read_bytes())
+    r = _Reader(path)
     arr = _decode_tensor(r)
     r.done()
-    return arr
+    return arr.astype(np.float64)
 
 
 # --- QVF1 vector fields ------------------------------------------------------
@@ -250,17 +259,18 @@ def export_pgm_frame(path, frame: BinaryFrame):
 
 
 def export_pgm_map(path, arr: np.ndarray):
-    """Float map as 8-bit PGM, min-max scaled; scale kept in the comment."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    """Float map as 8-bit PGM, min-max scaled; scale kept in the comment.
+    Each tile is scaled in float64, so a float32 map needs no float64 copy."""
+    arr = np.asarray(arr)
+    lo, hi = float(arr.min()), float(arr.max())  # NaN if any value is NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("cannot export a map with non-finite values as PGM")
-    lo, hi = float(arr.min()), float(arr.max())
     span = hi - lo if hi > lo else 1.0
-    scaled = arr - lo  # one frame-sized temporary, scaled in place
-    scaled /= span
-    scaled *= 255.0
-    scaled = np.round(scaled, out=scaled).astype(np.uint8)
-    _write_pgm(path, scaled, comment=f"min-max scaled from [{lo!r}, {hi!r}]")
+    flat, out = arr.reshape(-1), np.empty(arr.size, dtype=np.uint8)
+    for s in range(0, flat.size, rng.TILE):
+        t = slice(s, s + rng.TILE)
+        out[t] = np.round((flat[t].astype(np.float64) - lo) / span * 255.0)
+    _write_pgm(path, out.reshape(arr.shape), comment=f"min-max scaled from [{lo!r}, {hi!r}]")
 
 
 def _write_pgm(path, arr: np.ndarray, comment: str):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quantaflow import (CmosParams, DomainError, QisParams,
+from quantaflow import (CmosParams, DomainError, QisParams, formats,
                         cmos_gray_to_photons, qis_forward)
 from quantaflow.calibration import ADC_BITS_MAX
 from quantaflow.rng import RATE_CAP
@@ -149,3 +149,86 @@ class TestQisForward:
         x[5] = np.nextafter(RATE_CAP, np.inf)
         with pytest.raises(DomainError, match="exceeds the cap"):
             qis_forward(x, p, seed=2)
+
+
+class TestFloat32Maps:
+    """A float32 map, as `formats.read_float_map` returns it, gives the
+    float64 path's result on its float64 copy cast to float32 once, bit for
+    bit, and a float64 map still gives float64."""
+
+    SHAPE = (3, 30011)  # 90033 pixels: two tiles, the second one short
+
+    @staticmethod
+    def _map(high, shape=SHAPE):
+        return np.random.default_rng(31).uniform(0.0, high, size=shape).astype(np.float32)
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("gain, qe", [(1.0, 0.68), (0.3, 0.7), (2.5, 0.9)])
+    def test_cmos(self, gain, qe):
+        # float32 * 0.3 would round in float32: each tile becomes float64 first.
+        m, p = self._map(255.0), CmosParams(gain, qe)
+        wide = cmos_gray_to_photons(m.astype(np.float64), p)
+        assert wide.dtype == np.float64
+        assert self._same_bits(cmos_gray_to_photons(m, p), wide.astype(np.float32))
+
+    @pytest.mark.parametrize("params", [
+        dict(exposure_time=1.0),
+        dict(exposure_time=1.0, gain_ratio=1.3, dark_signal=0.5, adc_bits=10,
+             sigma_real_noise=0.7),
+        dict(exposure_time=1.5, quantum_efficiency=0.9, adc_bits=12, clip_max=150.0,
+             sigma_real_noise=3.25, crf="map"),
+    ], ids=["plain", "noise", "noise-crf"])
+    def test_qis_forward(self, params):
+        # Rates 0..120: both count-sampler branches. With noise, a float32
+        # store before the noise is added would round twice.
+        m = self._map(120.0)
+        if params.get("crf") == "map":
+            params = {**params, "crf": np.random.default_rng(5).uniform(0.5, 1.5, self.SHAPE)}
+        p = QisParams(**params)
+        wide = qis_forward(m.astype(np.float64), p, seed=77)
+        assert wide.dtype == np.float64
+        assert self._same_bits(qis_forward(m, p, seed=77), wide.astype(np.float32))
+
+    def test_export_pgm_map(self, tmp_path):
+        m = self._map(1000.0)
+        m[1, 7], m[2, -1] = -3.5, 1234.25  # the extremes in two tiles
+        formats.export_pgm_map(tmp_path / "a.pgm", m)
+        formats.export_pgm_map(tmp_path / "b.pgm", m.astype(np.float64))
+        assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda m: cmos_gray_to_photons(m, CmosParams(gain_ratio=1e37)),
+        lambda m: qis_forward(m, QisParams(exposure_time=1.0, sigma_real_noise=1e39), seed=3),
+    ], ids=["cmos-gain", "qis-noise"])
+    def test_float32_overflow_is_refused_by_the_writer(self, tmp_path, make):
+        # The float64 values are finite but beyond float32: both maps are
+        # refused with the writer's message, and no file is made.
+        m = self._map(120.0)
+        narrow, wide = make(m), make(m.astype(np.float64))
+        assert np.isfinite(wide).all() and np.isinf(narrow).any()
+        for out in (narrow, wide):
+            with pytest.raises(DomainError, match="float map must be finite in float32"):
+                formats.write_float_map(tmp_path / "out.qex", out)
+            assert not (tmp_path / "out.qex").exists()
+
+    def test_a_float32_scalar_is_computed_as_before(self):
+        p = CmosParams(0.3, 0.7)
+        for gray in (np.float32(0.1), np.array(np.float32(0.1))):
+            got = cmos_gray_to_photons(gray, p)
+            assert got == 0.3 * float(np.float32(0.1)) / 0.7 and np.asarray(got).dtype == np.float64
+
+    def test_float64_overflow_is_refused_as_before(self):
+        m = self._map(120.0)
+        for x in (m, m.astype(np.float64)):
+            with pytest.raises(DomainError, match="photon counts overflow a float64"):
+                cmos_gray_to_photons(x, CmosParams(gain_ratio=1e307))
+
+    def test_a_read_map_is_taken_as_it_is(self, tmp_path):
+        m = self._map(255.0)
+        formats.write_float_map(tmp_path / "m.qex", m)
+        back = formats.read_float_map(tmp_path / "m.qex")
+        assert back.dtype == np.dtype("<f4") and not back.flags.writeable
+        assert self._same_bits(cmos_gray_to_photons(back), cmos_gray_to_photons(m))

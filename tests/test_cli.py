@@ -772,6 +772,61 @@ print("scipy.optimize" in sys.modules)
 """
 
 
+class TestTileWiseChecks:
+    """The maps are checked one tile at a time, with the error a whole-map
+    check gives: the first bad value of the file, and a domain check that
+    covers the whole map before any tile is computed. No output is made."""
+
+    SHAPE = (3, TILE // 2)  # a tile and a half
+
+    def _fails(self, capsys, argv, message):
+        inputs = sorted(os.listdir())
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(os.listdir()) == inputs
+
+    def test_domain_check_comes_before_the_first_tile(self, tmp_path, capsys, monkeypatch):
+        # 100 * 1e307 / 0.68 overflows float64 in the first tile; the last
+        # tile holds a negative gray level, and that is the error.
+        monkeypatch.chdir(tmp_path)
+        gray = np.full(self.SHAPE, 100.0)
+        gray[-1, -1] = -1.0
+        formats.write_float_map("gray.qex", gray)
+        self._fails(capsys, ["calibrate", "cmos", "--in", "gray.qex", "--gain", "1e307",
+                             "--out", "photons.qex"], "gray levels must be finite and >= 0")
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "cmos", "--in", "m.qex", "--out", "out.qex"],
+        ["calibrate", "qis-forward", "--in", "m.qex", "--params", "p.json", "--seed", "3",
+         "--out", "out.qex"],
+        ["export-pgm", "--in", "m.qex", "--out", "out.pgm"],
+    ], ids=["cmos", "qis-forward", "export-pgm"])
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0xFF800000], ids=["nan", "-inf"])
+    def test_non_finite_value_in_the_last_tile(self, tmp_path, capsys, monkeypatch, argv, bits):
+        monkeypatch.chdir(tmp_path)
+        data = np.full(self.SHAPE, 2.0, dtype="<f4")
+        data.view("<u4")[-1, -2] = bits
+        Path("m.qex").write_bytes(b"QEX1" + struct.pack("<II", *self.SHAPE[::-1]) + data.tobytes())
+        Path("p.json").write_text("{}")
+        offset = 12 + 4 * (data.size - 2)
+        self._fails(capsys, argv, f"non-finite value in pixel data (at byte offset {offset})")
+
+
+def test_one_parser_serves_every_command(tmp_path, monkeypatch):
+    # `main` builds the parser once; a parse leaves nothing behind for the next.
+    monkeypatch.chdir(tmp_path)
+    formats.write_float_map("m.qex", np.full((4, 4), 2.0))
+    argvs = [["simulate", "--in", "m.qex", "--seed", "1", "--out", "f.qbf"],
+             ["density", "--in", "f.qbf", "--radius", "2", "--out", "d.qex"],
+             ["simulate", "--theta-const", "1", "--size", "4x4", "--seed", "2", "--out", "g.qbf"],
+             ["calibrate", "cmos", "--in", "m.qex", "--gain", "2", "--out", "c.qex"],
+             ["density", "--in", "g.qbf"]]
+    for argv in argvs:
+        assert run(argv) == 0
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert cli._parser() is cli._parser()
+
+
 def fresh_python(script, cwd):
     """Standard output of `script` run by a new interpreter in `cwd`."""
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
