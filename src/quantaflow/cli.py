@@ -4,29 +4,22 @@ Exit codes: 0 success, 1 domain/decode error, 2 usage error; each failure
 is one stderr line, `error: ...` from `main` or `usage error: ...` from
 `_Parser.error`. Randomized commands take --seed, an integer that `rng`
 refuses outside [0, 2**64); `main` digests --in and --params, and writes
-<output>.manifest.json next to the output.
+<output>.manifest.json next to the output. Each command imports its
+modules when `main` dispatches to it, so parsing loads no NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import difflib
 import functools
-import json
 import sys
 import time
 
-from . import __version__, formats
-from .bracketing import BracketSpec, generate_burst
-from .calibration import CmosParams, QisParams, cmos_gray_to_photons, qis_forward
+from . import __version__
 from .errors import QuantaError, DomainError
-from .manifest import file_digest, write_manifest
-from .ode import AtomVectorField, SolverConfig, integrate_atoms
-from .sensor import (ExposureMap, NeighborhoodSpec, SensorConfig,
-                     invert_bit_density, local_bit_density, mean_bit_density,
-                     sample_frame)
-from .verifier import SUITES
+
+# `verify --suite` choices, spelled out so the parser loads no `verifier`.
+SUITE_NAMES = ("layer-bound", "density", "continuity")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         args, extras = super().parse_known_args(args, namespace)
         if extras:
+            import difflib
             close = [m for t in extras if t.startswith("-")
                      for m in difflib.get_close_matches(t, self._option_string_actions, n=1)]
             self.error(f"unrecognized arguments: {' '.join(extras)}"
@@ -53,6 +47,7 @@ def positive_int(text: str) -> int:
 
 
 def _parse_size(text: str):
+    from . import formats
     try:
         w, h = text.lower().split("x")
         w, h = int(w), int(h)
@@ -67,6 +62,9 @@ def _parse_size(text: str):
 
 def _read_qis_params(path) -> QisParams:
     """QisParams from a JSON object of its fields."""
+    import dataclasses
+    import json
+    from .calibration import QisParams
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -84,6 +82,7 @@ def _read_qis_params(path) -> QisParams:
 
 
 def _parse_alphas(text: str):
+    from .bracketing import BracketSpec
     if text == "default":
         return BracketSpec()
     try:
@@ -95,6 +94,8 @@ def _parse_alphas(text: str):
 
 
 def _cmd_simulate(args):
+    from . import formats
+    from .sensor import ExposureMap, SensorConfig, mean_bit_density, sample_frame
     if args.theta_const is not None:
         if args.size is None:
             raise DomainError("--theta-const requires --size WxH")
@@ -111,6 +112,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_bracket(args):
+    from . import formats
+    from .bracketing import generate_burst
+    from .sensor import SensorConfig
     emap = formats.read_exposure_map(args.infile)
     spec = _parse_alphas(args.alphas)
     burst = generate_burst(emap, spec, SensorConfig(args.q, args.sigma_r, args.seed))
@@ -120,6 +124,8 @@ def _cmd_bracket(args):
 
 
 def _cmd_density(args):
+    from . import formats
+    from .sensor import NeighborhoodSpec, local_bit_density, mean_bit_density
     frame = formats.read_frame(args.infile)
     nb = NeighborhoodSpec(radius=args.radius, boundary=args.boundary)
     print(f"mean bit density: {mean_bit_density(frame):.9f}")
@@ -130,6 +136,8 @@ def _cmd_density(args):
 
 
 def _cmd_estimate(args):
+    from . import formats
+    from .sensor import invert_bit_density, mean_bit_density
     frame = formats.read_frame(args.infile)
     mu = mean_bit_density(frame)
     theta = invert_bit_density(mu, args.q, args.sigma_r)
@@ -139,6 +147,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_atoms(args):
+    from . import formats
+    from .ode import AtomVectorField, SolverConfig, integrate_atoms
     if args.new_field:
         field_ = AtomVectorField.seeded(args.m, args.k, args.seed)
         formats.write_field(args.new_field, field_)
@@ -157,6 +167,8 @@ def _cmd_atoms(args):
 
 
 def _cmd_verify(args):
+    import json
+    from .verifier import SUITES
     suites = SUITES if args.suite == "all" else (args.suite,)
     payload = {"seed": args.seed, "instances": args.instances, "suites": {}}
     all_hold = True
@@ -173,6 +185,8 @@ def _cmd_verify(args):
 
 
 def _cmd_cmos(args):
+    from . import formats
+    from .calibration import CmosParams, cmos_gray_to_photons
     gray = formats.read_float_map(args.infile)
     params = CmosParams(gain_ratio=args.gain, quantum_efficiency=args.qe)
     formats.write_float_map(args.out, cmos_gray_to_photons(gray, params))
@@ -181,6 +195,8 @@ def _cmd_cmos(args):
 
 
 def _cmd_qis_forward(args):
+    from . import formats
+    from .calibration import qis_forward
     photons = formats.read_float_map(args.infile)
     params = _read_qis_params(args.params)
     out = qis_forward(photons, params, args.seed)
@@ -190,6 +206,7 @@ def _cmd_qis_forward(args):
 
 
 def _cmd_export_pgm(args):
+    from . import formats
     formats.export_pgm(args.out, args.infile)
     print(f"wrote {args.out}")
     return 0
@@ -254,7 +271,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_atoms, manifest="new_field")
 
     p = sub.add_parser("verify", help="run numerical bound verification suites")
-    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
     p.add_argument("--instances", type=positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report", default="report.json")
@@ -284,6 +301,7 @@ _parser = functools.cache(build_parser)
 def _run_seeded(args, argv, output):
     """Run a randomized command: digest its inputs, run it, and write
     `<output>.manifest.json` unless it raised (a seed `rng` refuses too)."""
+    from .manifest import file_digest, write_manifest
     t0 = time.monotonic()
     inputs = {path: file_digest(path)
               for path in (getattr(args, "infile", None), getattr(args, "params", None))

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the one validation rule
 of its array value types."""
 
-import numpy as np
+from __future__ import annotations
 
 
 class QuantaError(Exception):
@@ -45,6 +45,7 @@ def frozen_array(obj, attr: str, ndim: int, what: str) -> np.ndarray:
     """Store `obj.attr` back as a read-only float64 array and return it:
     ShapeError unless it has `ndim` axes, DomainError unless every entry
     is finite. The array types derive all their dimensions from it."""
+    import numpy as np  # here, so that `errors` alone loads no NumPy
     a = np.asarray(getattr(obj, attr), dtype=np.float64)
     if a.ndim != ndim:
         raise ShapeError(f"{what} array must be {ndim}-D, got shape {a.shape}")

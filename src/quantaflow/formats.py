@@ -19,10 +19,7 @@ import struct
 import numpy as np
 
 from . import rng
-from .bracketing import ExposureBurst
 from .errors import DecodeError, DomainError
-from .filters import FilterAtoms
-from .ode import STAGE_COUNT, AtomVectorField, _state_size
 from .sensor import BinaryFrame, ExposureMap
 
 MAX_PIXELS = 2 ** 31
@@ -170,6 +167,7 @@ def write_burst(path, burst: ExposureBurst):
 
 
 def read_burst(path) -> ExposureBurst:
+    from .bracketing import ExposureBurst
     r, w, h, k = _open(path, b"QBB1", "width", "height", "frame count")
     _check_dims(w, h, offset=4)
     if k == 0:
@@ -221,6 +219,8 @@ def write_field(path, field_: AtomVectorField):
 
 
 def read_field(path) -> AtomVectorField:
+    from .filters import FilterAtoms
+    from .ode import STAGE_COUNT, AtomVectorField, _state_size
     r, m, k, stages = _open(path, b"QVF1", "atom count", "spatial size", "stage count")
     try:
         n = _state_size(m, k)

@@ -85,7 +85,7 @@ class TestSimulate:
     def test_size_past_pixel_cap_is_refused_before_sampling(self, tmp_path, capsys,
                                                             monkeypatch):
         monkeypatch.setattr(formats, "MAX_PIXELS", 64)
-        monkeypatch.setattr(cli, "sample_frame", lambda *a: pytest.fail("sampled"))
+        monkeypatch.setattr("quantaflow.sensor.sample_frame", lambda *a: pytest.fail("sampled"))
         out = tmp_path / "f.qbf"
         rc = run(["simulate", "--theta-const", "1.0", "--size", "9x8",
                   "--seed", "0", "--out", str(out)])
@@ -827,16 +827,75 @@ def test_one_parser_serves_every_command(tmp_path, monkeypatch):
     assert cli._parser() is cli._parser()
 
 
-def fresh_python(script, cwd):
-    """Standard output of `script` run by a new interpreter in `cwd`."""
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+def fresh_python(script, cwd, *args):
+    """Standard output of `script` run by a new interpreter in `cwd`, with
+    `args` as its `sys.argv[1:]`."""
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
 
+# Builds the parser, or runs the command given as arguments, in a fresh
+# interpreter, and lists what that loaded of quantaflow, numpy and difflib.
+LOADS_SCRIPT = """
+import json, sys
+from quantaflow import cli
+
+rc = 0
+if sys.argv[1:]:
+    try:
+        rc = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+else:
+    cli.build_parser()
+print(rc)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("quantaflow."))))
+print(json.dumps({m: m in sys.modules for m in ("numpy", "difflib")}))
+"""
+
+# Modules of other commands that each command must not load.
+NOT_BY_FRAME_COMMANDS = {"bracketing", "filters", "ode", "verifier", "calibration"}
+NOT_LOADED = {"simulate": NOT_BY_FRAME_COMMANDS, "density": NOT_BY_FRAME_COMMANDS,
+              "estimate": NOT_BY_FRAME_COMMANDS, "export-pgm": NOT_BY_FRAME_COMMANDS,
+              "verify": {"formats", "calibration"}}
+
+
 class TestStartup:
+    def test_parser_loads_no_numpy_and_no_command_module(self, tmp_path):
+        *_, rc, modules, loaded = fresh_python(LOADS_SCRIPT, tmp_path)
+        assert rc == "0"
+        assert json.loads(modules) == ["quantaflow.cli", "quantaflow.errors"]
+        assert json.loads(loaded) == {"numpy": False, "difflib": False}
+
+    # The first misses --seed and --out; only the second reaches the
+    # near-miss hint for an unknown flag, which loads difflib.
+    @pytest.mark.parametrize("argv, difflib", [
+        (["simulate", "--bogus"], False),
+        (["simulate", "--seed", "1", "--out", "f.qbf", "--bogus"], True),
+    ], ids=["missing-flags", "unknown-flag"])
+    def test_usage_error_loads_no_numpy(self, tmp_path, argv, difflib):
+        *_, rc, modules, loaded = fresh_python(LOADS_SCRIPT, tmp_path, *argv)
+        assert rc == "2"
+        assert json.loads(modules) == ["quantaflow.cli", "quantaflow.errors"]
+        assert json.loads(loaded) == {"numpy": False, "difflib": difflib}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--theta-const", "1", "--size", "16x8", "--seed", "1", "--out", "f.qbf"],
+        ["density", "--in", "g.qbf", "--out", "d.qex"],
+        ["estimate", "--in", "g.qbf"],
+        ["export-pgm", "--in", "g.qbf", "--out", "g.pgm"],
+        ["verify", "--instances", "1", "--seed", "3", "--report", "r.json"],
+    ], ids=lambda argv: argv[0])
+    def test_command_loads_only_its_modules(self, tmp_path, argv):
+        (tmp_path / "g.qbf").write_bytes(b"QBF1" + struct.pack("<II", 8, 2) + b"\x0f\xf0")
+        *_, rc, modules, _ = fresh_python(LOADS_SCRIPT, tmp_path, *argv)
+        assert rc == "0"
+        loaded = {m.split(".")[1] for m in json.loads(modules)}
+        assert not loaded & NOT_LOADED[argv[0]], loaded
+
     def test_no_scipy_outside_qis_forward(self, tmp_path):
         loaded = json.loads(fresh_python(STARTUP_SCRIPT, tmp_path)[-1])
         assert list(loaded) == ["import", "simulate", "bracket", "density",
@@ -866,7 +925,36 @@ PUBLIC_NAMES = [
 ]
 
 
+#: The modules the package lists in `__all__` beside PUBLIC_NAMES.
+PUBLIC_MODULES = ["bracketing", "calibration", "errors", "filters", "ode", "rng",
+                  "sensor", "verifier"]
+
+# `dir(quantaflow)` and `from quantaflow import *` in a fresh interpreter,
+# where no public name has been looked up yet.
+SURFACE_SCRIPT = """
+import json
+import quantaflow
+print(json.dumps([name for name in dir(quantaflow) if not name.startswith("_")]))
+namespace = {}
+exec("from quantaflow import *", namespace)
+print(json.dumps(sorted(name for name in namespace if name != "__builtins__")))
+"""
+
+
 def test_public_surface_is_the_listed_names():
     names = [name for name in quantaflow.__all__
              if not isinstance(getattr(quantaflow, name), type(quantaflow))]
     assert sorted(names) == PUBLIC_NAMES
+    assert quantaflow.__all__ == sorted([*PUBLIC_NAMES, *PUBLIC_MODULES])
+
+
+def test_dir_and_star_import_list_the_public_surface(tmp_path):
+    listed, star = map(json.loads, fresh_python(SURFACE_SCRIPT, tmp_path))
+    assert listed == star == quantaflow.__all__
+    with pytest.raises(AttributeError, match="has no attribute 'formatz'"):
+        quantaflow.formatz
+
+
+def test_suite_choices_are_the_verifier_suites():
+    from quantaflow import verifier
+    assert cli.SUITE_NAMES == tuple(verifier.SUITES)
