@@ -17,10 +17,23 @@ from .errors import DomainError, ShapeError
 ADC_BITS_MAX = 32
 
 
+def _holds_bool(value) -> bool:
+    """A bool, or a sequence or array holding one: NumPy takes it for 0 or 1."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == np.bool_
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def _require_finite(params) -> None:
-    # NaN fails no ordered comparison, so the range checks alone let it by.
+    # A bool would pass every range check as 0 or 1, and NaN fails no
+    # ordered comparison, so the range checks alone let it by.
     for f in fields(params):
-        if not np.all(np.isfinite(getattr(params, f.name))):
+        value = getattr(params, f.name)
+        if _holds_bool(value):
+            raise DomainError(f"{f.name} must be a number, not a bool")
+        if not np.all(np.isfinite(value)):
             raise DomainError(f"{f.name} must be finite")
 
 
@@ -74,19 +87,19 @@ class QisParams:
     clip_max: float = float(2 ** 14 - 1)
 
     def __post_init__(self):
+        _require_finite(self)
         crf = self.crf
         if not np.isscalar(crf):
             crf = np.asarray(crf, dtype=np.float64)
             crf.setflags(write=False)
             object.__setattr__(self, "crf", crf)
-        _require_finite(self)
         if self.gain_ratio <= 0 or self.exposure_time <= 0 or self.clip_max <= 0:
             raise DomainError("gain, exposure time and clip_max must be > 0")
         if not (0.0 < self.quantum_efficiency <= 1.0):
             raise DomainError("quantum efficiency must lie in (0, 1]")
         if self.dark_signal < 0 or self.sigma_real_noise < 0:
             raise DomainError("dark signal and noise sigma must be >= 0")
-        if isinstance(self.adc_bits, bool) or not isinstance(self.adc_bits, (int, np.integer)):
+        if not isinstance(self.adc_bits, (int, np.integer)):  # a bool is refused above
             raise DomainError(f"adc_bits {self.adc_bits!r} is not an integer")
         if not 1 <= self.adc_bits <= ADC_BITS_MAX:
             raise DomainError(f"adc_bits must lie in [1, {ADC_BITS_MAX}]")
@@ -125,7 +138,7 @@ def qis_forward(photons: np.ndarray, p: QisParams, seed: int) -> np.ndarray:
     scale = p.exposure_time * p.quantum_efficiency
     out = np.empty(xs.size, dtype=x.dtype)
     step = p.step
-    rng._count_table()  # built once here, not by each worker in its first tile
+    rng._count_table()  # built once here with its F rows, not by each worker in its first tile
 
     def draw(t, idx):
         with np.errstate(over="ignore"):  # per thread, as it does not reach the pool

@@ -21,9 +21,11 @@ workers, W being the CPUs of the process's affinity but at most MAX_WORKERS,
 the caller being worker 0 and tile i going to worker i mod W, beside which
 W - 1 pool threads are started on first use. A draw is handed its tile's
 slice and pixel range and writes only that slice of the output, so no byte
-depends on W or TILE. `poissons` is a squeeze: below rate 64 a count table,
-built once per process from `math.lgamma`, gives the count of every pixel
-whose (rate bin, uniform cell) decides it, about 91% of a `calib` frame, and
+depends on W or TILE. `poissons` is a squeeze in two stages: below rate 64
+a count table, built once per process from `math.lgamma`, gives the count
+of every pixel whose (rate bin, uniform cell) decides it, about 91% of a
+`calib` frame; a cell that allows two counts names the lower, and F of that
+count interpolated across the rate bin decides all but 0.3% of the frame.
 `_settle`, the last step of this squeeze and of `sensor._fires`, has the
 exact inversion draw the rest, every rate from 64 on included. The samplers
 are pure functions of their uniforms and import SciPy inside, so importing
@@ -360,7 +362,9 @@ def _inverted(th: np.ndarray, u: np.ndarray) -> np.ndarray:
 # the uniforms that the F(k) sweep across its bin, 1 / _RATE_BINS of them
 # in all as the pmf sums to 1, and about one cell per count of the pmf's
 # bulk: 9.2% of a `calib` frame (rates 0-51). The table takes 1 MiB; 32
-# bins would leave 6.1% unsure, 2048 cells 7.8%, each for 2 MiB.
+# bins would leave 6.1% unsure, 2048 cells 7.8%, each for 2 MiB. Most
+# unsure cells lie between the cells of two counts, and a second stage,
+# F(k) interpolated across the bin, settles all but 0.3% of a `calib` frame.
 _RATE_BINS = 16
 _CELLS = 1024
 # Rates from here on read the all-unsure last row: every `calib` rate lies below.
@@ -374,17 +378,22 @@ _TABLE_SLACK = 1e-9
 # Counts held: k has a sure cell only if F(k - 1; a) <= 1 - 2 / _CELLS,
 # which below _TABLE_TOP fails from k = 89 on.
 _TABLE_COUNTS = 96
-_UNSURE = 255  # a table entry with no count: the exact path decides
-# Rows built at once. On a 2-core Xeon a build takes 6.6 ms and a
-# tracemalloc peak of 1.46 MiB, the table's 1 MiB included; 128 rows take
-# 6.2 ms and 1.85 MiB, 32 rows 8.1 ms and 1.27 MiB.
+# An entry _BETWEEN + k: every rate of the row and uniform of the cell
+# draws k or k + 1, and `_between_counts` tells which.
+_BETWEEN = 128
+_UNSURE = 255  # an entry that names no count: the exact path decides
+# Rows built at once. On a 2-core Xeon the table's build takes 4.6-6.4 ms
+# and a tracemalloc peak of 1.37 MiB, the table's 1 MiB included, from F
+# rows already built (`_edge_cdfs`: 1.2-1.6 ms, 0.91 MiB, its 0.77 MiB
+# included); 128 rows take 5.2-7.4 ms and 1.67 MiB, 32 rows 4.9-5.1 ms
+# and 1.19 MiB.
 _BUILD_ROWS = 64
 # `_settle` runs the exact path of a squeeze on the unsure pixels of a tile in
 # whole blocks of this many, repeating them to fill the last, so its arrays
 # take a few sizes only. Freed arrays of each small size stay cached by NumPy
 # (below 1 KiB) and by malloc, scattered over the heap: with a size per unsure
 # count, the heap grew by 1 MiB a `sim` benchmark round for five rounds.
-_UNSURE_BLOCK = 1024
+_UNSURE_BLOCK = 256
 
 
 def _settle(out: np.ndarray, unsure: np.ndarray, exact, *inputs) -> np.ndarray:
@@ -408,32 +417,56 @@ def _cdfs(rates: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
+def _edge_cdfs() -> np.ndarray:
+    """The read-only (rows + 1, _TABLE_COUNTS + 2) float64 F of the count
+    table's bin edges: entry (j, k + 2) is F(k; j / _RATE_BINS), and the
+    first two columns, F(-2) and F(-1), are 0, so the pmfs of a count and
+    of the count below are differences within its row. Built a band of rows
+    at a time, so no temporary is larger than a band."""
+    edges = _TABLE_TOP * _RATE_BINS + 1
+    cdf = np.zeros((edges, _TABLE_COUNTS + 2))
+    for r in range(0, edges, _BUILD_ROWS):
+        rates = np.arange(r, min(r + _BUILD_ROWS, edges)) / _RATE_BINS
+        cdf[r:r + rates.size, 2:] = _cdfs(rates)
+    cdf.setflags(write=False)  # one table serves every caller and worker
+    return cdf
+
+
+@lru_cache(maxsize=1)
 def _count_table() -> np.ndarray:
     """The read-only (rows + 1, _CELLS) uint8 count table of `poissons`.
 
-    Entry (j, i) holds k when the whole cell [i, i + 1) / _CELLS lies in
-    [F(k - 1; a) + S, F(k; b) - S), a = j / _RATE_BINS and b = (j + 1) /
-    _RATE_BINS, S = _TABLE_SLACK and F(-1) = -inf: as F falls in the rate,
-    k is then the count of every rate of the row and uniform of the cell.
-    Every other entry, and the last row, which serves the rates from
-    _TABLE_TOP on, is _UNSURE. Each row is a run of cells per count, with
-    unsure runs between them, written by one `np.repeat` per band of rows.
+    Row j holds the rates of [a, b), a = j / _RATE_BINS and b = a + 1 /
+    _RATE_BINS, and cell i the uniforms of [i, i + 1) / _CELLS. As F falls
+    in the rate, each of them draws at least the largest k with i / _CELLS
+    >= F(k - 1; a) + S, S = _TABLE_SLACK and F(-1) = -inf, and at most the
+    smallest k with (i + 1) / _CELLS <= F(k; b) - S. Entry (j, i) holds k
+    where both bounds are k, _BETWEEN + k where they are k and k + 1, and
+    _UNSURE where they lie further apart, where the upper bound passes the
+    counts held, and on the last row, which serves the rates from
+    _TABLE_TOP on. Each bound is a step function of the cell, one
+    `np.repeat` per band of rows, over the F of `_edge_cdfs`.
     """
+    cdf = _edge_cdfs()[:, 2:]
     rows = _TABLE_TOP * _RATE_BINS
     table = np.full((rows + 1, _CELLS), _UNSURE, dtype=np.uint8)
-    runs = np.full(2 * _TABLE_COUNTS + 1, _UNSURE, dtype=np.uint8)
-    runs[1::2] = np.arange(_TABLE_COUNTS)  # unsure, 0, unsure, 1, ..., unsure
+    counts = np.append(np.arange(_TABLE_COUNTS, dtype=np.uint8), np.uint8(_UNSURE))
+    counts = np.tile(counts, _BUILD_ROWS)  # 0, 1, ..., _TABLE_COUNTS - 1, unsure: per row
+    bounds = np.zeros((_BUILD_ROWS, _TABLE_COUNTS + 2))
+    bounds[:, -1] = _CELLS
+
+    def steps(edges):
+        """Per cell of each row, the count of the row's edges at or below it."""
+        np.clip(edges, 0.0, _CELLS, out=bounds[:, 1:-1])
+        return np.repeat(counts, np.diff(bounds).astype(np.intp).ravel())
+
     for r in range(0, rows, _BUILD_ROWS):
-        cdf = _cdfs(np.arange(r, r + _BUILD_ROWS + 1) / _RATE_BINS)
-        ends = np.empty((_BUILD_ROWS, 2 * _TABLE_COUNTS + 2))
-        ends[:, 0], ends[:, 1], ends[:, -1] = 0.0, 0.0, _CELLS
-        ends[:, 3:-1:2] = np.ceil((cdf[:-1, :-1] + _TABLE_SLACK) * _CELLS)  # first cell of k
-        ends[:, 2:-1:2] = np.floor((cdf[1:] - _TABLE_SLACK) * _CELLS)       # and past its last
-        np.clip(ends, 0.0, _CELLS, out=ends)
-        np.maximum.accumulate(ends, axis=1, out=ends)  # a count with no cell: an empty run
-        counts = np.diff(ends, axis=1).astype(np.intp).ravel()
-        table[r:r + _BUILD_ROWS] = np.repeat(np.tile(runs, _BUILD_ROWS), counts).reshape(
-            _BUILD_ROWS, _CELLS)
+        least = steps(np.ceil((cdf[r:r + _BUILD_ROWS] + _TABLE_SLACK) * _CELLS))
+        most = steps(np.floor((cdf[r + 1:r + _BUILD_ROWS + 1] - _TABLE_SLACK) * _CELLS))
+        most -= least  # 0: sure, 1: k or k + 1, more (or a wrapped unsure): unsure
+        least[most == 1] += _BETWEEN
+        least[most > 1] = _UNSURE
+        table[r:r + _BUILD_ROWS] = least.reshape(_BUILD_ROWS, _CELLS)
     table.setflags(write=False)  # one table serves every caller and worker
     return table
 
@@ -450,6 +483,49 @@ def _table_counts(th: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.take(_count_table(), entry)
 
 
+def _interpolated_cdf(th: np.ndarray, k: np.ndarray) -> tuple:
+    """(L, E) for each rate th below _TABLE_TOP and count k below
+    _TABLE_COUNTS: L is F(k; th) interpolated linearly across the rate's
+    bin, and E bounds |F(k; th) - L|.
+
+    With a and b the edges of the bin and w = (th - a) / (b - a), exact,
+    L = F(k; a) + w (F(k; b) - F(k; a)) lies within (b - a)**2 / 8 times
+    the largest |F''| over the bin of F(k; th). F'' = pmf(k) - pmf(k - 1)
+    in th, so |F''| <= max(pmf(k), pmf(k - 1)), and each pmf peaks at an
+    integer rate, never inside a bin, so its largest value in the bin is at
+    an edge. E is that bound plus _TABLE_SLACK for the rounding of the
+    table's F and of L.
+    """
+    cdf = _edge_cdfs()
+    w = th * _RATE_BINS
+    j = w.astype(np.intp)
+    w -= j  # exact: w and the bin j lie within 1 of each other
+    ia = j * cdf.shape[1] + k + 2  # the flat index of F(k; a)
+    ib = ia + cdf.shape[1]  # and of F(k; b)
+    cdf = cdf.ravel()
+    fa, fb, below_a, below_b = cdf[ia], cdf[ib], cdf[ia - 1], cdf[ib - 1]
+    err = np.maximum(np.maximum(fa - below_a, below_a - cdf[ia - 2]),  # pmf(k), pmf(k - 1) at a
+                     np.maximum(fb - below_b, below_b - cdf[ib - 2]))  # and at b
+    return fa + w * (fb - fa), err / (8 * _RATE_BINS ** 2) + _TABLE_SLACK
+
+
+def _between_counts(out: np.ndarray, th: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """out, the uint8 entries of `_table_counts`, with each _BETWEEN + k
+    set to k or k + 1 where F(k; th) is decided by `_interpolated_cdf`, else
+    to _UNSURE: the second stage of the squeeze of `poissons`. The entry's
+    cell allows k or k + 1 only, so u < L - E draws k and u >= L + E draws
+    k + 1, as `_inverted` does."""
+    at = np.flatnonzero(out - np.uint8(_BETWEEN) < _UNSURE - _BETWEEN)  # wraps below _BETWEEN
+    k = out[at] - np.uint8(_BETWEEN)
+    low, err = _interpolated_cdf(th[at], k)
+    v = u[at]
+    above = v >= low + err
+    k += above
+    k[above != (v >= low - err)] = _UNSURE  # u within E of L: the exact path decides
+    out[at] = k
+    return out
+
+
 def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Poisson draws, one per uniform u on the 2^-53 grid: the smallest k
     with u < F(k; theta) (inversion). theta = 0 draws 0; a negative rate,
@@ -457,8 +533,9 @@ def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     [0, 1) and a u of another shape than theta are refused.
 
     Each count is one gather from `_count_table` at its (rate bin, uniform
-    cell), and `_settle` has `_inverted`, whose counts the sure cells equal,
-    draw those the table leaves unsure, every rate from _TABLE_TOP on too.
+    cell); `_between_counts` decides most cells that lie between two counts,
+    and `_settle` has `_inverted`, whose counts both stages equal, draw the
+    rest, every rate from _TABLE_TOP on too.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if not np.all(theta <= RATE_CAP):
@@ -469,5 +546,5 @@ def poissons(theta: np.ndarray, u: np.ndarray) -> np.ndarray:
     if u.shape != theta.shape:
         raise ShapeError(f"uniforms of shape {u.shape} for rates of shape {theta.shape}")
     th, u = theta.ravel(), u.ravel()
-    out = _table_counts(th, u).astype(np.int64)
+    out = _between_counts(_table_counts(th, u), th, u).astype(np.int64)
     return _settle(out, np.flatnonzero(out == _UNSURE), _inverted, th, u).reshape(theta.shape)

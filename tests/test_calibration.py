@@ -43,6 +43,11 @@ class TestCmos:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             CmosParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["gain_ratio", "quantum_efficiency"])
+    def test_bool_params_rejected(self, field):
+        with pytest.raises(DomainError, match=f"{field} must be a number, not a bool"):
+            CmosParams(**{field: True})
+
 
 class TestQisForward:
     def test_dark_and_noise_free_zero_input(self):
@@ -105,6 +110,16 @@ class TestQisForward:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be finite"):
+            QisParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["gain_ratio", "quantum_efficiency", "exposure_time",
+                                       "dark_signal", "sigma_real_noise", "adc_bits",
+                                       "clip_max", "crf"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.ones((2, 2), dtype=bool),
+                                       [[1.5, True], [1.0, 1.0]]])
+    def test_bool_params_rejected(self, field, value):
+        # JSON true would otherwise run as 1: no range check tells it apart.
+        with pytest.raises(DomainError, match=f"{field} must be a number, not a bool"):
             QisParams(**{field: value})
 
     def test_non_finite_crf_entry_rejected(self):

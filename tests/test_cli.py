@@ -511,7 +511,11 @@ class TestCalibrate:
                                       '{"adc_bits": 2000}',
                                       '{"adc_bits": 3.5}',
                                       '{"adc_bits": true}',
-                                      '{"clip_max": 1e-320}'])
+                                      '{"clip_max": 1e-320}',
+                                      '{"gain_ratio": true, "exposure_time": true}',
+                                      '{"crf": true}',
+                                      '{"crf": [[true, 1.5], [1.0, 1.0]]}',
+                                      '{"sigma_real_noise": false}'])
     def test_bad_params_is_domain_error(self, tmp_path, capsys, text):
         src = tmp_path / "photons.qex"
         formats.write_float_map(str(src), np.full((4, 4), 50.0))

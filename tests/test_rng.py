@@ -2,6 +2,7 @@ import ast
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -629,7 +630,7 @@ def test_sure_cells_hold_their_count_by_mpmath():
     # F(k; b)) at both edges of its bin, and the table's F is within a
     # thousandth of that margin of mpmath's.
     table, gen, slack = rng._count_table(), np.random.default_rng(29), rng._TABLE_SLACK
-    sure = table[:-1] != rng._UNSURE
+    sure = table[:-1] < rng._BETWEEN
     ends = sure & (table[:-1] != np.roll(table[:-1], 1, axis=1))
     ends |= sure & (table[:-1] != np.roll(table[:-1], -1, axis=1))
     picks = [gen.choice(np.argwhere(ends), 30), gen.choice(np.argwhere(sure), 30)]
@@ -648,7 +649,122 @@ def test_sure_cells_hold_their_count_by_mpmath():
                 assert abs(built[0, k - 1] - cdf(k - 1, a)) <= slack / 1000
 
 
+# The exact F(k; j / BINS) of every bin edge j and count k below the table's,
+# as integers scaled by 2**FIXED: e**-theta from mpmath, then the pmf by its
+# recurrence and the cumulative sums, each step truncated. A truncation grows
+# by at most theta / k a step, so each value lies below the true one by less
+# than e**TOP * COUNTS units < 2**99 units.
+FIXED, LOST = 256, 2 ** 99
+
+
+def _exact_edge_cdfs():
+    counts = rng._TABLE_COUNTS
+    rows = []
+    with mpmath.workprec(FIXED + 64):
+        for j in range(TOP * BINS + 1):
+            term = int(mpmath.floor(mpmath.exp(mpmath.mpf(-j) / BINS) * 2 ** FIXED))
+            row, total = [], 0
+            for k in range(counts):
+                if k:
+                    term = term * j // (BINS * k)
+                total += term
+                row.append(total)
+            rows.append(row)
+    return rows
+
+
+def _cell_edge(i):
+    return i << (FIXED - CELLS.bit_length() + 1)  # i / CELLS, scaled
+
+
+def test_every_run_of_the_count_table_holds_by_mpmath():
+    # A row's cells of one entry form a run, and F falls in the rate, so the
+    # two ends of a run hold for every cell of it: the first cell clears the
+    # least count's F(k - 1) + slack at the bin's low edge a, and the cell
+    # past the last stays below the most count's F - slack at the high edge b.
+    # Sure runs allow one count, runs of _BETWEEN + k the counts k and k + 1.
+    table, slack = rng._count_table(), int(Fraction(rng._TABLE_SLACK) * 2 ** FIXED)
+    exact = _exact_edge_cdfs()
+    # The F rows of the build and of the second stage: within a thousandth
+    # of the slack of the exact F.
+    near = np.array([[x >> (FIXED - 64) for x in row] for row in exact], dtype=float) * 2.0 ** -64
+    assert np.all(np.abs(rng._edge_cdfs()[:, 2:] - near) <= rng._TABLE_SLACK / 1000)
+    assert np.all(table[-1] == rng._UNSURE)
+    checked = 0
+    for j, row in enumerate(table[:-1].tolist()):
+        starts = [0] + [i for i in range(1, CELLS) if row[i] != row[i - 1]] + [CELLS]
+        for first, past in zip(starts, starts[1:]):
+            entry = row[first]
+            if entry == rng._UNSURE:
+                continue
+            least = entry % rng._BETWEEN
+            most = least + (entry >= rng._BETWEEN)
+            assert least == 0 or exact[j][least - 1] + LOST + slack <= _cell_edge(first)
+            assert _cell_edge(past) <= exact[j + 1][most] - slack
+            checked += 1
+    assert checked > 50_000  # every sure run and every run of two counts
+
+
+def test_interpolated_cdf_is_within_its_bound_by_mpmath():
+    # Sampled (bin, count) pairs of the second stage, at interior rates: the
+    # interpolation bound alone, E - slack, holds to within rounding.
+    table, gen = rng._count_table(), np.random.default_rng(38)
+    between = np.argwhere((table[:-1] >= rng._BETWEEN) & (table[:-1] < rng._UNSURE))
+    pairs = np.unique(np.column_stack([between[:, 0], table[tuple(between.T)] - rng._BETWEEN]),
+                      axis=0)
+    pairs = pairs[gen.choice(len(pairs), 150, replace=False)]
+    theta = (pairs[:, 0, None] + gen.random((150, 4))) / BINS
+    k = np.repeat(pairs[:, 1], 4)
+    low, err = rng._interpolated_cdf(theta.ravel(), k)
+    with mpmath.workdps(30):
+        for t, kk, lo, e in zip(theta.ravel().tolist(), k.tolist(), low, err):
+            exact = mpmath.gammainc(kk + 1, t, mpmath.inf, regularized=True)
+            assert abs(exact - mpmath.mpf(lo)) <= e - rng._TABLE_SLACK + 1e-14
+
+
+def _between_uniforms(theta, counts):
+    """The 2^-53 grid points next to L - E, L + E and F(k; theta) of each
+    (theta, count) pair, in 9 blocks of the pairs' order."""
+    low, err = rng._interpolated_cdf(theta, counts)
+    return _grid_around(np.stack([low - err, low + err, pdtr(counts, theta)]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_between_stage_is_the_exact_inversion(data):
+    # Rates in any bin below TOP, with u where the second stage decides
+    # between k and k + 1 by the least margin.
+    j = data.draw(st.integers(0, TOP * BINS - 1))
+    a, b = j / BINS, (j + 1) / BINS
+    theta = np.array(data.draw(st.lists(st.one_of(
+        st.just(a), st.just(math.nextafter(a, b)), st.just(math.nextafter(b, a)),
+        st.floats(a, b, exclude_max=True)), min_size=1, max_size=3)))
+    row = rng._count_table()[j]
+    counts = np.unique(row[(row >= rng._BETWEEN) & (row < rng._UNSURE)]) - rng._BETWEEN
+    theta, counts = (x.ravel() for x in np.meshgrid(theta, counts))
+    u = _between_uniforms(theta, counts)
+    theta = np.tile(theta, 9)
+    assert np.array_equal(rng.poissons(theta, u), rng._inverted(theta, u))
+
+
+def test_between_stage_is_the_exact_inversion_in_every_bin():
+    # Each (bin, count) pair of the second stage once, at the bin's low edge,
+    # at a point inside or at the float below its high edge, in one batch.
+    table = rng._count_table()[:-1]
+    rows, cells = np.nonzero((table >= rng._BETWEEN) & (table < rng._UNSURE))
+    pairs = np.unique(rows * 256 + table[rows, cells])
+    j, counts = pairs // 256, pairs % 256 - rng._BETWEEN
+    inside = np.random.default_rng(38).random(j.size)
+    theta = np.choose(np.arange(j.size) % 3, [j / BINS, (j + inside) / BINS,
+                                              np.nextafter((j + 1) / BINS, 0.0)])
+    u = _between_uniforms(theta, counts)
+    theta = np.tile(theta, 9)
+    assert np.array_equal(rng.poissons(theta, u), rng._inverted(theta, u))
+
+
 def test_count_table_is_read_only_small_and_quick():
+    # Each rebuild below reads the F rows that `_edge_cdfs` keeps, which
+    # have their own gate.
     table = rng._count_table()
     assert not table.flags.writeable
     with pytest.raises(ValueError):
@@ -659,7 +775,7 @@ def test_count_table_is_read_only_small_and_quick():
         start = time.perf_counter()
         rng._count_table()
         times.append(time.perf_counter() - start)
-    assert min(times) <= 0.015  # 6.6 ms on a 2-core Xeon
+    assert min(times) <= 0.015  # 4.6-6.4 ms on a 2-core Xeon
     rng._count_table.cache_clear()
     tracemalloc.start()
     try:
@@ -667,5 +783,30 @@ def test_count_table_is_read_only_small_and_quick():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2 ** 20  # the 1 MiB table included: 1.46 MiB
+    assert peak <= 2 * 2 ** 20  # the 1 MiB table included: 1.37 MiB
     assert np.array_equal(rebuilt, table)
+
+
+def test_edge_cdfs_are_read_only_small_and_quick():
+    # The F rows the table is built from and the second stage interpolates,
+    # gated on their own: the table's gate above rebuilds the table alone.
+    cdf = rng._edge_cdfs()
+    assert not cdf.flags.writeable
+    assert cdf.shape == (TOP * BINS + 1, rng._TABLE_COUNTS + 2)
+    assert np.all(cdf[:, :2] == 0.0) and np.all(cdf[0, 2:] == 1.0)
+    times = []
+    for _ in range(3):
+        rng._edge_cdfs.cache_clear()
+        start = time.perf_counter()
+        rng._edge_cdfs()
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.005  # 1.2-2.1 ms on a 2-core Xeon
+    rng._edge_cdfs.cache_clear()
+    tracemalloc.start()
+    try:
+        rebuilt = rng._edge_cdfs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2 ** 20  # the 0.77 MiB rows included: 0.91 MiB
+    assert np.array_equal(rebuilt, cdf)

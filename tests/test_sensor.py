@@ -13,8 +13,9 @@ from quantaflow import (BinaryFrame, DomainError, ExposureMap, NeighborhoodSpec,
                         SensorConfig, UnidentifiableError, bit_probability,
                         invert_bit_density, local_bit_density, mean_bit_density,
                         sample_frame)
-from quantaflow.sensor import (BINS, SERIES_CAP, THETA_CAP, _brackets, _complement, _fires,
-                               _series_terms, neighborhood_ones, noise_floor)
+from quantaflow.cli import build_parser
+from quantaflow.sensor import (BINS, SERIES_CAP, SLACK, THETA_CAP, _brackets, _complement,
+                               _fires, _series_terms, neighborhood_ones, noise_floor)
 
 
 def _brute_force_counts(bits, r, boundary):
@@ -215,6 +216,36 @@ def _top(q, sigma_r):
     return (_brackets(q, sigma_r)[1].size - 1) / BINS
 
 
+def _series_reference(theta, exp_neg_theta, q, sigma_r):
+    """The complement series at each theta, and a bound on its relative
+    error: the weights and e**-theta (given, each within 3 eps) from mpmath,
+    the terms theta**k / k! by their recurrence in float64. Every term is
+    positive, so with K the last count each value lies within (3K + 8) eps
+    of the series, whose counts are those of `_series_terms`."""
+    ks = [k for k, _ in _series_terms(q, sigma_r)]
+    assert ks == list(range(len(ks)))
+    with mpmath.workdps(30):
+        weights = [1.0 if sigma_r == 0.0 else float(mpmath.ncdf((mpmath.mpf(q) - k) / sigma_r))
+                   for k in ks]
+    term = np.ones_like(theta)
+    total = weights[0] * term
+    for k in ks[1:]:
+        term *= theta
+        term /= k
+        total += weights[k] * term
+    return total * exp_neg_theta, (3 * ks[-1] + 8) * 2.0 ** -53
+
+
+def _exp_neg_edges(n):
+    """e**-(j / BINS) for j in range(n), as e**-i * e**-(f / BINS) from
+    mpmath's values rounded to float64: each within 3 eps."""
+    with mpmath.workdps(30):
+        whole = [float(mpmath.exp(-i)) for i in range(n // BINS + 1)]
+        part = [float(mpmath.exp(mpmath.mpf(-f) / BINS)) for f in range(BINS)]
+    j = np.arange(n)
+    return np.take(whole, j // BINS) * np.take(part, j % BINS)
+
+
 def _squeeze_thetas(q, sigma_r):
     top = _top(q, sigma_r)
     edge = st.integers(0, int(top * BINS)).map(lambda j: j / BINS)
@@ -268,6 +299,32 @@ class TestSqueeze:
         far = np.concatenate([[top / BINS, math.nextafter(top / BINS, math.inf), 1e308],
                               top / BINS * np.exp(gen.uniform(0.0, 700.0, 1000))])
         assert lo[top] == 0.0 and np.all(_complement(far, q, sigma_r) <= hi[top])
+
+    @pytest.mark.parametrize("q, sigma_r", SQUEEZE_SETTINGS)
+    def test_every_bracket_holds_the_series_by_mpmath(self, q, sigma_r):
+        # The series falls in theta, so bin j's bracket holds everywhere in
+        # the bin iff it holds at both edges. It is checked at every edge with
+        # half of SLACK to spare, and the float64 series that the exact path
+        # compares with stays within a millionth of SLACK of the reference,
+        # at every edge and at rates inside the bins.
+        lo, hi = _brackets(q, sigma_r)
+        top = hi.size - 1
+        edges = np.arange(top + 1) / BINS
+        c, bound = _series_reference(edges, _exp_neg_edges(top + 1), q, sigma_r)
+        assert bound < 1e-6 * SLACK
+        assert np.all(lo[:-1] <= c[1:] * (1.0 - SLACK / 2))
+        assert np.all(c[:-1] * (1.0 + SLACK / 2) <= hi[:-1])
+        assert np.all(np.abs(_complement(edges, q, sigma_r) - c) <= 1e-6 * SLACK * c)
+        theta = np.random.default_rng(24).uniform(0.0, top / BINS, 200)
+        with mpmath.workdps(30):
+            exp_neg = np.array([float(mpmath.exp(-t)) for t in theta.tolist()])
+        c, _ = _series_reference(theta, exp_neg, q, sigma_r)
+        assert np.all(np.abs(_complement(theta, q, sigma_r) - c) <= 1e-6 * SLACK * c)
+
+    def test_cli_defaults_are_a_squeeze_setting(self):
+        args = build_parser().parse_args(["simulate", "--theta-const", "1", "--size", "2x2",
+                                          "--seed", "1", "--out", "f.qbf"])
+        assert (args.q, args.sigma_r) in SQUEEZE_SETTINGS
 
     @pytest.mark.parametrize("q, sigma_r", SQUEEZE_SETTINGS)
     def test_past_the_top_only_a_zero_uniform_is_undecided(self, q, sigma_r):
